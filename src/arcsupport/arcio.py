@@ -15,8 +15,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import InvalidArcError, ParseError
-from .geom import (Point, Segment, Tolerance, bbox_diagonal, dist, orient,
-                   segments_intersect)
+from .geom import (DEFAULT_EPS_ANGLE, Point, Segment, Tolerance,
+                   bbox_diagonal, dist, orient, segments_intersect)
 
 
 @dataclass(frozen=True)
@@ -49,18 +49,13 @@ class PolygonalArc:
         b = self.nodes[(i + 1) % len(self.nodes)]
         return (a, b)
 
-    def segments(self) -> Iterator[Segment]:
-        for i in range(self.segment_count()):
-            yield self.segment(i)
-
-    def tolerance(self, rel: float | None = None,
-                  eps_angle: float | None = None) -> Tolerance:
-        kwargs = {}
-        if rel is not None:
-            kwargs["rel"] = rel
-        if eps_angle is not None:
-            kwargs["eps_angle"] = eps_angle
-        return Tolerance.for_diagonal(bbox_diagonal(self.nodes), **kwargs)
+    def tolerance(self, eps_len: float | None = None,
+                  eps_angle: float = DEFAULT_EPS_ANGLE) -> Tolerance:
+        """``eps_len`` if given, else the default fraction of the bounding
+        box diagonal."""
+        if eps_len is not None:
+            return Tolerance(eps_len, eps_angle)
+        return Tolerance.for_diagonal(bbox_diagonal(self.nodes), eps_angle)
 
 
 class Violation(NamedTuple):
@@ -228,7 +223,7 @@ def validate_simple(arc: PolygonalArc, tol: Tolerance | None = None) -> Validati
                     f"segment {j % m} folds back along segment {(j - 1) % m}"))
 
     for i, j in _candidate_pairs(arc, tol.eps_len):
-        if segments_intersect(arc.segment(i), arc.segment(j), "any", tol):
+        if segments_intersect(arc.segment(i), arc.segment(j), tol):
             violations.append(Violation(
                 "segments_cross", (i, j),
                 f"segments {i} and {j} intersect"))

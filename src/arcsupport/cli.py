@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .arcgen import RNG_ALGORITHM, STRATEGIES, generate_arc
-from .arcio import PolygonalArc, load_arc, validate_simple
-from .errors import (ArcSupportError, GenerationError, ParseError,
-                     StructuralViolationError)
-from .geom import Tolerance
+from .arcio import load_arc, validate_simple
+from .errors import ArcSupportError, StructuralViolationError
+from .geom import DEFAULT_EPS_ANGLE
 from .hull import convex_hull
 from .oracle import compare_with_solver
 from .report import AnalysisReport, solution_csv, tilt_table_csv
@@ -27,16 +27,7 @@ EXIT_OK = 0
 EXIT_INVALID_ARC = 3
 EXIT_STRUCTURAL = 4
 EXIT_DISAGREEMENT = 5
-
-
-def _tolerance(arc: PolygonalArc, args: argparse.Namespace) -> Tolerance:
-    eps_angle = args.eps_angle
-    if args.eps is not None:
-        from .geom import DEFAULT_EPS_ANGLE
-        return Tolerance(eps_len=args.eps,
-                         eps_angle=DEFAULT_EPS_ANGLE
-                         if eps_angle is None else eps_angle)
-    return arc.tolerance(eps_angle=eps_angle)
+MIN_PHI_STEP = 0.01         # --phi-grid makes at most 180 / 0.01 angles
 
 
 def _write(path: str, text: str) -> None:
@@ -46,7 +37,7 @@ def _write(path: str, text: str) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     arc = load_arc(args.input)
-    report = validate_simple(arc, _tolerance(arc, args))
+    report = validate_simple(arc, arc.tolerance(args.eps, args.eps_angle))
     if args.format == "csv":
         lines = ["kind,indices,detail"]
         for v in report.violations:
@@ -64,7 +55,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     arc = load_arc(args.input)
-    analysis = analyze_arc(arc, _tolerance(arc, args))
+    analysis = analyze_arc(arc, arc.tolerance(args.eps, args.eps_angle))
     report = AnalysisReport.from_analysis(analysis)
     if args.json:
         _write(args.json, report.to_json() + "\n")
@@ -87,7 +78,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if bad is not None:
         return bad
     arc = load_arc(args.input)
-    tol = _tolerance(arc, args)
+    tol = arc.tolerance(args.eps, args.eps_angle)
     if arc.closed:
         if args.phi != 0.0:
             print("error: closed arcs support only --phi 0", file=sys.stderr)
@@ -125,7 +116,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if bad is not None:
         return bad
     arc = load_arc(args.input)
-    tol = _tolerance(arc, args)
+    tol = arc.tolerance(args.eps, args.eps_angle)
     report = compare_with_solver(arc, args.phi, tol)
     print(json.dumps({
         "phi": report.phi,
@@ -140,7 +131,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     arc = load_arc(args.input)
-    tol = _tolerance(arc, args)
+    tol = arc.tolerance(args.eps, args.eps_angle)
     if args.what == "scene" and arc.closed:
         hull = convex_hull(arc.nodes, tol)
         _write(f"{args.svg}.scene.svg", render_scene(arc, hull))
@@ -171,8 +162,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     grid: list[float] = []
     if args.phi_grid is not None:
         step = args.phi_grid
-        if step <= 0:
-            print("error: --phi-grid must be positive", file=sys.stderr)
+        if not MIN_PHI_STEP <= step < math.inf:
+            print("error: --phi-grid must be positive, finite and at least "
+                  f"{MIN_PHI_STEP}", file=sys.stderr)
             return 2
         k = 0
         while k * step < 180.0:
@@ -213,6 +205,18 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return EXIT_OK if not failures else EXIT_DISAGREEMENT
 
 
+def _positive(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arcsupport",
@@ -220,10 +224,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="stdout format (default json)")
-    common.add_argument("--eps", type=float, default=None,
+    common.add_argument("--eps", type=_positive, default=None,
                         help="absolute length tolerance (default: relative "
                              "to the arc's bounding box)")
-    common.add_argument("--eps-angle", type=float, default=None,
+    common.add_argument("--eps-angle", type=_positive,
+                        default=DEFAULT_EPS_ANGLE,
                         help="angle tolerance in degrees")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -284,19 +289,10 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_ARC
     except StructuralViolationError as exc:
         print(f"structural violation: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
-    except GenerationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_ARC
-    except ArcSupportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_ARC
-    except OSError as exc:
+    except (ArcSupportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_ARC
 

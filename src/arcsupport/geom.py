@@ -40,12 +40,12 @@ class Tolerance(NamedTuple):
     eps_angle: float = DEFAULT_EPS_ANGLE
 
     @classmethod
-    def for_diagonal(cls, diagonal: float, rel: float = DEFAULT_EPS_REL,
+    def for_diagonal(cls, diagonal: float,
                      eps_angle: float = DEFAULT_EPS_ANGLE) -> "Tolerance":
-        if rel <= 0 or eps_angle <= 0:
+        if eps_angle <= 0:
             raise ValueError("tolerances must be strictly positive")
-        return cls(eps_len=rel * diagonal if diagonal > 0 else rel,
-                   eps_angle=eps_angle)
+        return cls(eps_len=DEFAULT_EPS_REL * diagonal if diagonal > 0
+                   else DEFAULT_EPS_REL, eps_angle=eps_angle)
 
 
 def normalize_angle(a: float) -> float:
@@ -60,11 +60,6 @@ def normalize_angle(a: float) -> float:
     return r
 
 
-def angles_equal(a: float, b: float, eps: float = DEFAULT_EPS_ANGLE) -> bool:
-    """Directed-angle equality modulo 360."""
-    return abs(normalize_angle(a - b)) <= eps
-
-
 def angle_dist_mod180(a: float, b: float) -> float:
     """Distance between two line directions, orientation ignored; in [0, 90]."""
     d = abs(normalize_angle(a - b))
@@ -77,15 +72,6 @@ def direction_deg(a: Point, b: Point) -> float:
     if dx == 0.0 and dy == 0.0:
         raise ValueError("direction of a zero vector is undefined")
     return normalize_angle(math.degrees(math.atan2(dy, dx)))
-
-
-def directed_angle(u: Point, v: Point) -> float:
-    """Signed angle from vector u to vector v, in (-180, 180]."""
-    if (u[0] == 0.0 and u[1] == 0.0) or (v[0] == 0.0 and v[1] == 0.0):
-        raise ValueError("directed angle of a zero vector is undefined")
-    cross = u[0] * v[1] - u[1] * v[0]
-    dot = u[0] * v[0] + u[1] * v[1]
-    return normalize_angle(math.degrees(math.atan2(cross, dot)))
 
 
 def unit_vector(dir_deg: float) -> Point:
@@ -130,15 +116,10 @@ def _on_segment(a: Point, b: Point, p: Point, eps: float) -> bool:
             and min(a[1], b[1]) - eps <= p[1] <= max(a[1], b[1]) + eps)
 
 
-def segments_intersect(s1: Segment, s2: Segment, mode: str = "any",
+def segments_intersect(s1: Segment, s2: Segment,
                        tol: Tolerance | None = None) -> bool:
-    """Whether two segments meet.
-
-    mode "proper" reports interior crossings only; mode "any" also reports
-    endpoint touches and collinear overlap.
-    """
-    if mode not in ("any", "proper"):
-        raise ValueError(f"unknown mode {mode!r}")
+    """Whether two segments meet: an interior crossing, an endpoint touch
+    or a collinear overlap."""
     (p1, p2), (q1, q2) = s1, s2
     eps = tol.eps_len if tol is not None else 0.0
     if dist(p1, p2) <= eps or dist(q1, q2) <= eps:
@@ -147,8 +128,6 @@ def segments_intersect(s1: Segment, s2: Segment, mode: str = "any",
     o2 = orient(p1, p2, q2, tol)
     o3 = orient(q1, q2, p1, tol)
     o4 = orient(q1, q2, p2, tol)
-    if mode == "proper":
-        return o1 * o2 < 0 and o3 * o4 < 0
     if 0 not in (o1, o2, o3, o4):
         return o1 != o2 and o3 != o4
     if o1 == 0 and _on_segment(p1, p2, q1, eps):
@@ -176,6 +155,13 @@ def lines_equal(l1: Line, l2: Line, tol: Tolerance) -> bool:
     """Same undirected line: parallel within eps_angle, coincident within eps_len."""
     return (lines_parallel(l1, l2, tol.eps_angle)
             and abs(line_offset(l1, Point(l2.px, l2.py))) <= tol.eps_len)
+
+
+def same_line_pair(m1: Line, n1: Line, m2: Line, n2: Line,
+                   tol: Tolerance) -> bool:
+    """Whether {m1, n1} and {m2, n2} are the same unordered pair of lines."""
+    return ((lines_equal(m1, m2, tol) and lines_equal(n1, n2, tol))
+            or (lines_equal(m1, n2, tol) and lines_equal(n1, m2, tol)))
 
 
 def lines_intersection(l1: Line, l2: Line,

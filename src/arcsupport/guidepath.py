@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import TooLargeError, ensure
-from .geom import Point, direction_deg, orient
+from .geom import direction_deg, orient
 from .hull import ConvexHull
 
 
@@ -69,15 +69,6 @@ class GuidePath:
         return self.sigma * orient(a, b, self.hull.points[hull_index],
                                    self.hull.tol)
 
-    @property
-    def upper(self) -> tuple[int, ...]:
-        """Hull indices on the upper side, in visit order."""
-        return tuple(h for h in self.visit if self.side_of(h) > 0)
-
-    @property
-    def lower(self) -> tuple[int, ...]:
-        return tuple(h for h in self.visit if self.side_of(h) < 0)
-
 
 def classify_links(hull: ConvexHull, visit: tuple[int, ...]) -> tuple[Link, ...]:
     """Label each consecutive visit pair 'edge' (hull-adjacent) or 'crossing'."""
@@ -99,21 +90,18 @@ def build_guide_path(hull: ConvexHull) -> GuidePath:
     visit = tuple(sorted(range(k), key=lambda h: hull.node_ids[h]))
     head, tail = visit[0], visit[-1]
     a, b = hull.points[head], hull.points[tail]
-    axis = direction_deg(a, b)
     sigma = orient(a, b, hull.points[visit[1]], hull.tol)
     ensure(sigma != 0,
            "second visited hull vertex lies on the axis")
+    guide = GuidePath(hull=hull, visit=visit, sigma=sigma,
+                      axis_deg=direction_deg(a, b),
+                      links=classify_links(hull, visit),
+                      axis_on_boundary=(tail - head) % k in (1, k - 1))
+    side = guide.side_of
 
-    links = classify_links(hull, visit)
-    ensure(links[0].kind == "edge",
+    ensure(guide.links[0].kind == "edge",
            "the link out of the first visit is not a hull edge")
-
-    def side(h: int) -> int:
-        if h in (head, tail):
-            return 0
-        return sigma * orient(a, b, hull.points[h], hull.tol)
-
-    for link in links:
+    for link in guide.links:
         s1, s2 = side(link.start), side(link.end)
         if s1 != 0 and s1 == s2:
             ensure(link.kind == "edge",
@@ -125,17 +113,11 @@ def build_guide_path(hull: ConvexHull) -> GuidePath:
     # Walking counterclockwise from the head first traverses the lower side
     # when sigma is +1 (the upper side when -1), so visit order on each side
     # is monotone in hull position.
-    def pos(h: int) -> int:
-        return (h - head) % k
-
     for sign, expect_increasing in ((-1, sigma > 0), (1, sigma < 0)):
-        run = [pos(h) for h in visit if side(h) == sign]
+        run = [(h - head) % k for h in visit if side(h) == sign]
         ordered = sorted(run) if expect_increasing else sorted(run, reverse=True)
         ensure(run == ordered, "side visits are not boundary-monotone")
-
-    on_boundary = pos(tail) in (1, k - 1)
-    return GuidePath(hull=hull, visit=visit, sigma=sigma, axis_deg=axis,
-                     links=links, axis_on_boundary=on_boundary)
+    return guide
 
 
 def count_admissible_paths(n: int) -> int:

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import DegenerateHullError
-from .geom import (Line, Point, Segment, Tolerance, angle_dist_mod180,
-                   bbox_diagonal, direction_deg, directed_angle, orient,
-                   unit_vector)
+from .geom import (Line, Point, Tolerance, angle_dist_mod180, bbox_diagonal,
+                   direction_deg, orient, unit_vector)
 
 
 @dataclass(frozen=True)
@@ -22,31 +21,6 @@ class ConvexHull:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def vertex(self, i: int) -> Point:
-        return self.points[i % len(self.points)]
-
-    def edge(self, i: int) -> Segment:
-        k = len(self.points)
-        return (self.points[i % k], self.points[(i + 1) % k])
-
-    def index_of_node(self, node_id: int) -> int:
-        """Hull index of the vertex that is arc node ``node_id``."""
-        return self.node_ids.index(node_id)
-
-    def interior_angle_deg(self, i: int) -> float:
-        """Interior angle at hull vertex ``i``, in (0, 180)."""
-        k = len(self.points)
-        a, v, c = self.points[(i - 1) % k], self.points[i % k], self.points[(i + 1) % k]
-        turn = directed_angle(Point(v.x - a.x, v.y - a.y),
-                              Point(c.x - v.x, c.y - v.y))
-        return 180.0 - turn
-
-
-def hull_edges(hull: ConvexHull) -> tuple[tuple[int, int], ...]:
-    """Counterclockwise hull edges as (start, end) hull-index pairs."""
-    k = len(hull)
-    return tuple((i, (i + 1) % k) for i in range(k))
 
 
 def convex_hull(points: tuple[Point, ...] | list[Point],
@@ -89,8 +63,8 @@ class SupportContact(NamedTuple):
     is_edge: bool
 
 
-def support_contact(hull: ConvexHull, dir_deg: float, side: str,
-                    tol: Tolerance | None = None) -> SupportContact:
+def support_contact(hull: ConvexHull, dir_deg: float,
+                    side: str) -> SupportContact:
     """Support line of ``hull`` with direction ``dir_deg``.
 
     ``side`` names the side of the directed line the hull lies on: 'left'
@@ -104,7 +78,6 @@ def support_contact(hull: ConvexHull, dir_deg: float, side: str,
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-    tol = tol or hull.tol
     u = unit_vector(dir_deg)
     k = len(hull)
     vals = [p.x * (-u.y) + p.y * u.x for p in hull.points]
@@ -115,7 +88,7 @@ def support_contact(hull: ConvexHull, dir_deg: float, side: str,
     ids = {extreme}
     for j in ((extreme - 1) % k, (extreme + 1) % k):
         edge_dir = direction_deg(hull.points[extreme], hull.points[j])
-        if angle_dist_mod180(edge_dir, dir_deg) <= tol.eps_angle:
+        if angle_dist_mod180(edge_dir, dir_deg) <= hull.tol.eps_angle:
             ids.add(j)
     ordered = sorted(ids, key=lambda i: (hull.points[i].x * u.x
                                          + hull.points[i].y * u.y, i))

@@ -122,6 +122,11 @@ class TiltTable:
     def count(self) -> int:
         return len(self.spans)
 
+    def to_dict(self) -> dict:
+        return {"tilts": list(self.tilts), "spans": list(self.spans),
+                "phi_left": self.phi_left, "phi_right": self.phi_right,
+                "delta_total": self.delta_total}
+
     @classmethod
     def from_tilts(cls, tilts: tuple[float, ...]) -> "TiltTable":
         ensure(len(tilts) >= 3, "a tilt table needs at least three tilts")

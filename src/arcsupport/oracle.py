@@ -16,8 +16,10 @@ from dataclasses import dataclass
 
 from .arcio import PolygonalArc
 from .errors import UnsupportedArcError
-from .geom import Line, Tolerance, direction_deg, lines_equal
+from .geom import Line, Tolerance, direction_deg, lines_equal, same_line_pair
 from .hull import convex_hull, support_contact
+
+MATCH_DIR_DEG = 1e-6        # see compare_with_solver
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ def brute_force_configs(arc: PolygonalArc, phi_deg: float,
         cands = [edge_dir] if phi_deg == 0.0 else [edge_dir + phi_deg,
                                                    edge_dir - phi_deg]
         for d in cands:
-            contact = support_contact(hull, d, "right", tol)
+            contact = support_contact(hull, d, "right")
             between = [c for c in contact.node_ids if lo < c < hi]
             if not between:
                 continue
@@ -76,30 +78,29 @@ def brute_force_pairs(arc: PolygonalArc, phi_deg: float,
                       tol: Tolerance | None = None) -> list[OraclePair]:
     """Deduplicated unordered support-line pairs realizing ``phi_deg``."""
     tol = tol or arc.tolerance()
-    pairs: list[OraclePair] = []
-    for config in brute_force_configs(arc, phi_deg, tol):
-        if not any(_same_unordered(config, kept, tol) for kept in pairs):
-            pairs.append(config)
-    return pairs
+    return _dedupe(brute_force_configs(arc, phi_deg, tol), tol)
 
 
-def _same_unordered(p: OraclePair, q: OraclePair, tol: Tolerance) -> bool:
-    return ((lines_equal(p.m, q.m, tol) and lines_equal(p.n, q.n, tol))
-            or (lines_equal(p.m, q.n, tol) and lines_equal(p.n, q.m, tol)))
+def _dedupe(configs: list[OraclePair], tol: Tolerance) -> list[OraclePair]:
+    """The first configuration of each unordered pair of lines."""
+    kept: list[OraclePair] = []
+    for c in configs:
+        if not any(same_line_pair(c.m, c.n, k.m, k.n, tol) for k in kept):
+            kept.append(c)
+    return kept
 
 
 def compare_with_solver(arc: PolygonalArc, phi_deg: float,
                         tol: Tolerance | None = None,
-                        analysis=None,
-                        dir_tol: float = 1e-6) -> AgreementReport:
+                        analysis=None) -> AgreementReport:
     """Solve the same instance both ways and check the results coincide.
 
     Checks three things: the unordered pair counts are equal; each solver
     pair matches a distinct brute-force pair up to role swap; and each
     solver pair appears among the raw configurations with the same roles
     and the same contact nodes.  Line agreement means directions within
-    ``dir_tol`` degrees (mod 180) and anchor offset within the length
-    tolerance.
+    ``MATCH_DIR_DEG`` degrees (mod 180) and anchor offset within the
+    length tolerance.
     """
     from .solver import analyze_arc, solve_at_angle
 
@@ -107,13 +108,9 @@ def compare_with_solver(arc: PolygonalArc, phi_deg: float,
         analysis = analyze_arc(arc, tol)
     solved = solve_at_angle(analysis, phi_deg)
     configs = brute_force_configs(arc, phi_deg, analysis.tol)
-    match_tol = Tolerance(eps_len=analysis.tol.eps_len, eps_angle=dir_tol)
-
-    deduped: list[OraclePair] = []
-    for config in configs:
-        if not any(_same_unordered(config, kept, analysis.tol)
-                   for kept in deduped):
-            deduped.append(config)
+    match_tol = Tolerance(eps_len=analysis.tol.eps_len,
+                          eps_angle=MATCH_DIR_DEG)
+    deduped = _dedupe(configs, analysis.tol)
 
     def fail(message: str) -> AgreementReport:
         return AgreementReport(phi=phi_deg, case=solved.case,
@@ -127,9 +124,8 @@ def compare_with_solver(arc: PolygonalArc, phi_deg: float,
     unmatched = list(deduped)
     for pair in solved.pairs:
         hit = next((other for other in unmatched
-                    if _same_unordered(
-                        OraclePair(pair.m, pair.n, pair.u, pair.v, pair.w),
-                        other, match_tol)), None)
+                    if same_line_pair(pair.m, pair.n, other.m, other.n,
+                                      match_tol)), None)
         if hit is None:
             return fail(f"solver pair has no brute-force match at {phi_deg}")
         unmatched.remove(hit)

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .locales import TiltTable
 from .solver import Analysis, SolutionSet
 
 SCHEMA_VERSION = 1
@@ -85,13 +86,8 @@ class AnalysisReport:
             "locales": [{"index": row.index, "base": list(row.base),
                          "cap": list(row.cap), "side": row.side}
                         for row in self.locales],
-            "tilt_table": {
-                "tilts": list(self.tilts),
-                "spans": list(self.spans),
-                "phi_left": self.phi_left,
-                "phi_right": self.phi_right,
-                "delta_total": self.delta_total,
-            },
+            "tilt_table": TiltTable(self.tilts, self.spans, self.phi_left,
+                                    self.phi_right, self.delta_total).to_dict(),
         }
 
     @classmethod
@@ -126,8 +122,8 @@ class AnalysisReport:
             delta_total=float(tt["delta_total"]),
         )
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .arcio import PolygonalArc, is_segment_arc, validate_simple
 from .errors import (DegenerateHullError, InvalidArcError,
                      UnsupportedArcError, ensure)
-from .geom import (Line, Point, Tolerance, direction_deg, lines_equal,
-                   lines_intersection, normalize_angle, unit_vector)
+from .geom import (Line, Point, Tolerance, direction_deg, lines_intersection,
+                   normalize_angle, same_line_pair, unit_vector)
 from .guidepath import GuidePath, build_guide_path
 from .hull import ConvexHull, convex_hull, support_contact
 from .locales import (LocaleDecomposition, TiltTable, decompose_locales,
@@ -84,30 +84,26 @@ class SolutionSet:
             "pairs": [p.to_json_dict() for p in self.pairs],
         }
         if self.table is not None:
-            out["tilt_table"] = {
-                "tilts": list(self.table.tilts),
-                "spans": list(self.table.spans),
-                "phi_left": self.table.phi_left,
-                "phi_right": self.table.phi_right,
-                "delta_total": self.table.delta_total,
-            }
+            out["tilt_table"] = self.table.to_dict()
         return out
 
 
-def analyze_arc(arc: PolygonalArc, tol: Tolerance | None = None,
-                validate: bool = True) -> Analysis:
+def _require_simple(arc: PolygonalArc, tol: Tolerance) -> None:
+    """Raise InvalidArcError naming the first simplicity violation."""
+    report = validate_simple(arc, tol)
+    if not report.ok:
+        more = len(report.violations) - 1
+        raise InvalidArcError(
+            f"arc is not simple: {report.violations[0].detail}"
+            + (f" (+{more} more)" if more else ""))
+
+
+def analyze_arc(arc: PolygonalArc, tol: Tolerance | None = None) -> Analysis:
     if arc.closed:
         raise UnsupportedArcError(
             "full analysis requires an open arc; use solve_closed instead")
     tol = tol or arc.tolerance()
-    if validate:
-        report = validate_simple(arc, tol)
-        if not report.ok:
-            first = report.violations[0]
-            raise InvalidArcError(
-                f"arc is not simple: {first.detail}"
-                + (f" (+{len(report.violations) - 1} more)"
-                   if len(report.violations) > 1 else ""))
+    _require_simple(arc, tol)
     if is_segment_arc(arc, tol):
         raise DegenerateHullError("all nodes are collinear")
     hull = convex_hull(arc.nodes, tol)
@@ -134,7 +130,7 @@ def realize_solution(analysis: Analysis,
 
     n_dir = normalize_angle(guide.axis_deg + sigma * abstract.contact_angle)
     side = "right" if sigma * locale.cap_sign > 0 else "left"
-    contact = support_contact(hull, n_dir, side, analysis.tol)
+    contact = support_contact(hull, n_dir, side)
 
     candidates = [c for c in contact.node_ids if node_u < c < node_w]
     ensure(len(candidates) > 0,
@@ -181,10 +177,8 @@ def solve_at_angle(analysis: Analysis, phi_deg: float) -> SolutionSet:
     pairs = tuple(realize_solution(analysis, sol) for sol in query.solutions)
     if len(pairs) == 2:
         a, b = pairs
-        tol = analysis.tol
-        same = (lines_equal(a.m, b.m, tol) and lines_equal(a.n, b.n, tol)) or (
-            lines_equal(a.m, b.n, tol) and lines_equal(a.n, b.m, tol))
-        ensure(not same, "the two solutions collapse to one line pair")
+        ensure(not same_line_pair(a.m, a.n, b.m, b.n, analysis.tol),
+               "the two solutions collapse to one line pair")
     return SolutionSet(phi=phi_deg, case=query.case, pairs=pairs,
                        table=analysis.table)
 
@@ -197,8 +191,8 @@ def solve_parallel(analysis: Analysis) -> SolutionSet:
     return result
 
 
-def solve_closed(arc: PolygonalArc, tol: Tolerance | None = None,
-                 validate: bool = True) -> SolutionSet:
+def solve_closed(arc: PolygonalArc,
+                 tol: Tolerance | None = None) -> SolutionSet:
     """Parallel support pair of a closed arc.
 
     m runs along the first hull edge out of the lowest-leftmost node; n is
@@ -208,15 +202,11 @@ def solve_closed(arc: PolygonalArc, tol: Tolerance | None = None,
     if not arc.closed:
         raise UnsupportedArcError("solve_closed requires a closed arc")
     tol = tol or arc.tolerance()
-    if validate:
-        report = validate_simple(arc, tol)
-        if not report.ok:
-            raise InvalidArcError(
-                f"arc is not simple: {report.violations[0].detail}")
+    _require_simple(arc, tol)
     hull = convex_hull(arc.nodes, tol)
     pu, pw = hull.points[0], hull.points[1]
     m = Line(pu.x, pu.y, direction_deg(pu, pw))
-    contact = support_contact(hull, m.dir_deg, "right", tol)
+    contact = support_contact(hull, m.dir_deg, "right")
     pair = SupportPairSolution(
         m=m, n=contact.line, u=hull.node_ids[0], v=contact.node_ids[0],
         w=hull.node_ids[1], locale=None, apex=None, apex_side="none",

@@ -19,7 +19,8 @@ from arcsupport.arcio import (
     validate_simple,
 )
 from arcsupport.errors import InvalidArcError, ParseError
-from arcsupport.geom import Point, segments_intersect
+from arcsupport.geom import (DEFAULT_EPS_ANGLE, Point, Tolerance,
+                             segments_intersect)
 
 
 class TestPolygonalArc:
@@ -47,7 +48,7 @@ class TestPolygonalArc:
     def test_segments_open(self):
         arc = PolygonalArc(((0, 0), (1, 0), (1, 1)))
         assert arc.segment_count() == 2
-        assert list(arc.segments()) == [
+        assert [arc.segment(i) for i in range(arc.segment_count())] == [
             (Point(0, 0), Point(1, 0)), (Point(1, 0), Point(1, 1))]
 
     def test_segments_closed_wrap(self):
@@ -59,10 +60,10 @@ class TestPolygonalArc:
         small = PolygonalArc(((0, 0), (1, 1))).tolerance()
         big = PolygonalArc(((0, 0), (1000, 1000))).tolerance()
         assert big.eps_len == pytest.approx(1000 * small.eps_len)
-        custom = PolygonalArc(((0, 0), (1, 1))).tolerance(rel=1e-6,
-                                                          eps_angle=1e-3)
-        assert custom.eps_len == pytest.approx(1e-6 * math.sqrt(2))
-        assert custom.eps_angle == 1e-3
+        assert small.eps_angle == DEFAULT_EPS_ANGLE
+        arc = PolygonalArc(((0, 0), (1, 1)))
+        assert arc.tolerance(eps_angle=1e-3) == Tolerance(small.eps_len, 1e-3)
+        assert arc.tolerance(1e-6, 1e-3) == Tolerance(1e-6, 1e-3)
 
 
 class TestJsonParsing:
@@ -225,8 +226,7 @@ class TestCandidatePrefilter:
             for j in range(i + 2, m):
                 if arc.closed and i == 0 and j == m - 1:
                     continue
-                if segments_intersect(arc.segment(i), arc.segment(j),
-                                      "any", tol):
+                if segments_intersect(arc.segment(i), arc.segment(j), tol):
                     found.append((i, j))
         return found
 
@@ -247,7 +247,7 @@ class TestCandidatePrefilter:
             candidates = set(_candidate_pairs(arc, tol.eps_len))
             hits = [p for p in candidates
                     if segments_intersect(arc.segment(p[0]), arc.segment(p[1]),
-                                          "any", tol)]
+                                          tol)]
             assert sorted(hits) == sorted(reference)
 
 

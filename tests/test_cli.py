@@ -5,10 +5,13 @@ exit code, captured stdout/stderr, and any files written.  Expected numbers
 are recomputed inline rather than taken from library helpers.
 """
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcsupport.cli import run
 
@@ -300,6 +303,15 @@ class TestFuzz:
         assert run(["fuzz", "--count", "1", "--phi-grid", "-5"]) == 2
         assert "must be positive" in capsys.readouterr().err
 
+    def test_grid_step_below_cap_exits_2(self, capsys):
+        assert run(["fuzz", "--count", "1", "--phi-grid", "1e-12"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "at least 0.01" in err
+
+    def test_grid_step_at_cap_accepted(self, capsys):
+        assert run(["fuzz", "--count", "0", "--phi-grid", "0.01"]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"] == 0
+
     def test_bad_nodes_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["fuzz", "--nodes", "2"])
@@ -360,3 +372,66 @@ class TestToleranceFlags:
         assert run(["oracle", "--phi", "0", "--eps", "1e-9",
                     "--eps-angle", "1e-7", pentagon_file]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps-angle", "0"), ("--eps-angle", "-1"), ("--eps-angle", "inf"),
+        ("--eps", "-1"), ("--eps", "nan"), ("--eps", "0"), ("--eps", "x")])
+    def test_bad_value_is_usage_error(self, pentagon_file, capsys, flag,
+                                      value):
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze", f"{flag}={value}", pentagon_file])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"arcsupport analyze: error: argument {flag}: "
+            f"must be a finite number > 0, got {value!r}")
+
+
+# ------------------------------------------------------- arbitrary flags
+
+@pytest.fixture(scope="module")
+def pentagon_path(tmp_path_factory):
+    return _write_arc(tmp_path_factory.mktemp("arc"), PENTAGON)
+
+
+TOLERANCES = st.sampled_from(
+    ["1e-9", "1e-3", "0.5", "0", "-1", "nan", "inf", "-inf", "1e308"])
+ANGLES = st.sampled_from(
+    ["0", "30", "90", "179.9", "180", "-1", "nan", "inf", "1e308"])
+# steps at or above 10 keep a run short; steps below 0.01 are rejected
+GRID_STEPS = st.sampled_from(
+    ["10", "45", "1e308", "0.001", "1e-12", "0", "-5", "nan", "inf"])
+
+
+class TestArbitraryFlags:
+    @settings(max_examples=50, deadline=None)
+    @given(command=st.sampled_from(
+               ["validate", "analyze", "solve", "oracle", "render", "fuzz"]),
+           eps=st.none() | TOLERANCES, eps_angle=st.none() | TOLERANCES,
+           phi=ANGLES, step=GRID_STEPS)
+    def test_no_traceback(self, pentagon_path, tmp_path_factory, command,
+                          eps, eps_angle, phi, step):
+        argv = [command]
+        if command == "fuzz":
+            argv += ["--count", "1", "--nodes", "5", f"--phi-grid={step}"]
+        else:
+            argv.append(pentagon_path)
+        if command in ("solve", "oracle"):
+            argv.append(f"--phi={phi}")
+        if command == "render":
+            stem = tmp_path_factory.mktemp("svg") / "out"
+            argv += ["--what", "schematic", "--svg", str(stem)]
+        if eps is not None:
+            argv.append(f"--eps={eps}")
+        if eps_angle is not None:
+            argv.append(f"--eps-angle={eps_angle}")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3, 5), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -19,11 +19,9 @@ from arcsupport.geom import (
     Point,
     Tolerance,
     angle_dist_mod180,
-    angles_equal,
     bbox,
     bbox_diagonal,
     direction_deg,
-    directed_angle,
     dist,
     line_offset,
     lines_equal,
@@ -74,12 +72,6 @@ class TestNormalizeAngle:
 
 
 class TestAngleComparisons:
-    def test_angles_equal_wraps(self):
-        assert angles_equal(350.0, -10.0)
-        assert angles_equal(180.0, -180.0)
-        assert not angles_equal(10.0, 11.0)
-        assert angles_equal(10.0, 11.0, eps=2.0)
-
     @pytest.mark.parametrize("a, b, expected", [
         (10.0, 190.0, 0.0),
         (10.0, 100.0, 90.0),
@@ -110,11 +102,6 @@ class TestDirections:
         with pytest.raises(ValueError):
             direction_deg(Point(1, 2), Point(1, 2))
 
-    def test_directed_angle(self):
-        assert directed_angle(Point(1, 0), Point(0, 1)) == pytest.approx(90.0)
-        assert directed_angle(Point(1, 0), Point(0, -1)) == pytest.approx(-90.0)
-        assert directed_angle(Point(1, 0), Point(-1, 0)) == pytest.approx(180.0)
-
     def test_unit_vector(self):
         u = unit_vector(90.0)
         assert u.x == pytest.approx(0.0, abs=1e-15)
@@ -133,7 +120,7 @@ class TestDirections:
         d_ab = direction_deg(a, b)
         d_ba = direction_deg(b, a)
         assert angle_dist_mod180(d_ab, d_ba) == pytest.approx(0.0, abs=1e-6)
-        assert angles_equal(d_ab, d_ba + 180.0, eps=1e-6)
+        assert abs(normalize_angle(d_ab - d_ba - 180.0)) <= 1e-6
 
 
 class TestOrient:
@@ -188,41 +175,32 @@ class TestSegmentsIntersect:
     def test_proper_crossing(self):
         s1 = (Point(0, 0), Point(2, 2))
         s2 = (Point(0, 2), Point(2, 0))
-        assert segments_intersect(s1, s2, mode="proper")
-        assert segments_intersect(s1, s2, mode="any")
+        assert segments_intersect(s1, s2)
 
-    def test_shared_endpoint_is_not_proper(self):
+    def test_shared_endpoint_touches(self):
         s1 = (Point(0, 0), Point(1, 1))
         s2 = (Point(1, 1), Point(2, 0))
-        assert not segments_intersect(s1, s2, mode="proper")
-        assert segments_intersect(s1, s2, mode="any")
+        assert segments_intersect(s1, s2)
 
     def test_t_touch(self):
         s1 = (Point(0, 0), Point(2, 0))
         s2 = (Point(1, 0), Point(1, 5))
-        assert segments_intersect(s1, s2, mode="any")
-        assert not segments_intersect(s1, s2, mode="proper")
+        assert segments_intersect(s1, s2)
 
     def test_disjoint(self):
         s1 = (Point(0, 0), Point(1, 0))
         s2 = (Point(0, 1), Point(1, 1))
-        assert not segments_intersect(s1, s2, mode="any")
+        assert not segments_intersect(s1, s2)
 
     def test_collinear_overlap(self):
         s1 = (Point(0, 0), Point(2, 0))
         s2 = (Point(1, 0), Point(3, 0))
-        assert segments_intersect(s1, s2, mode="any")
-        assert not segments_intersect(s1, s2, mode="proper")
+        assert segments_intersect(s1, s2)
 
     def test_collinear_disjoint(self):
         s1 = (Point(0, 0), Point(1, 0))
         s2 = (Point(2, 0), Point(3, 0))
-        assert not segments_intersect(s1, s2, mode="any")
-
-    def test_unknown_mode_rejected(self):
-        s = (Point(0, 0), Point(1, 0))
-        with pytest.raises(ValueError):
-            segments_intersect(s, s, mode="weird")
+        assert not segments_intersect(s1, s2)
 
 
 class TestLines:
@@ -294,6 +272,6 @@ class TestBoxesAndTolerance:
 
     def test_tolerance_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            Tolerance.for_diagonal(100.0, rel=0.0)
+            Tolerance.for_diagonal(100.0, eps_angle=0.0)
         with pytest.raises(ValueError):
             Tolerance.for_diagonal(100.0, eps_angle=-1.0)

@@ -46,10 +46,8 @@ class TestPentagonGuidePath:
 
     def test_sides(self, pentagon_arc):
         guide = build_guide_path(convex_hull(pentagon_arc.nodes))
-        assert guide.upper == (4, 3)     # nodes 1 and 3, above the axis
-        assert guide.lower == (1,)       # node 2, below
-        assert guide.side_of(guide.head) == 0
-        assert guide.side_of(guide.tail) == 0
+        # visit (0, 4, 1, 3, 2): nodes 1 and 3 above the axis, node 2 below
+        assert [guide.side_of(h) for h in guide.visit] == [0, 1, -1, 1, 0]
 
     def test_rank(self, pentagon_arc):
         guide = build_guide_path(convex_hull(pentagon_arc.nodes))

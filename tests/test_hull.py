@@ -10,7 +10,16 @@ import pytest
 from arcsupport.arcgen import random_convex_polygon
 from arcsupport.errors import DegenerateHullError
 from arcsupport.geom import Point, Tolerance, line_offset, unit_vector
-from arcsupport.hull import convex_hull, hull_edges, support_contact
+from arcsupport.hull import convex_hull, support_contact
+
+
+def interior_angle(hull, i):
+    """Interior angle in degrees at hull vertex i, from the points."""
+    k = len(hull)
+    a, v, c = (hull.points[(i + d) % k] for d in (-1, 0, 1))
+    ux, uy, wx, wy = v.x - a.x, v.y - a.y, c.x - v.x, c.y - v.y
+    turn = math.degrees(math.atan2(ux * wy - uy * wx, ux * wx + uy * wy))
+    return 180.0 - turn
 
 
 class TestConvexHull:
@@ -41,7 +50,7 @@ class TestConvexHull:
                 continue
             k = len(hull)
             for i in range(k):
-                a, b, c = hull.vertex(i), hull.vertex(i + 1), hull.vertex(i + 2)
+                a, b, c = (hull.points[(i + d) % k] for d in range(3))
                 cross = ((b.x - a.x) * (c.y - a.y)
                          - (b.y - a.y) * (c.x - a.x))
                 assert cross > 0.0
@@ -65,25 +74,21 @@ class TestConvexHull:
 
     def test_index_of_node(self, pentagon_arc):
         hull = convex_hull(pentagon_arc.nodes)
-        assert hull.index_of_node(4) == 2
-        assert hull.node_ids[hull.index_of_node(3)] == 3
-
-    def test_hull_edges(self, pentagon_arc):
-        hull = convex_hull(pentagon_arc.nodes)
-        assert hull_edges(hull) == ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))
+        assert hull.node_ids.index(4) == 2
+        assert hull.points[hull.node_ids.index(3)] == pentagon_arc.nodes[3]
 
 
 class TestInteriorAngle:
     def test_square_corners(self):
         hull = convex_hull((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
         for i in range(4):
-            assert hull.interior_angle_deg(i) == pytest.approx(90.0)
+            assert interior_angle(hull, i) == pytest.approx(90.0)
 
     def test_pentagon_head_angle(self, pentagon_arc):
         hull = convex_hull(pentagon_arc.nodes)
         # At (0, 0) between neighbors (1, 1) and (2, -1):
         expected = math.degrees(math.atan2(1, 1)) + math.degrees(math.atan2(1, 2))
-        assert hull.interior_angle_deg(0) == pytest.approx(expected, abs=1e-9)
+        assert interior_angle(hull, 0) == pytest.approx(expected, abs=1e-9)
 
     def test_angles_sum(self):
         rng = random.Random(11)
@@ -91,7 +96,7 @@ class TestInteriorAngle:
             poly = random_convex_polygon(rng.randint(3, 12), rng.randint(0, 10**6))
             hull = convex_hull(poly)
             k = len(hull)
-            total = sum(hull.interior_angle_deg(i) for i in range(k))
+            total = sum(interior_angle(hull, i) for i in range(k))
             assert total == pytest.approx(180.0 * (k - 2), abs=1e-6)
 
 

@@ -23,6 +23,10 @@ from arcsupport.solver import (
     solve_parallel,
 )
 
+# five-pointed star: 3 crossings as an open arc, 5 when closed
+PENTAGRAM = tuple((math.cos(math.radians(90 + 144 * k)),
+                   math.sin(math.radians(90 + 144 * k))) for k in range(5))
+
 DEG_ATAN_1_2 = math.degrees(math.atan2(1, 2))
 PHI_LEFT_PENTAGON = 45.0 + DEG_ATAN_1_2
 
@@ -190,6 +194,8 @@ class TestAnalyzeErrors:
         arc = PolygonalArc(((0, 0), (2, 2), (2, 0), (0, 2)))
         with pytest.raises(InvalidArcError, match="not simple"):
             analyze_arc(arc)
+        with pytest.raises(InvalidArcError, match=r"intersect \(\+2 more\)$"):
+            analyze_arc(PolygonalArc(PENTAGRAM))
 
     def test_collinear_rejected(self):
         with pytest.raises(DegenerateHullError):
@@ -198,9 +204,6 @@ class TestAnalyzeErrors:
     def test_two_node_arc_rejected(self):
         with pytest.raises(DegenerateHullError):
             analyze_arc(PolygonalArc(((0, 0), (1, 1))))
-
-    def test_validate_skip(self, pentagon_arc):
-        assert analyze_arc(pentagon_arc, validate=False).table.count == 3
 
 
 class TestSolveClosed:
@@ -232,6 +235,8 @@ class TestSolveClosed:
         arc = PolygonalArc(((0, 0), (1, 1), (1, 0), (0, 1)), closed=True)
         with pytest.raises(InvalidArcError):
             solve_closed(arc)
+        with pytest.raises(InvalidArcError, match=r"intersect \(\+4 more\)$"):
+            solve_closed(PolygonalArc(PENTAGRAM, closed=True))
 
     def test_fuzzed_star_polygons(self):
         from arcsupport.arcgen import random_star_polygon
