@@ -53,9 +53,13 @@ class PolygonalArc:
                   eps_angle: float = DEFAULT_EPS_ANGLE) -> Tolerance:
         """``eps_len`` if given, else the default fraction of the bounding
         box diagonal."""
+        diagonal = bbox_diagonal(self.nodes)
+        if not math.isfinite(diagonal):
+            raise InvalidArcError(
+                "the arc's bounding box exceeds the float range")
         if eps_len is not None:
             return Tolerance(eps_len, eps_angle)
-        return Tolerance.for_diagonal(bbox_diagonal(self.nodes), eps_angle)
+        return Tolerance.for_diagonal(diagonal, eps_angle)
 
 
 class Violation(NamedTuple):

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable
 
 from .arcgen import RNG_ALGORITHM, STRATEGIES, generate_arc
 from .arcio import load_arc, validate_simple
@@ -66,17 +67,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_phi(phi: float) -> int | None:
-    if not 0.0 <= phi < 180.0:
-        print(f"error: --phi must lie in [0, 180), got {phi}", file=sys.stderr)
-        return 2
-    return None
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
-    bad = _check_phi(args.phi)
-    if bad is not None:
-        return bad
     arc = load_arc(args.input)
     tol = arc.tolerance(args.eps, args.eps_angle)
     if arc.closed:
@@ -112,9 +103,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    bad = _check_phi(args.phi)
-    if bad is not None:
-        return bad
     arc = load_arc(args.input)
     tol = arc.tolerance(args.eps, args.eps_angle)
     report = compare_with_solver(arc, args.phi, tol)
@@ -160,16 +148,9 @@ def _parse_nodes(spec: str) -> tuple[int, int]:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     lo, hi = args.nodes
     grid: list[float] = []
-    if args.phi_grid is not None:
-        step = args.phi_grid
-        if not MIN_PHI_STEP <= step < math.inf:
-            print("error: --phi-grid must be positive, finite and at least "
-                  f"{MIN_PHI_STEP}", file=sys.stderr)
-            return 2
-        k = 0
-        while k * step < 180.0:
-            grid.append(k * step)
-            k += 1
+    step = args.phi_grid
+    while step is not None and len(grid) * step < 180.0:
+        grid.append(len(grid) * step)
 
     failures: list[dict] = []
     checks = 0
@@ -205,50 +186,62 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return EXIT_OK if not failures else EXIT_DISAGREEMENT
 
 
-def _positive(text: str) -> float:
-    """argparse type: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number > 0, got {text!r}")
-    return value
+def _number(convert: Callable[[str], float], rule: str,
+            ok: Callable[[float], bool]) -> Callable[[str], float]:
+    """argparse type: ``convert(text)``; a usage error unless ``ok`` holds."""
+    def parse(text: str) -> float:
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+    return parse
+
+
+# nan fails every comparison, so each predicate also rejects it
+_positive = _number(float, "must be a finite number > 0",
+                    lambda v: 0 < v < math.inf)
+_phi = _number(float, "must lie in [0, 180)", lambda v: 0 <= v < 180)
+_phi_step = _number(float,
+                    f"must be positive, finite and at least {MIN_PHI_STEP}",
+                    lambda v: MIN_PHI_STEP <= v < math.inf)
+_natural = _number(int, "must be an integer >= 0", lambda v: v >= 0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arcsupport",
         description="Support-line pair analysis for simple polygonal arcs.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="stdout format (default json)")
-    common.add_argument("--eps", type=_positive, default=None,
-                        help="absolute length tolerance (default: relative "
-                             "to the arc's bounding box)")
-    common.add_argument("--eps-angle", type=_positive,
-                        default=DEFAULT_EPS_ANGLE,
-                        help="angle tolerance in degrees")
+    arc_input = argparse.ArgumentParser(add_help=False)
+    arc_input.add_argument("input", help="arc file (.json or .csv)")
+    arc_input.add_argument("--eps", type=_positive, default=None,
+                           help="absolute length tolerance (default: "
+                                "relative to the arc's bounding box)")
+    arc_input.add_argument("--eps-angle", type=_positive,
+                           default=DEFAULT_EPS_ANGLE,
+                           help="angle tolerance in degrees")
+    stdout_format = argparse.ArgumentParser(add_help=False)
+    stdout_format.add_argument("--format", choices=("json", "csv"),
+                               default="json",
+                               help="stdout format (default json)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common],
+    p = sub.add_parser("validate", parents=[arc_input, stdout_format],
                        help="check that an arc is simple")
-    p.add_argument("input", help="arc file (.json or .csv)")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[arc_input, stdout_format],
                        help="hull, guide path, locales, and tilt table")
-    p.add_argument("input")
     p.add_argument("--json", metavar="PATH",
                    help="also write the full report to this file")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("solve", parents=[common],
+    p = sub.add_parser("solve", parents=[arc_input, stdout_format],
                        help="support-line pairs at a prescribed angle")
-    p.add_argument("input")
-    p.add_argument("--phi", type=float, required=True,
+    p.add_argument("--phi", type=_phi, required=True,
                    help="prescribed angle in degrees, 0 <= phi < 180")
     p.add_argument("--json", metavar="PATH",
                    help="also write the solution to this file")
@@ -256,27 +249,24 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write STEM.scene.svg and STEM.schematic.svg")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("oracle", parents=[common],
+    p = sub.add_parser("oracle", parents=[arc_input],
                        help="compare the solver against brute force")
-    p.add_argument("input")
-    p.add_argument("--phi", type=float, required=True)
+    p.add_argument("--phi", type=_phi, required=True)
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("render", parents=[common],
+    p = sub.add_parser("render", parents=[arc_input],
                        help="write an SVG drawing")
-    p.add_argument("input")
     p.add_argument("--what", choices=("scene", "schematic"), required=True)
     p.add_argument("--svg", metavar="STEM", required=True)
     p.set_defaults(func=_cmd_render)
 
-    p = sub.add_parser("fuzz", parents=[common],
-                       help="random arcs checked against brute force")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("fuzz", help="random arcs checked against brute force")
+    p.add_argument("--count", type=_natural, default=100)
+    p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--nodes", type=_parse_nodes, default=(5, 50),
                    metavar="N or LO-HI", help="node count or range "
                    "(default 5-50)")
-    p.add_argument("--phi-grid", type=float, default=None, metavar="STEP",
+    p.add_argument("--phi-grid", type=_phi_step, default=None, metavar="STEP",
                    help="also check a grid of angles with this step")
     p.add_argument("--strategy", choices=STRATEGIES + ("mixed",),
                    default="mixed")

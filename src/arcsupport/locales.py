@@ -75,15 +75,15 @@ def decompose_locales(guide: GuidePath) -> LocaleDecomposition:
     for j, (u, w) in enumerate(bases, start=1):
         cap = tuple(h for h in guide.visit if rank[u] < rank[h] < rank[w])
         ensure(len(cap) > 0, f"locale {j} has an empty cap")
-        side = "lower" if j % 2 == 1 else "upper"
-        cap_sign = 1 if side == "lower" else -1
-        ensure(all(guide.side_of(h) == cap_sign for h in cap),
+        loc = Locale(index=j, base=(u, w), cap=cap,
+                     base_side="lower" if j % 2 == 1 else "upper")
+        ensure(all(guide.side_of(h) == loc.cap_sign for h in cap),
                f"cap of locale {j} is not a single-side run")
         for h in (u, w):
             if h not in (guide.head, guide.tail):
-                ensure(guide.side_of(h) == -cap_sign,
+                ensure(guide.side_of(h) == -loc.cap_sign,
                        f"base endpoints of locale {j} break side alternation")
-        locales.append(Locale(index=j, base=(u, w), cap=cap, base_side=side))
+        locales.append(loc)
 
     return LocaleDecomposition(guide=guide, locales=tuple(locales))
 

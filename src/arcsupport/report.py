@@ -36,11 +36,7 @@ class AnalysisReport:
     axis_on_boundary: bool
     links: tuple[tuple[int, int, str], ...]
     locales: tuple[LocaleRow, ...]
-    tilts: tuple[float, ...]
-    spans: tuple[float, ...]
-    phi_left: float
-    phi_right: float
-    delta_total: float
+    table: TiltTable
 
     @classmethod
     def from_analysis(cls, analysis: Analysis) -> "AnalysisReport":
@@ -63,11 +59,7 @@ class AnalysisReport:
                           cap=tuple(node[h] for h in loc.cap),
                           side=loc.base_side)
                 for loc in analysis.decomposition.locales),
-            tilts=analysis.table.tilts,
-            spans=analysis.table.spans,
-            phi_left=analysis.table.phi_left,
-            phi_right=analysis.table.phi_right,
-            delta_total=analysis.table.delta_total,
+            table=analysis.table,
         )
 
     def to_dict(self) -> dict:
@@ -86,8 +78,7 @@ class AnalysisReport:
             "locales": [{"index": row.index, "base": list(row.base),
                          "cap": list(row.cap), "side": row.side}
                         for row in self.locales],
-            "tilt_table": TiltTable(self.tilts, self.spans, self.phi_left,
-                                    self.phi_right, self.delta_total).to_dict(),
+            "tilt_table": self.table.to_dict(),
         }
 
     @classmethod
@@ -115,11 +106,11 @@ class AnalysisReport:
                           cap=tuple(int(c) for c in row["cap"]),
                           side=str(row["side"]))
                 for row in data["locales"]),
-            tilts=tuple(float(t) for t in tt["tilts"]),
-            spans=tuple(float(s) for s in tt["spans"]),
-            phi_left=float(tt["phi_left"]),
-            phi_right=float(tt["phi_right"]),
-            delta_total=float(tt["delta_total"]),
+            table=TiltTable(tilts=tuple(float(t) for t in tt["tilts"]),
+                            spans=tuple(float(s) for s in tt["spans"]),
+                            phi_left=float(tt["phi_left"]),
+                            phi_right=float(tt["phi_right"]),
+                            delta_total=float(tt["delta_total"])),
         )
 
     def to_json(self) -> str:
@@ -133,9 +124,9 @@ class AnalysisReport:
 def tilt_table_csv(report: AnalysisReport) -> str:
     """Tilt table as CSV: one row per tilt index, span where defined."""
     lines = ["index,tilt_deg,span_deg"]
-    count = len(report.spans)
-    for i, tilt in enumerate(report.tilts):
-        span = repr(report.spans[i - 1]) if 1 <= i <= count else ""
+    spans = report.table.spans
+    for i, tilt in enumerate(report.table.tilts):
+        span = repr(spans[i - 1]) if 1 <= i <= len(spans) else ""
         lines.append(f"{i},{tilt!r},{span}")
     return "\n".join(lines) + "\n"
 

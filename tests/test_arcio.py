@@ -65,6 +65,15 @@ class TestPolygonalArc:
         assert arc.tolerance(eps_angle=1e-3) == Tolerance(small.eps_len, 1e-3)
         assert arc.tolerance(1e-6, 1e-3) == Tolerance(1e-6, 1e-3)
 
+    def test_tolerance_rejects_overflowing_diagonal(self):
+        # every coordinate is finite, but the diagonal overflows to inf
+        arc = PolygonalArc(((0, 0), (1e308, 1e308), (-1e308, 0)))
+        for eps_len in (None, 1.0):
+            with pytest.raises(InvalidArcError, match="float range"):
+                arc.tolerance(eps_len)
+        with pytest.raises(InvalidArcError, match="float range"):
+            validate_simple(arc)
+
 
 class TestJsonParsing:
     def test_round_trip(self):

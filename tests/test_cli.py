@@ -167,9 +167,13 @@ class TestSolve:
         assert 'class="query-rule"' in schematic
 
     def test_phi_out_of_range_exits_2(self, pentagon_file, capsys):
-        assert run(["solve", "--phi", "180", pentagon_file]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--phi", "180", pentagon_file])
+        assert exc.value.code == 2
         assert "must lie in [0, 180)" in capsys.readouterr().err
-        assert run(["solve", "--phi", "-1", pentagon_file]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--phi", "-1", pentagon_file])
+        assert exc.value.code == 2
         assert "must lie in [0, 180)" in capsys.readouterr().err
 
     def test_closed_arc_parallel_ok(self, tmp_path, capsys):
@@ -222,7 +226,9 @@ class TestOracle:
         assert payload["case"] in "ABCD"
 
     def test_phi_out_of_range_exits_2(self, pentagon_file, capsys):
-        assert run(["oracle", "--phi", "360", pentagon_file]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["oracle", "--phi", "360", pentagon_file])
+        assert exc.value.code == 2
         assert "must lie in [0, 180)" in capsys.readouterr().err
 
 
@@ -300,17 +306,34 @@ class TestFuzz:
         assert payload["ok"] is True
 
     def test_bad_grid_exits_2(self, capsys):
-        assert run(["fuzz", "--count", "1", "--phi-grid", "-5"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["fuzz", "--count", "1", "--phi-grid", "-5"])
+        assert exc.value.code == 2
         assert "must be positive" in capsys.readouterr().err
 
     def test_grid_step_below_cap_exits_2(self, capsys):
-        assert run(["fuzz", "--count", "1", "--phi-grid", "1e-12"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["fuzz", "--count", "1", "--phi-grid", "1e-12"])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "at least 0.01" in err
+        # one error line after argparse's usage text
+        assert "at least 0.01" in err.splitlines()[-1]
+        assert err.count("error:") == 1
 
     def test_grid_step_at_cap_accepted(self, capsys):
         assert run(["fuzz", "--count", "0", "--phi-grid", "0.01"]) == 0
         assert json.loads(capsys.readouterr().out)["checks"] == 0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--count", "-1"), ("--count", "1.5"), ("--seed", "-1")])
+    def test_bad_count_or_seed_exits_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run(["fuzz", "--nodes", "5", f"{flag}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith(
+            f"must be an integer >= 0, got {value!r}")
 
     def test_bad_nodes_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -319,6 +342,30 @@ class TestFuzz:
         with pytest.raises(SystemExit) as exc:
             run(["fuzz", "--nodes", "9-4"])
         assert exc.value.code == 2
+
+
+# --------------------------------------------------- flags not honoured
+
+class TestUnhonouredFlags:
+    """Each subcommand rejects the shared flags it would ignore."""
+
+    @pytest.mark.parametrize("flag", [
+        ["--eps", "1"], ["--eps-angle", "1e-7"], ["--format", "csv"]])
+    def test_fuzz_rejects_arc_flags(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(["fuzz", "--count", "1", "--nodes", "5", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--phi", "30"],
+        ["render", "--what", "scene", "--svg", "unused"]])
+    def test_format_rejected(self, pentagon_file, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, pentagon_file, "--format", "csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in (
+            capsys.readouterr().err)
 
 
 # ----------------------------------------------------------- error handling
@@ -333,6 +380,14 @@ class TestErrorHandling:
         path.write_text('{"nodes": [[0, 0], [1, ')
         assert run(["validate", str(path)]) == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_overflowing_arc_exits_3(self, tmp_path, capsys, command):
+        # the bounding-box diagonal of these nodes overflows to inf
+        path = _write_arc(tmp_path, [[0, 0], [1e308, 1e308], [-1e308, 0]])
+        assert run([command, path]) == 3
+        err = capsys.readouterr().err
+        assert "float range" in err and "coincide" not in err
 
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -422,9 +477,9 @@ class TestArbitraryFlags:
         if command == "render":
             stem = tmp_path_factory.mktemp("svg") / "out"
             argv += ["--what", "schematic", "--svg", str(stem)]
-        if eps is not None:
+        if eps is not None and command != "fuzz":
             argv.append(f"--eps={eps}")
-        if eps_angle is not None:
+        if eps_angle is not None and command != "fuzz":
             argv.append(f"--eps-angle={eps_angle}")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \

@@ -31,7 +31,7 @@ class TestReportContent:
             ((1, 3), (2,), "upper"),
             ((2, 4), (3,), "lower"),
         ]
-        assert len(r.tilts) == 5 and len(r.spans) == 3
+        assert len(r.table.tilts) == 5 and len(r.table.spans) == 3
 
     def test_arc_nodes_round(self, pentagon_report, pentagon_arc):
         assert pentagon_report.arc_nodes == tuple(
@@ -76,8 +76,8 @@ class TestCsv:
         last = lines[-1].split(",")
         assert last[0] == "4" and last[2] == ""       # none at tilt J+1
         mid = lines[2].split(",")
-        assert float(mid[1]) == pytest.approx(pentagon_report.tilts[1])
-        assert float(mid[2]) == pytest.approx(pentagon_report.spans[0])
+        assert float(mid[1]) == pytest.approx(pentagon_report.table.tilts[1])
+        assert float(mid[2]) == pytest.approx(pentagon_report.table.spans[0])
 
     def test_solution_csv(self, pentagon_arc):
         result = solve_at_angle(analyze_arc(pentagon_arc), 30.0)
@@ -101,4 +101,4 @@ class TestCsv:
         # repr output preserves the exact float value.
         for line in tilt_table_csv(pentagon_report).strip().split("\n")[1:]:
             _, tilt, _ = line.split(",")
-            assert float(tilt) in pentagon_report.tilts
+            assert float(tilt) in pentagon_report.table.tilts
