@@ -22,6 +22,8 @@ from .hull import convex_hull
 
 RNG_ALGORITHM = "pcg64"
 STRATEGIES = ("uncross", "zigzag")
+ATTEMPTS = 20               # seeds tried per open arc or star polygon
+CONVEX_ATTEMPTS = 50        # seeds tried per convex polygon
 
 
 def _rng(seed: int, attempt: int) -> np.random.Generator:
@@ -77,15 +79,15 @@ def _zigzag(rng: np.random.Generator, nodes: int) -> np.ndarray:
     return np.column_stack((xs, ys))
 
 
-def generate_arc(nodes: int, seed: int, strategy: str = "uncross",
-                 attempts: int = 20) -> PolygonalArc:
+def generate_arc(nodes: int, seed: int,
+                 strategy: str = "uncross") -> PolygonalArc:
     """A validated simple open arc with ``nodes`` nodes."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; use one of "
                          f"{', '.join(STRATEGIES)}")
     if nodes < 3:
         raise ValueError("need at least 3 nodes for a non-degenerate arc")
-    for attempt in range(attempts):
+    for attempt in range(ATTEMPTS):
         rng = _rng(seed, attempt)
         raw = _uncross(rng, nodes) if strategy == "uncross" else _zigzag(rng, nodes)
         if raw is None:
@@ -97,17 +99,16 @@ def generate_arc(nodes: int, seed: int, strategy: str = "uncross",
         if validate_simple(arc).ok and not is_segment_arc(arc):
             return arc
     raise GenerationError(
-        f"no simple arc with {nodes} nodes after {attempts} attempts "
+        f"no simple arc with {nodes} nodes after {ATTEMPTS} attempts "
         f"(seed {seed}, strategy {strategy})")
 
 
-def random_convex_polygon(nodes: int, seed: int,
-                          attempts: int = 50) -> tuple[Point, ...]:
+def random_convex_polygon(nodes: int, seed: int) -> tuple[Point, ...]:
     """Strictly convex polygon with exactly ``nodes`` vertices, in
     counterclockwise order starting at the lowest-leftmost vertex."""
     if nodes < 3:
         raise ValueError("a polygon needs at least 3 vertices")
-    for attempt in range(attempts):
+    for attempt in range(CONVEX_ATTEMPTS):
         rng = _rng(seed, attempt)
         xs = np.sort(rng.random(nodes))
         ys = np.sort(rng.random(nodes))
@@ -134,16 +135,15 @@ def random_convex_polygon(nodes: int, seed: int,
         if len(hull) == nodes:
             return hull.points
     raise GenerationError(
-        f"no strictly convex {nodes}-gon after {attempts} attempts")
+        f"no strictly convex {nodes}-gon after {CONVEX_ATTEMPTS} attempts")
 
 
-def random_star_polygon(nodes: int, seed: int,
-                        attempts: int = 20) -> PolygonalArc:
+def random_star_polygon(nodes: int, seed: int) -> PolygonalArc:
     """Simple closed arc built by angle-sorting random points around
     their centroid."""
     if nodes < 3:
         raise ValueError("a closed arc needs at least 3 nodes")
-    for attempt in range(attempts):
+    for attempt in range(ATTEMPTS):
         rng = _rng(seed, attempt)
         pts = rng.random((nodes, 2))
         center = pts.mean(axis=0)
@@ -159,5 +159,5 @@ def random_star_polygon(nodes: int, seed: int,
         if validate_simple(arc).ok:
             return arc
     raise GenerationError(
-        f"no simple closed arc with {nodes} nodes after {attempts} attempts "
+        f"no simple closed arc with {nodes} nodes after {ATTEMPTS} attempts "
         f"(seed {seed})")

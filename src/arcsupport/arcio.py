@@ -52,14 +52,16 @@ class PolygonalArc:
     def tolerance(self, eps_len: float | None = None,
                   eps_angle: float = DEFAULT_EPS_ANGLE) -> Tolerance:
         """``eps_len`` if given, else the default fraction of the bounding
-        box diagonal."""
+        box diagonal.  The predicates' cross and dot products (at most
+        2 * diagonal**2) and collinearity bands (at most eps_len * diagonal)
+        must all be finite."""
         diagonal = bbox_diagonal(self.nodes)
-        if not math.isfinite(diagonal):
+        tol = (Tolerance.for_diagonal(diagonal, eps_angle) if eps_len is None
+               else Tolerance(eps_len, eps_angle))
+        if not math.isfinite(2 * max(tol.eps_len, diagonal) * diagonal):
             raise InvalidArcError(
                 "the arc's bounding box exceeds the float range")
-        if eps_len is not None:
-            return Tolerance(eps_len, eps_angle)
-        return Tolerance.for_diagonal(diagonal, eps_angle)
+        return tol
 
 
 class Violation(NamedTuple):

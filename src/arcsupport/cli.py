@@ -8,6 +8,7 @@ structural violation, 5 solver/brute-force disagreement.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -15,7 +16,8 @@ from typing import Callable
 
 from .arcgen import RNG_ALGORITHM, STRATEGIES, generate_arc
 from .arcio import load_arc, validate_simple
-from .errors import ArcSupportError, StructuralViolationError
+from .errors import (ArcSupportError, StructuralViolationError,
+                     UnsupportedArcError)
 from .geom import DEFAULT_EPS_ANGLE
 from .hull import convex_hull
 from .oracle import compare_with_solver
@@ -72,8 +74,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     tol = arc.tolerance(args.eps, args.eps_angle)
     if arc.closed:
         if args.phi != 0.0:
-            print("error: closed arcs support only --phi 0", file=sys.stderr)
-            return EXIT_INVALID_ARC
+            raise UnsupportedArcError("closed arcs support only --phi 0")
         solution = solve_closed(arc, tol)
         analysis = None
     else:
@@ -106,14 +107,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     arc = load_arc(args.input)
     tol = arc.tolerance(args.eps, args.eps_angle)
     report = compare_with_solver(arc, args.phi, tol)
-    print(json.dumps({
-        "phi": report.phi,
-        "case": report.case,
-        "solver_count": report.solver_count,
-        "oracle_count": report.oracle_count,
-        "ok": report.ok,
-        "message": report.message,
-    }, indent=2))
+    print(json.dumps(dataclasses.asdict(report), indent=2))
     return EXIT_OK if report.ok else EXIT_DISAGREEMENT
 
 

@@ -81,10 +81,7 @@ def support_contact(hull: ConvexHull, dir_deg: float,
     u = unit_vector(dir_deg)
     k = len(hull)
     vals = [p.x * (-u.y) + p.y * u.x for p in hull.points]
-    if side == "left":
-        extreme = min(range(k), key=lambda i: (vals[i], i))
-    else:
-        extreme = max(range(k), key=lambda i: (vals[i], -i))
+    extreme = vals.index(min(vals) if side == "left" else max(vals))
     ids = {extreme}
     for j in ((extreme - 1) % k, (extreme + 1) % k):
         edge_dir = direction_deg(hull.points[extreme], hull.points[j])

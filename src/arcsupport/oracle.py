@@ -7,7 +7,8 @@ keeps the configuration whenever n touches the arc at a node strictly
 between m's contact nodes.  Distinct configurations can describe the same
 unordered pair of lines (this happens exactly at strip-boundary angles),
 so the deduplicated pair list is reported alongside the raw finds.
-Shares only the geometry and hull modules with the solver.
+Shares only the geometry and hull modules, and the hull itself, with the
+solver; the search never reads the guide path, locales or strip diagram.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from .arcio import PolygonalArc
 from .errors import UnsupportedArcError
 from .geom import Line, Tolerance, direction_deg, lines_equal, same_line_pair
-from .hull import convex_hull, support_contact
+from .hull import ConvexHull, convex_hull, support_contact
 
 MATCH_DIR_DEG = 1e-6        # see compare_with_solver
 
@@ -41,17 +42,12 @@ class AgreementReport:
     message: str
 
 
-def brute_force_configs(arc: PolygonalArc, phi_deg: float,
-                        tol: Tolerance | None = None) -> list[OraclePair]:
-    """Every raw (m, n) configuration realizing ``phi_deg``, before
-    merging duplicates; u and w follow the hull's counterclockwise edge
-    orientation."""
-    if arc.closed:
-        raise UnsupportedArcError("the brute-force search needs an open arc")
+def brute_force_configs(hull: ConvexHull, phi_deg: float) -> list[OraclePair]:
+    """Every raw (m, n) configuration realizing ``phi_deg`` on the hull of
+    an open arc, before merging duplicates; u and w follow the hull's
+    counterclockwise edge orientation."""
     if not 0.0 <= phi_deg < 180.0:
         raise ValueError(f"angle must lie in [0, 180), got {phi_deg}")
-    tol = tol or arc.tolerance()
-    hull = convex_hull(arc.nodes, tol)
     k = len(hull)
 
     found: list[OraclePair] = []
@@ -77,8 +73,10 @@ def brute_force_configs(arc: PolygonalArc, phi_deg: float,
 def brute_force_pairs(arc: PolygonalArc, phi_deg: float,
                       tol: Tolerance | None = None) -> list[OraclePair]:
     """Deduplicated unordered support-line pairs realizing ``phi_deg``."""
-    tol = tol or arc.tolerance()
-    return _dedupe(brute_force_configs(arc, phi_deg, tol), tol)
+    if arc.closed:
+        raise UnsupportedArcError("the brute-force search needs an open arc")
+    hull = convex_hull(arc.nodes, tol or arc.tolerance())
+    return _dedupe(brute_force_configs(hull, phi_deg), hull.tol)
 
 
 def _dedupe(configs: list[OraclePair], tol: Tolerance) -> list[OraclePair]:
@@ -100,14 +98,16 @@ def compare_with_solver(arc: PolygonalArc, phi_deg: float,
     solver pair appears among the raw configurations with the same roles
     and the same contact nodes.  Line agreement means directions within
     ``MATCH_DIR_DEG`` degrees (mod 180) and anchor offset within the
-    length tolerance.
+    length tolerance.  A given ``analysis`` must be that of ``arc``.
     """
     from .solver import analyze_arc, solve_at_angle
 
     if analysis is None:
         analysis = analyze_arc(arc, tol)
+    elif analysis.arc != arc:
+        raise ValueError("analysis was made for a different arc")
     solved = solve_at_angle(analysis, phi_deg)
-    configs = brute_force_configs(arc, phi_deg, analysis.tol)
+    configs = brute_force_configs(analysis.hull, phi_deg)
     match_tol = Tolerance(eps_len=analysis.tol.eps_len,
                           eps_angle=MATCH_DIR_DEG)
     deduped = _dedupe(configs, analysis.tol)

@@ -50,9 +50,10 @@ class TestGenerateArc:
         with pytest.raises(ValueError):
             generate_arc(2, seed=0)
 
-    def test_zero_attempts_fails(self):
+    def test_zero_attempts_fails(self, monkeypatch):
+        monkeypatch.setattr("arcsupport.arcgen.ATTEMPTS", 0)
         with pytest.raises(GenerationError):
-            generate_arc(5, seed=0, attempts=0)
+            generate_arc(5, seed=0)
 
     def test_rng_algorithm_label(self):
         assert RNG_ALGORITHM == "pcg64"

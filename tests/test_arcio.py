@@ -19,7 +19,7 @@ from arcsupport.arcio import (
     validate_simple,
 )
 from arcsupport.errors import InvalidArcError, ParseError
-from arcsupport.geom import (DEFAULT_EPS_ANGLE, Point, Tolerance,
+from arcsupport.geom import (DEFAULT_EPS_ANGLE, Point, Tolerance, orient,
                              segments_intersect)
 
 
@@ -73,6 +73,29 @@ class TestPolygonalArc:
                 arc.tolerance(eps_len)
         with pytest.raises(InvalidArcError, match="float range"):
             validate_simple(arc)
+
+    @pytest.mark.parametrize("scale", [1e154, 1e157, 1e160])
+    def test_tolerance_rejects_overflowing_products(self, scale):
+        # the diagonal is finite, but 2 * diagonal**2 (which bounds the
+        # cross products) overflows; at 1e160 so does eps_len * diagonal
+        pentagon = ((0, 0), (1, 1), (2, -1), (3, 1), (4, 0))
+        arc = PolygonalArc(tuple((x * scale, y * scale) for x, y in pentagon))
+        assert math.isfinite(math.hypot(4 * scale, 2 * scale))
+        with pytest.raises(InvalidArcError, match="float range"):
+            arc.tolerance()
+
+    def test_largest_accepted_scale_keeps_the_hull(self):
+        # 2 * diagonal**2 is just finite at this scale; the tolerant orient
+        # then agrees with the exact one on every triple of nodes
+        scale = 2e153
+        pentagon = ((0, 0), (1, 1), (2, -1), (3, 1), (4, 0))
+        arc = PolygonalArc(tuple((x * scale, y * scale) for x, y in pentagon))
+        tol = arc.tolerance()
+        for a in arc.nodes:
+            for b in arc.nodes:
+                for c in arc.nodes:
+                    if len({a, b, c}) == 3:
+                        assert orient(a, b, c, tol) == orient(a, b, c)
 
 
 class TestJsonParsing:

@@ -389,6 +389,15 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert "float range" in err and "coincide" not in err
 
+    @pytest.mark.parametrize("argv", [["analyze"], ["oracle", "--phi", "30"]])
+    def test_huge_finite_arc_exits_3(self, tmp_path, capsys, argv):
+        # the diagonal (~4.5e160) is finite, but products of it overflow
+        path = _write_arc(tmp_path, [[x * 1e160, y * 1e160]
+                                     for x, y in PENTAGON])
+        assert run([*argv, path]) == 3
+        err = capsys.readouterr().err
+        assert "float range" in err and "collinear" not in err
+
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("0,0\n1,1\nbroken\n")

@@ -9,6 +9,7 @@ import pytest
 from arcsupport.arcgen import generate_arc
 from arcsupport.arcio import PolygonalArc
 from arcsupport.errors import UnsupportedArcError
+from arcsupport.hull import convex_hull
 from arcsupport.oracle import (
     brute_force_configs,
     brute_force_pairs,
@@ -41,13 +42,13 @@ class TestBruteForceCounts:
         assert len(brute_force_pairs(square_arc, 120.0)) == 0
 
     def test_coincidence_angle_dedupes(self, pentagon_arc):
-        configs = brute_force_configs(pentagon_arc, DEG_ATAN_1_2)
+        configs = brute_force_configs(convex_hull(pentagon_arc.nodes), DEG_ATAN_1_2)
         pairs = brute_force_pairs(pentagon_arc, DEG_ATAN_1_2)
         assert len(configs) == 4      # each pair found in both roles
         assert len(pairs) == 2
 
     def test_generic_angle_no_duplicates(self, pentagon_arc):
-        configs = brute_force_configs(pentagon_arc, 30.0)
+        configs = brute_force_configs(convex_hull(pentagon_arc.nodes), 30.0)
         pairs = brute_force_pairs(pentagon_arc, 30.0)
         assert len(configs) == len(pairs) == 2
 
@@ -66,12 +67,12 @@ class TestBruteForceValidity:
 
     def test_betweenness_holds(self, pentagon_arc):
         for phi in (0.0, 15.0, 30.0, 45.0, 60.0):
-            for pair in brute_force_configs(pentagon_arc, phi):
+            for pair in brute_force_configs(convex_hull(pentagon_arc.nodes), phi):
                 assert min(pair.u, pair.w) < pair.v < max(pair.u, pair.w)
 
     def test_angle_between_lines(self, pentagon_arc):
         for phi in (0.0, 15.0, 30.0, 60.0):
-            for pair in brute_force_configs(pentagon_arc, phi):
+            for pair in brute_force_configs(convex_hull(pentagon_arc.nodes), phi):
                 gap = abs((pair.m.dir_deg - pair.n.dir_deg + 180.0) % 360.0
                           - 180.0)
                 gap = min(gap, 360.0 - gap)
@@ -119,3 +120,19 @@ class TestAgreement:
         for phi10 in range(0, 1800, 75):
             report = compare_with_solver(arc, phi10 / 10.0, analysis=analysis)
             assert report.ok, report.message
+
+    def test_given_analysis_builds_no_hull(self, pentagon_arc, monkeypatch):
+        analysis = analyze_arc(pentagon_arc)
+
+        def no_hull(*args, **kwargs):
+            raise AssertionError("the oracle rebuilt the hull")
+
+        monkeypatch.setattr("arcsupport.oracle.convex_hull", no_hull)
+        for phi in (0.0, 30.0, 100.0):
+            report = compare_with_solver(pentagon_arc, phi, analysis=analysis)
+            assert report.ok, report.message
+
+    def test_analysis_of_another_arc_rejected(self, pentagon_arc, square_arc):
+        with pytest.raises(ValueError, match="different arc"):
+            compare_with_solver(square_arc, 30.0,
+                                analysis=analyze_arc(pentagon_arc))
