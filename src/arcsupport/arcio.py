@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -17,6 +19,9 @@ import numpy as np
 from .errors import InvalidArcError, ParseError
 from .geom import (DEFAULT_EPS_ANGLE, Point, Segment, Tolerance,
                    bbox_diagonal, dist, orient, segments_intersect)
+
+_PAIR_BLOCK = 8192              # x-overlapping box pairs expanded at once
+_TINY = sys.float_info.min      # smallest normal float
 
 
 @dataclass(frozen=True)
@@ -58,9 +63,13 @@ class PolygonalArc:
         diagonal = bbox_diagonal(self.nodes)
         tol = (Tolerance.for_diagonal(diagonal, eps_angle) if eps_len is None
                else Tolerance(eps_len, eps_angle))
-        if not math.isfinite(2 * max(tol.eps_len, diagonal) * diagonal):
+        if not math.isfinite(2 * diagonal * diagonal):
             raise InvalidArcError(
                 "the arc's bounding box exceeds the float range")
+        if not math.isfinite(2 * tol.eps_len * diagonal):
+            raise InvalidArcError(
+                f"eps_len (--eps) {tol.eps_len:g} times the arc's "
+                f"bounding-box diagonal {diagonal:g} exceeds the float range")
         return tol
 
 
@@ -169,42 +178,120 @@ def is_segment_arc(arc: PolygonalArc, tol: Tolerance | None = None) -> bool:
     return all(orient(anchor, far, p, tol) == 0 for p in arc.nodes)
 
 
-def _candidate_pairs(arc: PolygonalArc, eps: float) -> Iterator[tuple[int, int]]:
-    """Non-adjacent segment pairs whose bounding boxes come within eps.
+def _node_array(arc: PolygonalArc) -> np.ndarray:
+    """The nodes as an (n, 2) float array."""
+    flat = np.fromiter(chain.from_iterable(arc.nodes), float, 2 * len(arc))
+    return flat.reshape(-1, 2)
 
-    Vectorized prefilter only; every yielded pair is re-examined exactly.
+
+def _segment_ends(pts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end nodes of the first m segments, one row per segment."""
+    return pts[:m], np.roll(pts, -1, axis=0)[:m]
+
+
+def _filter_band(eps: float, length: np.ndarray) -> float:
+    """Per unit of arm length, the band beyond which a NumPy cross product
+    is surely outside the tolerant ``orient``'s collinearity band.
+
+    The cross products match ``orient``'s bit for bit, but ``np.hypot`` may
+    differ from ``math.hypot`` by an ulp, so the band is doubled.  That
+    argument needs normal floats: when ``eps_len`` times the shortest
+    segment (a lower bound of every band) is subnormal, nothing is clear.
+    """
+    return 2.0 * eps if eps * length.min() >= _TINY else math.inf
+
+
+def _clear(cross: np.ndarray, arm1: np.ndarray, arm2: np.ndarray,
+           band: float) -> np.ndarray:
+    """Where a turn with these cross products and arm lengths is surely not
+    collinear; a nan is never clear."""
+    return np.abs(cross) > band * np.maximum(arm1, arm2)
+
+
+def _candidate_pairs(arc: PolygonalArc,
+                     eps: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Non-adjacent segment pairs i < j whose bounding boxes, grown by eps,
+    overlap, as blocks of two index arrays.
+
+    Vectorized prefilter only; every pair is re-examined.  In x-min order a
+    box meets in x exactly the later boxes whose x-min is at most its own
+    x-max, so each box's x-partners are one ``searchsorted`` range.  A block
+    expands the ranges of consecutive boxes up to about ``_PAIR_BLOCK``
+    pairs (more only when one box alone has more), which bounds memory.
     """
     m = arc.segment_count()
-    pts = np.asarray(arc.nodes, dtype=float)
-    nxt = np.roll(pts, -1, axis=0) if arc.closed else pts[1:]
-    a = pts[:m]
-    b = nxt[:m]
-    lo = np.minimum(a, b) - eps
-    hi = np.maximum(a, b) + eps
-    for i in range(m - 2):
-        j0 = i + 2
-        overlap = np.nonzero(
-            (lo[j0:, 0] <= hi[i, 0]) & (hi[j0:, 0] >= lo[i, 0])
-            & (lo[j0:, 1] <= hi[i, 1]) & (hi[j0:, 1] >= lo[i, 1]))[0]
-        for k in overlap:
-            j = j0 + int(k)
-            if arc.closed and i == 0 and j == m - 1:
-                continue  # cyclically adjacent
-            yield i, j
+    a, b = _segment_ends(_node_array(arc), m)
+    lo, hi = np.minimum(a, b) - eps, np.maximum(a, b) + eps
+    order = np.argsort(lo[:, 0])
+    lo, hi = lo[order], hi[order]
+    count = np.searchsorted(lo[:, 0], hi[:, 0], side="right") - np.arange(m) - 1
+    ends = np.cumsum(count)
+    s = 0
+    while s < m and ends[-1] > ends[s] - count[s]:
+        e = max(int(np.searchsorted(ends, ends[s] - count[s] + _PAIR_BLOCK,
+                                    side="right")), s + 1)
+        c = count[s:e]
+        first = np.repeat(np.arange(s, e), c)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(c) - c, c)
+        keep = (lo[second, 1] <= hi[first, 1]) & (hi[second, 1] >= lo[first, 1])
+        first, second = order[first[keep]], order[second[keep]]
+        i, j = np.minimum(first, second), np.maximum(first, second)
+        keep = (j - i >= 2) & ~(arc.closed & (i == 0) & (j == m - 1))
+        yield i[keep], j[keep]
+        s = e
+
+
+def _suspect_pairs(arc: PolygonalArc, eps: float, a: np.ndarray,
+                   b: np.ndarray) -> list[tuple[int, int]]:
+    """Candidate pairs that the float filter cannot show apart, in (i, j)
+    order; segment k runs from ``a[k]`` to ``b[k]``.
+
+    A pair is apart when the four turns of ``segments_intersect`` are all
+    clear and one segment lies wholly on one side of the other's line;
+    near-ties and crossings alike are left to the scalar test.  Differences
+    are taken as ``orient`` takes them; p1 - q1 is exactly -(q1 - p1), so
+    the turn of p1 about segment j reuses q1 - p1, and its cross product
+    comes out negated.
+    """
+    ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+    dx, dy = bx - ax, by - ay
+    length = np.hypot(dx, dy)
+    band = _filter_band(eps, length)
+    suspects = []
+    for i, j in _candidate_pairs(arc, eps):
+        wx, wy = ax[j] - ax[i], ay[j] - ay[i]       # q1 - p1
+        vx, vy = bx[j] - ax[i], by[j] - ay[i]       # q2 - p1
+        ux, uy = bx[i] - ax[j], by[i] - ay[j]       # p2 - q1
+        dxi, dyi, dxj, dyj = dx[i], dy[i], dx[j], dy[j]
+        li, lj, lw = length[i], length[j], np.hypot(wx, wy)
+        c1, c2 = dxi * wy - dyi * wx, dxi * vy - dyi * vx
+        c3, c4 = dxj * wy - dyj * wx, dxj * uy - dyj * ux
+        apart = (_clear(c1, li, lw, band) & _clear(c2, li, np.hypot(vx, vy), band)
+                 & _clear(c3, lj, lw, band) & _clear(c4, lj, np.hypot(ux, uy), band)
+                 & (((c1 > 0.0) == (c2 > 0.0)) | ((c3 < 0.0) == (c4 > 0.0))))
+        suspects.extend(zip(i[~apart].tolist(), j[~apart].tolist()))
+    return sorted(suspects)
 
 
 def validate_simple(arc: PolygonalArc, tol: Tolerance | None = None) -> ValidationReport:
     """Check simplicity: distinct consecutive nodes, no collinear backtracking,
-    and no contact between non-adjacent segments."""
+    and no contact between non-adjacent segments.
+
+    NumPy flags the segments, junctions and segment pairs that may violate;
+    the scalar predicates decide each flagged one, in index order.
+    """
     tol = tol or arc.tolerance()
     violations: list[Violation] = []
     nodes = arc.nodes
     n = len(nodes)
     m = arc.segment_count()
+    pts = _node_array(arc)
+    start, end = _segment_ends(pts, m)
 
-    for i in range(m):
-        a, b = arc.segment(i)
-        if dist(a, b) <= tol.eps_len:
+    # np.hypot is within an ulp of math.hypot, so 2 * eps_len flags them all
+    length = np.hypot(end[:, 0] - start[:, 0], end[:, 1] - start[:, 1])
+    for i in np.flatnonzero(~(length > 2.0 * tol.eps_len)).tolist():
+        if dist(*arc.segment(i)) <= tol.eps_len:
             violations.append(Violation(
                 "duplicate_node", (i, (i + 1) % n),
                 f"nodes {i} and {(i + 1) % n} coincide"))
@@ -218,8 +305,13 @@ def validate_simple(arc: PolygonalArc, tol: Tolerance | None = None) -> Validati
 
     # adjacent segments may share only their common node: reject reversal
     # onto the previous segment (collinear backtracking)
-    junctions = range(n) if arc.closed else range(1, n - 1)
-    for j in junctions:
+    prev = np.roll(pts, 1, axis=0)
+    ab, ac = pts - prev, np.roll(pts, -1, axis=0) - prev
+    clear = _clear(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0],
+                   np.hypot(ab[:, 0], ab[:, 1]), np.hypot(ac[:, 0], ac[:, 1]),
+                   _filter_band(tol.eps_len, length))
+    junctions = np.arange(n) if arc.closed else np.arange(1, n - 1)
+    for j in junctions[~clear[junctions]].tolist():
         a, b, c = nodes[j - 1], nodes[j], nodes[(j + 1) % n]
         if orient(a, b, c, tol) == 0:
             dot = (b.x - a.x) * (c.x - b.x) + (b.y - a.y) * (c.y - b.y)
@@ -228,7 +320,7 @@ def validate_simple(arc: PolygonalArc, tol: Tolerance | None = None) -> Validati
                     "backtrack", ((j - 1) % m, j % m),
                     f"segment {j % m} folds back along segment {(j - 1) % m}"))
 
-    for i, j in _candidate_pairs(arc, tol.eps_len):
+    for i, j in _suspect_pairs(arc, tol.eps_len, start, end):
         if segments_intersect(arc.segment(i), arc.segment(j), tol):
             violations.append(Violation(
                 "segments_cross", (i, j),

@@ -7,10 +7,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from arcsupport import arcio
 from arcsupport.arcio import (
     PolygonalArc,
+    ValidationReport,
+    Violation,
     _candidate_pairs,
     is_segment_arc,
     load_arc,
@@ -19,7 +22,7 @@ from arcsupport.arcio import (
     validate_simple,
 )
 from arcsupport.errors import InvalidArcError, ParseError
-from arcsupport.geom import (DEFAULT_EPS_ANGLE, Point, Tolerance, orient,
+from arcsupport.geom import (DEFAULT_EPS_ANGLE, Point, Tolerance, dist, orient,
                              segments_intersect)
 
 
@@ -276,11 +279,115 @@ class TestCandidatePrefilter:
             arc = PolygonalArc(tuple(pts), closed=closed)
             tol = arc.tolerance()
             reference = self._all_pairs(arc, tol)
-            candidates = set(_candidate_pairs(arc, tol.eps_len))
+            candidates = {pair for i, j in _candidate_pairs(arc, tol.eps_len)
+                          for pair in zip(i.tolist(), j.tolist())}
             hits = [p for p in candidates
                     if segments_intersect(arc.segment(p[0]), arc.segment(p[1]),
                                           tol)]
             assert sorted(hits) == sorted(reference)
+
+
+def _scalar_report(arc, tol):
+    """validate_simple's checks made one at a time with the scalar
+    predicates, testing every non-adjacent segment pair."""
+    nodes, n, m = arc.nodes, len(arc), arc.segment_count()
+    violations = [Violation("duplicate_node", (i, (i + 1) % n),
+                            f"nodes {i} and {(i + 1) % n} coincide")
+                  for i in range(m) if dist(*arc.segment(i)) <= tol.eps_len]
+    if violations:
+        return ValidationReport(False, tuple(violations))
+    if not arc.closed and dist(nodes[0], nodes[-1]) <= tol.eps_len:
+        violations.append(Violation(
+            "endpoints_coincide", (0, n - 1),
+            "an open arc may not start and end at the same point"))
+    for j in range(n) if arc.closed else range(1, n - 1):
+        a, b, c = nodes[j - 1], nodes[j], nodes[(j + 1) % n]
+        if (orient(a, b, c, tol) == 0
+                and (b.x - a.x) * (c.x - b.x) + (b.y - a.y) * (c.y - b.y) < 0):
+            violations.append(Violation(
+                "backtrack", ((j - 1) % m, j % m),
+                f"segment {j % m} folds back along segment {(j - 1) % m}"))
+    for i in range(m):
+        for j in range(i + 2, m):
+            if arc.closed and i == 0 and j == m - 1:
+                continue
+            if segments_intersect(arc.segment(i), arc.segment(j), tol):
+                violations.append(Violation(
+                    "segments_cross", (i, j), f"segments {i} and {j} intersect"))
+    return ValidationReport(not violations, tuple(violations))
+
+
+@st.composite
+def jittered_grid_arcs(draw):
+    """Open or closed arcs of 4-12 nodes on a G x G grid, G in 3..6, each
+    coordinate moved by up to J = 10**U(-11, -8), below eps_len or near it."""
+    g = draw(st.integers(3, 6))
+    jitter = 10.0 ** draw(st.floats(-11, -8))
+    coord = st.builds(lambda k, u: k + u * jitter,
+                      st.integers(0, g - 1), st.floats(-1, 1))
+    nodes = draw(st.lists(st.tuples(coord, coord), min_size=4, max_size=12))
+    return PolygonalArc(tuple(nodes), closed=draw(st.booleans()))
+
+
+def _star_fan(n, rng):
+    """Radius alternating 1 and about 0.05 over 0.95 of a turn, with polar
+    angles strictly increasing: simple, with dense overlapping boxes."""
+    step = 0.95 * 2.0 * math.pi / (n - 1)
+    nodes = []
+    for k in range(n):
+        theta = (k + rng.uniform(-0.25, 0.25)) * step
+        radius = 1.0 if k % 2 == 0 else 0.05 * rng.uniform(0.9, 1.1)
+        nodes.append((radius * math.cos(theta), radius * math.sin(theta)))
+    return nodes
+
+
+# Segment 3 ends 2.1e-9 above segment 0, with eps_len = 1e-9 * sqrt(2): the
+# turn's |cross| lies between the band and twice the band, so the float
+# filter cannot rule the pair out and the scalar test must.
+NEAR_TIE = PolygonalArc(((0, 0), (1, 0), (1, 1), (0.5, 1), (0.5, 2.1e-9)))
+
+
+class TestBatchedValidation:
+    """validate_simple's NumPy filter reports exactly what the scalar
+    predicates report on every pair."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(arc=NEAR_TIE)
+    @given(arc=jittered_grid_arcs())
+    def test_matches_scalar_reference(self, arc):
+        for scale in (1.0, 1e-300, 1e150):
+            scaled = PolygonalArc(
+                tuple((x * scale, y * scale) for x, y in arc.nodes), arc.closed)
+            assert validate_simple(scaled) == _scalar_report(
+                scaled, scaled.tolerance())
+
+    def test_near_tie_goes_to_the_scalar_test(self, monkeypatch):
+        # the turn of (0.5, 2.1e-9) about segment 0: |cross| = 2.1e-9 and
+        # band = eps_len * max(1, ~0.5)
+        eps = NEAR_TIE.tolerance().eps_len
+        assert eps < 2.1e-9 <= 2 * eps
+        seen = []
+
+        def spy(s1, s2, tol):
+            seen.append((s1, s2))
+            return segments_intersect(s1, s2, tol)
+
+        monkeypatch.setattr(arcio, "segments_intersect", spy)
+        assert validate_simple(NEAR_TIE).ok
+        assert seen == [(NEAR_TIE.segment(0), NEAR_TIE.segment(3))]
+
+    def test_star_fans(self):
+        nodes = _star_fan(120, random.Random(3))
+        simple = PolygonalArc(tuple(nodes))
+        report = validate_simple(simple)
+        assert report.ok
+        assert report == _scalar_report(simple, simple.tolerance())
+        nodes[2], nodes[60] = nodes[60], nodes[2]
+        crossed = PolygonalArc(tuple(nodes))
+        report = validate_simple(crossed)
+        assert not report.ok
+        assert {v.kind for v in report.violations} == {"segments_cross"}
+        assert report == _scalar_report(crossed, crossed.tolerance())
 
 
 @settings(max_examples=60, deadline=None)

@@ -398,6 +398,13 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert "float range" in err and "collinear" not in err
 
+    def test_overflowing_eps_names_the_flag(self, pentagon_file, capsys):
+        # the pentagon's diagonal is fine; only eps_len times it overflows
+        assert run(["validate", pentagon_file, "--eps", "1e308"]) == 3
+        err = capsys.readouterr().err
+        assert "--eps" in err and "float range" in err
+        assert "bounding box exceeds" not in err
+
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("0,0\n1,1\nbroken\n")
