@@ -17,8 +17,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import InvalidArcError, ParseError
-from .geom import (DEFAULT_EPS_ANGLE, Point, Segment, Tolerance,
-                   bbox_diagonal, dist, orient, segments_intersect)
+from .geom import (DEFAULT_EPS_ANGLE, DEFAULT_EPS_REL, Point, Segment,
+                   Tolerance, bbox_diagonal, dist, orient, segments_intersect)
 
 _PAIR_BLOCK = 8192              # x-overlapping box pairs expanded at once
 _TINY = sys.float_info.min      # smallest normal float
@@ -56,21 +56,26 @@ class PolygonalArc:
 
     def tolerance(self, eps_len: float | None = None,
                   eps_angle: float = DEFAULT_EPS_ANGLE) -> Tolerance:
-        """``eps_len`` if given, else the default fraction of the bounding
-        box diagonal.  The predicates' cross and dot products (at most
-        2 * diagonal**2) and collinearity bands (at most eps_len * diagonal)
-        must all be finite."""
+        """The one tolerance policy.  ``eps_len`` defaults to DEFAULT_EPS_REL
+        times the bounding-box diagonal, or to DEFAULT_EPS_REL for a point.
+        Given values must be finite and > 0, like ``--eps``/``--eps-angle``
+        (else ValueError); the predicates' products (up to 2 * diagonal**2
+        and eps_len * diagonal) must be finite (else InvalidArcError)."""
+        for name, value in (("eps_len", eps_len), ("eps_angle", eps_angle)):
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be a finite number > 0, got {value!r}")
         diagonal = bbox_diagonal(self.nodes)
-        tol = (Tolerance.for_diagonal(diagonal, eps_angle) if eps_len is None
-               else Tolerance(eps_len, eps_angle))
+        if eps_len is None:
+            eps_len = DEFAULT_EPS_REL * diagonal if diagonal > 0 else DEFAULT_EPS_REL
         if not math.isfinite(2 * diagonal * diagonal):
             raise InvalidArcError(
                 "the arc's bounding box exceeds the float range")
-        if not math.isfinite(2 * tol.eps_len * diagonal):
+        if not math.isfinite(2 * eps_len * diagonal):
             raise InvalidArcError(
-                f"eps_len (--eps) {tol.eps_len:g} times the arc's "
+                f"eps_len (--eps) {eps_len:g} times the arc's "
                 f"bounding-box diagonal {diagonal:g} exceeds the float range")
-        return tol
+        return Tolerance(eps_len, eps_angle)
 
 
 class Violation(NamedTuple):
@@ -99,10 +104,12 @@ def parse_arc(text: str, fmt: str = "json") -> PolygonalArc:
 
 
 def _parse_json(text: str) -> PolygonalArc:
-    try:
-        data = json.loads(text)
+    try:    # integers go straight to float: no digit limit, no overflow
+        data = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("top-level JSON value must be an object")
     unknown = set(data) - {"closed", "nodes"}
@@ -208,10 +215,11 @@ def _clear(cross: np.ndarray, arm1: np.ndarray, arm2: np.ndarray,
     return np.abs(cross) > band * np.maximum(arm1, arm2)
 
 
-def _candidate_pairs(arc: PolygonalArc,
-                     eps: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _candidate_pairs(a: np.ndarray, b: np.ndarray, eps: float,
+                     closed: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Non-adjacent segment pairs i < j whose bounding boxes, grown by eps,
-    overlap, as blocks of two index arrays.
+    overlap, as blocks of two index arrays; segment k runs from ``a[k]`` to
+    ``b[k]`` and, when ``closed``, the last segment is adjacent to the first.
 
     Vectorized prefilter only; every pair is re-examined.  In x-min order a
     box meets in x exactly the later boxes whose x-min is at most its own
@@ -219,8 +227,7 @@ def _candidate_pairs(arc: PolygonalArc,
     expands the ranges of consecutive boxes up to about ``_PAIR_BLOCK``
     pairs (more only when one box alone has more), which bounds memory.
     """
-    m = arc.segment_count()
-    a, b = _segment_ends(_node_array(arc), m)
+    m = len(a)
     lo, hi = np.minimum(a, b) - eps, np.maximum(a, b) + eps
     order = np.argsort(lo[:, 0])
     lo, hi = lo[order], hi[order]
@@ -236,15 +243,17 @@ def _candidate_pairs(arc: PolygonalArc,
         keep = (lo[second, 1] <= hi[first, 1]) & (hi[second, 1] >= lo[first, 1])
         first, second = order[first[keep]], order[second[keep]]
         i, j = np.minimum(first, second), np.maximum(first, second)
-        keep = (j - i >= 2) & ~(arc.closed & (i == 0) & (j == m - 1))
+        keep = (j - i >= 2) & ~(closed & (i == 0) & (j == m - 1))
         yield i[keep], j[keep]
         s = e
 
 
-def _suspect_pairs(arc: PolygonalArc, eps: float, a: np.ndarray,
-                   b: np.ndarray) -> list[tuple[int, int]]:
+def _suspect_pairs(a: np.ndarray, b: np.ndarray, length: np.ndarray,
+                   band: float, eps: float,
+                   closed: bool) -> list[tuple[int, int]]:
     """Candidate pairs that the float filter cannot show apart, in (i, j)
-    order; segment k runs from ``a[k]`` to ``b[k]``.
+    order; segment k runs from ``a[k]`` to ``b[k]``, ``length[k]`` long,
+    and ``band`` is ``_filter_band(eps, length)``.
 
     A pair is apart when the four turns of ``segments_intersect`` are all
     clear and one segment lies wholly on one side of the other's line;
@@ -255,10 +264,8 @@ def _suspect_pairs(arc: PolygonalArc, eps: float, a: np.ndarray,
     """
     ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
     dx, dy = bx - ax, by - ay
-    length = np.hypot(dx, dy)
-    band = _filter_band(eps, length)
     suspects = []
-    for i, j in _candidate_pairs(arc, eps):
+    for i, j in _candidate_pairs(a, b, eps, closed):
         wx, wy = ax[j] - ax[i], ay[j] - ay[i]       # q1 - p1
         vx, vy = bx[j] - ax[i], by[j] - ay[i]       # q2 - p1
         ux, uy = bx[i] - ax[j], by[i] - ay[j]       # p2 - q1
@@ -305,11 +312,11 @@ def validate_simple(arc: PolygonalArc, tol: Tolerance | None = None) -> Validati
 
     # adjacent segments may share only their common node: reject reversal
     # onto the previous segment (collinear backtracking)
+    band = _filter_band(tol.eps_len, length)
     prev = np.roll(pts, 1, axis=0)
     ab, ac = pts - prev, np.roll(pts, -1, axis=0) - prev
-    clear = _clear(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0],
-                   np.hypot(ab[:, 0], ab[:, 1]), np.hypot(ac[:, 0], ac[:, 1]),
-                   _filter_band(tol.eps_len, length))
+    clear = _clear(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0], np.hypot(*ab.T),
+                   np.hypot(*ac.T), band)
     junctions = np.arange(n) if arc.closed else np.arange(1, n - 1)
     for j in junctions[~clear[junctions]].tolist():
         a, b, c = nodes[j - 1], nodes[j], nodes[(j + 1) % n]
@@ -320,7 +327,8 @@ def validate_simple(arc: PolygonalArc, tol: Tolerance | None = None) -> Validati
                     "backtrack", ((j - 1) % m, j % m),
                     f"segment {j % m} folds back along segment {(j - 1) % m}"))
 
-    for i, j in _suspect_pairs(arc, tol.eps_len, start, end):
+    for i, j in _suspect_pairs(start, end, length, band, tol.eps_len,
+                               arc.closed):
         if segments_intersect(arc.segment(i), arc.segment(j), tol):
             violations.append(Violation(
                 "segments_cross", (i, j),

@@ -276,7 +276,7 @@ def run(argv: list[str] | None = None) -> int:
     except StructuralViolationError as exc:
         print(f"structural violation: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
-    except (ArcSupportError, OSError) as exc:
+    except (ArcSupportError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_ARC
 

@@ -2,9 +2,9 @@
 
 Points are float pairs, directions are degrees counterclockwise from +x and
 every angle-valued function returns a value normalized into (-180, 180].
-Length comparisons go through a Tolerance so that one policy (an absolute
-eps_len derived from the input's bounding box, plus an angular eps) governs
-the whole pipeline.
+Length comparisons go through a Tolerance (absolute eps_len, angular eps);
+``arcio.PolygonalArc.tolerance`` alone derives its default and checks given
+values, so that one policy governs the whole pipeline.
 """
 
 from __future__ import annotations
@@ -38,14 +38,6 @@ class Tolerance(NamedTuple):
 
     eps_len: float
     eps_angle: float = DEFAULT_EPS_ANGLE
-
-    @classmethod
-    def for_diagonal(cls, diagonal: float,
-                     eps_angle: float = DEFAULT_EPS_ANGLE) -> "Tolerance":
-        if eps_angle <= 0:
-            raise ValueError("tolerances must be strictly positive")
-        return cls(eps_len=DEFAULT_EPS_REL * diagonal if diagonal > 0
-                   else DEFAULT_EPS_REL, eps_angle=eps_angle)
 
 
 def normalize_angle(a: float) -> float:

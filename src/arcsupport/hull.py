@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .arcio import PolygonalArc
 from .errors import DegenerateHullError
-from .geom import (Line, Point, Tolerance, angle_dist_mod180, bbox_diagonal,
-                   direction_deg, orient, unit_vector)
+from .geom import (Line, Point, Tolerance, angle_dist_mod180, direction_deg,
+                   orient, unit_vector)
 
 
 @dataclass(frozen=True)
@@ -26,9 +27,10 @@ class ConvexHull:
 def convex_hull(points: tuple[Point, ...] | list[Point],
                 tol: Tolerance | None = None) -> ConvexHull:
     """Monotone-chain hull keeping corner vertices only (collinear points
-    on an edge are dropped)."""
+    on an edge are dropped); ``tol`` defaults to ``PolygonalArc.tolerance``.
+    Its DegenerateHullError is the analysis' one collinearity verdict."""
     if tol is None:
-        tol = Tolerance.for_diagonal(bbox_diagonal(points))
+        tol = PolygonalArc(points).tolerance()
     tagged = sorted((Point(float(p[0]), float(p[1])), i)
                     for i, p in enumerate(points))
 
@@ -45,8 +47,7 @@ def convex_hull(points: tuple[Point, ...] | list[Point],
     upper = build(tagged[::-1])
     ring = lower[:-1] + upper[:-1]
     if len(ring) < 3:
-        raise DegenerateHullError(
-            f"hull has {len(ring)} vertices; the nodes are collinear")
+        raise DegenerateHullError("all nodes are collinear")
     return ConvexHull(points=tuple(p for p, _ in ring),
                       node_ids=tuple(i for _, i in ring),
                       tol=tol)

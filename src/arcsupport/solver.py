@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arcio import PolygonalArc, is_segment_arc, validate_simple
-from .errors import (DegenerateHullError, InvalidArcError,
-                     UnsupportedArcError, ensure)
+from .arcio import PolygonalArc, validate_simple
+from .errors import InvalidArcError, UnsupportedArcError, ensure
 from .geom import (Line, Point, Tolerance, direction_deg, lines_intersection,
                    normalize_angle, same_line_pair, unit_vector)
 from .guidepath import GuidePath, build_guide_path
@@ -104,8 +103,6 @@ def analyze_arc(arc: PolygonalArc, tol: Tolerance | None = None) -> Analysis:
             "full analysis requires an open arc; use solve_closed instead")
     tol = tol or arc.tolerance()
     _require_simple(arc, tol)
-    if is_segment_arc(arc, tol):
-        raise DegenerateHullError("all nodes are collinear")
     hull = convex_hull(arc.nodes, tol)
     guide = build_guide_path(hull)
     decomp = decompose_locales(guide)

@@ -15,6 +15,8 @@ from arcsupport.arcio import (
     ValidationReport,
     Violation,
     _candidate_pairs,
+    _node_array,
+    _segment_ends,
     is_segment_arc,
     load_arc,
     parse_arc,
@@ -22,8 +24,8 @@ from arcsupport.arcio import (
     validate_simple,
 )
 from arcsupport.errors import InvalidArcError, ParseError
-from arcsupport.geom import (DEFAULT_EPS_ANGLE, Point, Tolerance, dist, orient,
-                             segments_intersect)
+from arcsupport.geom import (DEFAULT_EPS_ANGLE, DEFAULT_EPS_REL, Point,
+                             Tolerance, dist, orient, segments_intersect)
 
 
 class TestPolygonalArc:
@@ -58,6 +60,36 @@ class TestPolygonalArc:
         arc = PolygonalArc(((0, 0), (1, 0), (0, 1)), closed=True)
         assert arc.segment_count() == 3
         assert arc.segment(2) == (Point(0, 1), Point(0, 0))
+
+    def test_tolerance_for_diagonal(self):
+        tol = PolygonalArc(((0, 0), (60, 80))).tolerance()    # diagonal 100
+        assert tol.eps_len == pytest.approx(100.0 * DEFAULT_EPS_REL)
+        assert tol.eps_angle == DEFAULT_EPS_ANGLE
+
+    def test_tolerance_zero_diagonal_falls_back(self):
+        tol = PolygonalArc(((1, 2), (1, 2))).tolerance()
+        assert tol.eps_len > 0.0
+
+    def test_tolerance_rejects_bad_inputs(self):
+        arc = PolygonalArc(((0, 0), (60, 80)))
+        with pytest.raises(ValueError):
+            arc.tolerance(eps_angle=0.0)
+        with pytest.raises(ValueError):
+            arc.tolerance(eps_angle=-1.0)
+
+    @pytest.mark.parametrize("bad, eps_len, eps_angle", [
+        ("eps_len", -1.0, DEFAULT_EPS_ANGLE), ("eps_len", 0.0, DEFAULT_EPS_ANGLE),
+        ("eps_len", math.nan, DEFAULT_EPS_ANGLE),
+        ("eps_len", math.inf, DEFAULT_EPS_ANGLE),
+        ("eps_angle", 1e-6, 0.0), ("eps_angle", 1e-6, -5.0),
+        ("eps_angle", 1e-6, math.nan), ("eps_angle", 1e-6, math.inf),
+        ("eps_angle", None, math.nan)])
+    def test_explicit_tolerance_checked_like_the_flags(self, bad, eps_len,
+                                                       eps_angle):
+        arc = PolygonalArc(((0, 0), (60, 80)))
+        with pytest.raises(ValueError,
+                           match=f"^{bad} must be a finite number > 0, got"):
+            arc.tolerance(eps_len, eps_angle)
 
     def test_tolerance_scales_with_diagonal(self):
         small = PolygonalArc(((0, 0), (1, 1))).tolerance()
@@ -279,7 +311,9 @@ class TestCandidatePrefilter:
             arc = PolygonalArc(tuple(pts), closed=closed)
             tol = arc.tolerance()
             reference = self._all_pairs(arc, tol)
-            candidates = {pair for i, j in _candidate_pairs(arc, tol.eps_len)
+            candidates = {pair for i, j in _candidate_pairs(
+                              *_segment_ends(_node_array(arc), arc.segment_count()),
+                              tol.eps_len, arc.closed)
                           for pair in zip(i.tolist(), j.tolist())}
             hits = [p for p in candidates
                     if segments_intersect(arc.segment(p[0]), arc.segment(p[1]),

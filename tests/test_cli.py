@@ -11,13 +11,18 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arcsupport.cli import run
 
 PENTAGON = [[0, 0], [1, 1], [2, -1], [3, 1], [4, 0]]
 SQUARE_CLOSED = [[0, 1], [0, 0], [1, 0], [1, 1]]
 BOWTIE_OPEN = [[0, 0], [2, 2], [2, 0], [0, 2]]
+
+
+# integers beyond the float range; 5000 digits also exceed int()'s limit
+HUGE_INT_ARC = b'{"nodes": [[1' + b"0" * 400 + b', 0], [1, 1], [2, 0]]}'
+HUGE_DIGITS_ARC = b'{"nodes": [[1' + b"0" * 5000 + b', 0], [1, 1], [2, 0]]}'
 
 
 def _write_arc(tmp_path, nodes, closed=False, name="arc.json"):
@@ -405,6 +410,17 @@ class TestErrorHandling:
         assert "--eps" in err and "float range" in err
         assert "bounding box exceeds" not in err
 
+    @pytest.mark.parametrize("content", [HUGE_INT_ARC, HUGE_DIGITS_ARC,
+                                         b"[" * 100000 + b"]" * 100000,
+                                         b'\xff{"nodes": []}'],
+                             ids=["1e400", "5000-digits", "deep", "not-utf8"])
+    def test_unreadable_json_exits_3(self, tmp_path, capsys, content):
+        path = tmp_path / "arc.json"
+        path.write_bytes(content)
+        assert run(["validate", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("0,0\n1,1\nbroken\n")
@@ -506,3 +522,74 @@ class TestArbitraryFlags:
                 code = exc.code
         assert code in (0, 2, 3, 5), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+# ------------------------------------------------------- arbitrary files
+
+def _joined(parts, open_="[", close="]"):
+    return open_ + ", ".join(parts) + close
+
+
+def _mostly(common, rare):
+    """``common`` four times in five, else ``rare``."""
+    return st.sampled_from((common,) * 4 + (rare,)).flatmap(lambda s: s)
+
+
+NUMBERS = _mostly(
+    st.integers(-3, 3).map(str) | st.floats(-10, 10).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.sampled_from(["1e999", "-1e999", "1e308", "-1e308", "5e-324",
+                       "1e-300", "NaN", "Infinity", "-0.0",
+                       "1" + "0" * 400, "-1" + "0" * 400, "1" + "0" * 5000]))
+SCALARS = NUMBERS | st.sampled_from(["true", "false", "null", '"1"', "{}"])
+PAIRS = st.lists(NUMBERS, min_size=2, max_size=2).map(_joined)
+# besides pairs: short or long lists, lists nested one level too deep,
+# and bare scalars
+ENTRIES = _mostly(PAIRS, st.lists(SCALARS, max_size=3).map(_joined)
+                  | PAIRS.map(lambda e: f"[{e}]") | SCALARS)
+ARCS = st.builds(
+    lambda nodes, closed, unknown: _joined(
+        [f'"nodes": {nodes}'] + ([f'"closed": {closed}'] if closed else [])
+        + (['"color": 1'] if unknown else []), "{", "}"),
+    nodes=_mostly(st.lists(ENTRIES, min_size=2, max_size=8).map(_joined),
+                  st.lists(ENTRIES, max_size=1).map(_joined) | SCALARS),
+    closed=_mostly(st.sampled_from(["", "true", "false"]), SCALARS),
+    unknown=_mostly(st.just(False), st.just(True)))
+JSON_TEXTS = _mostly(ARCS, PAIRS | st.lists(ENTRIES, max_size=4).map(_joined)
+                     | SCALARS)
+CSV_LINES = _mostly(st.tuples(NUMBERS, NUMBERS).map(",".join),
+                    st.lists(NUMBERS, min_size=1, max_size=3).map(",".join)
+                    | st.sampled_from(["x,y", "# comment", "", " , ",
+                                       "1,2 # c"])
+                    | st.text(max_size=12))
+
+
+@pytest.fixture(scope="module")
+def file_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("files")
+
+
+def _validate_file(path, content):
+    path.write_text(content, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = run(["validate", str(path)])
+    err = err.getvalue()
+    assert code in (0, 3), (content[:200], err)
+    # exit 3 with a violation list prints nothing to stderr
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)
+
+
+class TestArbitraryFiles:
+    @settings(max_examples=200, deadline=None)
+    @given(text=JSON_TEXTS, cut=st.none() | st.integers(0, 60))
+    @example(text=HUGE_INT_ARC.decode(), cut=None)
+    @example(text=HUGE_DIGITS_ARC.decode(), cut=None)
+    def test_json_validates_or_exits_3(self, file_dir, text, cut):
+        _validate_file(file_dir / "arc.json", text if cut is None else text[:cut])
+
+    @settings(max_examples=100, deadline=None)
+    @given(lines=st.lists(CSV_LINES, min_size=1, max_size=8))
+    def test_csv_validates_or_exits_3(self, file_dir, lines):
+        _validate_file(file_dir / "arc.csv", "\n".join(lines))

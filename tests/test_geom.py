@@ -14,7 +14,6 @@ from hypothesis import example, given, strategies as st
 
 from arcsupport.geom import (
     DEFAULT_EPS_ANGLE,
-    DEFAULT_EPS_REL,
     Line,
     Point,
     Tolerance,
@@ -260,18 +259,3 @@ class TestBoxesAndTolerance:
     def test_bbox_empty_rejected(self):
         with pytest.raises(ValueError):
             bbox(())
-
-    def test_tolerance_for_diagonal(self):
-        tol = Tolerance.for_diagonal(100.0)
-        assert tol.eps_len == pytest.approx(100.0 * DEFAULT_EPS_REL)
-        assert tol.eps_angle == DEFAULT_EPS_ANGLE
-
-    def test_tolerance_zero_diagonal_falls_back(self):
-        tol = Tolerance.for_diagonal(0.0)
-        assert tol.eps_len > 0.0
-
-    def test_tolerance_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            Tolerance.for_diagonal(100.0, eps_angle=0.0)
-        with pytest.raises(ValueError):
-            Tolerance.for_diagonal(100.0, eps_angle=-1.0)

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from arcsupport.arcgen import random_convex_polygon
-from arcsupport.errors import DegenerateHullError
+from arcsupport.errors import DegenerateHullError, InvalidArcError
 from arcsupport.geom import Point, Tolerance, line_offset, unit_vector
 from arcsupport.hull import convex_hull, support_contact
 
@@ -67,6 +67,14 @@ class TestConvexHull:
     def test_collinear_input_degenerate(self):
         with pytest.raises(DegenerateHullError):
             convex_hull((Point(0, 0), Point(1, 1), Point(2, 2), Point(3, 3)))
+
+    def test_default_tolerance_rejects_overflowing_products(self,
+                                                           pentagon_arc):
+        # PolygonalArc.tolerance's float-range rule: at this scale the
+        # cross products overflow, and the hull would lose node 3
+        scaled = [Point(x * 1e157, y * 1e157) for x, y in pentagon_arc.nodes]
+        with pytest.raises(InvalidArcError, match="float range"):
+            convex_hull(scaled)
 
     def test_two_points_degenerate(self):
         with pytest.raises(DegenerateHullError):

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from arcsupport import arcio, solver
 from arcsupport.arcgen import generate_arc
 from arcsupport.arcio import PolygonalArc
 from arcsupport.errors import (DegenerateHullError, InvalidArcError,
@@ -200,6 +201,21 @@ class TestAnalyzeErrors:
     def test_collinear_rejected(self):
         with pytest.raises(DegenerateHullError):
             analyze_arc(PolygonalArc(((0, 0), (1, 0), (3, 0))))
+
+    def test_collinear_verdict_comes_from_the_hull(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return True
+
+        monkeypatch.setattr(arcio, "is_segment_arc", spy)
+        monkeypatch.setattr(solver, "is_segment_arc", spy, raising=False)
+        arc = PolygonalArc(((0, 0), (1, 0), (2, 0), (3, 0)))
+        with pytest.raises(DegenerateHullError,
+                           match="^all nodes are collinear$"):
+            analyze_arc(arc)
+        assert calls == []
 
     def test_two_node_arc_rejected(self):
         with pytest.raises(DegenerateHullError):
