@@ -36,9 +36,9 @@ class PolygonalArc:
         object.__setattr__(self, "nodes", nodes)
         minimum = 3 if self.closed else 2
         if len(nodes) < minimum:
-            kind = "closed" if self.closed else "open"
+            kind = "a closed" if self.closed else "an open"
             raise InvalidArcError(
-                f"a {kind} arc needs at least {minimum} nodes, got {len(nodes)}")
+                f"{kind} arc needs at least {minimum} nodes, got {len(nodes)}")
         for i, p in enumerate(nodes):
             if not (math.isfinite(p.x) and math.isfinite(p.y)):
                 raise InvalidArcError(f"node {i} has a non-finite coordinate")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ensure
-from .geom import normalize_angle, direction_deg
+from .geom import normalize_angle
 from .guidepath import GuidePath
 
 
@@ -95,7 +95,7 @@ def compute_tilts(decomp: LocaleDecomposition) -> tuple[float, ...]:
     sigma = guide.sigma
 
     def tilt_of(a: int, b: int) -> float:
-        raw = direction_deg(hull.points[a], hull.points[b]) - guide.axis_deg
+        raw = hull.edge_dir(a, b) - guide.axis_deg
         return sigma * normalize_angle(raw) + 0.0   # +0.0 avoids -0.0
 
     tilts = [tilt_of(guide.head, guide.second)]

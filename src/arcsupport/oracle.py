@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .arcio import PolygonalArc
 from .errors import UnsupportedArcError
-from .geom import Line, Tolerance, direction_deg, lines_equal, same_line_pair
+from .geom import Line, Tolerance, lines_equal, same_line_pair
 from .hull import ConvexHull, convex_hull, support_contact
 
 MATCH_DIR_DEG = 1e-6        # see compare_with_solver
@@ -53,7 +53,7 @@ def brute_force_configs(hull: ConvexHull, phi_deg: float) -> list[OraclePair]:
     found: list[OraclePair] = []
     for i in range(k):
         a = hull.points[i]
-        edge_dir = direction_deg(a, hull.points[(i + 1) % k])
+        edge_dir = hull.edge_dirs[i]
         node_a = hull.node_ids[i]
         node_b = hull.node_ids[(i + 1) % k]
         lo, hi = min(node_a, node_b), max(node_a, node_b)

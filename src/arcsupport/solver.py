@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .arcio import PolygonalArc, validate_simple
 from .errors import InvalidArcError, UnsupportedArcError, ensure
-from .geom import (Line, Point, Tolerance, direction_deg, lines_intersection,
-                   normalize_angle, same_line_pair, unit_vector)
+from .geom import (Line, Point, Tolerance, lines_intersection, normalize_angle,
+                   same_line_pair, unit_vector)
 from .guidepath import GuidePath, build_guide_path
 from .hull import ConvexHull, convex_hull, support_contact
 from .locales import (LocaleDecomposition, TiltTable, decompose_locales,
@@ -123,7 +123,7 @@ def realize_solution(analysis: Analysis,
     pu, pw = hull.points[hu], hull.points[hw]
     node_u, node_w = hull.node_ids[hu], hull.node_ids[hw]
 
-    m = Line(pu.x, pu.y, direction_deg(pu, pw))
+    m = Line(pu.x, pu.y, hull.edge_dir(hu, hw))
 
     n_dir = normalize_angle(guide.axis_deg + sigma * abstract.contact_angle)
     side = "right" if sigma * locale.cap_sign > 0 else "left"
@@ -201,8 +201,8 @@ def solve_closed(arc: PolygonalArc,
     tol = tol or arc.tolerance()
     _require_simple(arc, tol)
     hull = convex_hull(arc.nodes, tol)
-    pu, pw = hull.points[0], hull.points[1]
-    m = Line(pu.x, pu.y, direction_deg(pu, pw))
+    pu = hull.points[0]
+    m = Line(pu.x, pu.y, hull.edge_dirs[0])
     contact = support_contact(hull, m.dir_deg, "right")
     pair = SupportPairSolution(
         m=m, n=contact.line, u=hull.node_ids[0], v=contact.node_ids[0],

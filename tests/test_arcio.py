@@ -150,6 +150,15 @@ class TestJsonParsing:
         arc = parse_arc('{"nodes": [[0, 0], [1, 1]]}')
         assert arc.closed is False
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"nodes": []}', "an open arc needs at least 2 nodes, got 0"),
+        ('{"nodes": [], "closed": true}',
+         "a closed arc needs at least 3 nodes, got 0"),
+    ])
+    def test_too_few_nodes_message(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_arc(text)
+
     @pytest.mark.parametrize("text", [
         '[[0, 0], [1, 1]]',                                   # not an object
         '{"nodes": [[0, 0], [1, 1]], "color": "red"}',        # unknown key

@@ -4,13 +4,81 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from arcsupport.arcgen import random_convex_polygon
+from arcsupport.arcio import PolygonalArc, validate_simple
 from arcsupport.errors import DegenerateHullError, InvalidArcError
-from arcsupport.geom import Point, Tolerance, line_offset, unit_vector
-from arcsupport.hull import convex_hull, support_contact
+from arcsupport.geom import (Line, Point, Tolerance, angle_dist_mod180,
+                             bbox_diagonal, direction_deg, line_offset,
+                             unit_vector)
+from arcsupport.hull import SupportContact, convex_hull, support_contact
+from arcsupport.solver import analyze_arc
+
+# Nodes of an open arc whose monotone chain keeps (~0, 3) between (~0, 1)
+# and (~0, 4), inside their collinearity band.
+BAND_VERTEX_ARC = ((1.1409202948491878e-11, 4.00000000000434),
+                   (1.0000000000412659, 5.0000000000333635),
+                   (-2.584917400927296e-11, 2.9999999999553295),
+                   (5.723925676186563e-11, 0.9999999999211368))
+
+
+def _scan_contact(hull, dir_deg, side):
+    """Reference support contact: a linear scan over every hull vertex,
+    with both neighbour edge directions recomputed from the points."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+    u = unit_vector(dir_deg)
+    k = len(hull)
+    vals = [p.x * (-u.y) + p.y * u.x for p in hull.points]
+    extreme = vals.index(min(vals) if side == "left" else max(vals))
+    ids = {extreme}
+    for j in ((extreme - 1) % k, (extreme + 1) % k):
+        edge_dir = direction_deg(hull.points[extreme], hull.points[j])
+        if angle_dist_mod180(edge_dir, dir_deg) <= hull.tol.eps_angle:
+            ids.add(j)
+    ordered = sorted(ids, key=lambda i: (hull.points[i].x * u.x
+                                         + hull.points[i].y * u.y, i))
+    pts = tuple(hull.points[i] for i in ordered)
+    anchor = pts[0]
+    return SupportContact(line=Line(anchor.x, anchor.y, dir_deg),
+                          hull_indices=tuple(ordered),
+                          node_ids=tuple(hull.node_ids[i] for i in ordered),
+                          points=pts,
+                          is_edge=len(ordered) > 1)
+
+
+def _exact_extremes(hull, dir_deg, side):
+    """Hull indices whose leftward offset along unit_vector(dir_deg) is
+    extreme in exact arithmetic."""
+    ux, uy = map(Fraction, unit_vector(dir_deg))
+    vals = [Fraction(p.y) * ux - Fraction(p.x) * uy for p in hull.points]
+    best = min(vals) if side == "left" else max(vals)
+    return {i for i, v in enumerate(vals) if v == best}
+
+
+def _edge_queries(hull):
+    """Every edge direction, nudged across the eps_angle band, and its
+    reverse."""
+    for e in hull.edge_dirs:
+        for delta in (0.0, -0.0, 5e-8, -5e-8, 2e-7, -2e-7, 180.0):
+            yield e + delta
+
+
+@st.composite
+def jittered_grid_nodes(draw):
+    """4-9 nodes on a G x G grid (G in 3..6), each coordinate moved by up
+    to J = 10**U(-11, -8)."""
+    g = draw(st.integers(3, 6))
+    jitter = 10.0 ** draw(st.floats(-11.0, -8.0))
+    count = draw(st.integers(4, 9))
+    cell = st.integers(0, g - 1)
+    shift = st.floats(-jitter, jitter)
+    return [(draw(cell) + draw(shift), draw(cell) + draw(shift))
+            for _ in range(count)]
 
 
 def interior_angle(hull, i):
@@ -79,6 +147,14 @@ class TestConvexHull:
     def test_two_points_degenerate(self):
         with pytest.raises(DegenerateHullError):
             convex_hull((Point(0, 0), Point(1, 0)))
+
+    def test_band_vertex_dropped(self):
+        # Without the strictness pass this arc exits 4 with "crossing link
+        # does not join strictly opposite sides".
+        hull = convex_hull(BAND_VERTEX_ARC)
+        assert 2 not in hull.node_ids
+        assert hull.points[0] == min(hull.points)
+        analyze_arc(PolygonalArc(BAND_VERTEX_ARC))
 
     def test_index_of_node(self, pentagon_arc):
         hull = convex_hull(pentagon_arc.nodes)
@@ -179,3 +255,90 @@ class TestSupportContact:
             lo_idx = min(range(len(vals)), key=vals.__getitem__)
             c = support_contact(hull, d, "left")
             assert lo_idx in c.hull_indices
+
+
+class TestEdgeDirectionTable:
+    def test_edge_dir_equals_direction_deg(self, pentagon_arc):
+        hull = convex_hull(pentagon_arc.nodes)
+        k = len(hull)
+        for i in range(k):
+            for j in range(k):
+                if i != j:
+                    assert hull.edge_dir(i, j) == direction_deg(
+                        hull.points[i], hull.points[j])
+
+    def test_unwrapped_strictly_increasing_below_full_turn(self):
+        rng = random.Random(31)
+        for trial in range(40):
+            hull = convex_hull(random_convex_polygon(rng.randint(3, 20),
+                                                     trial))
+            table = hull.unwrapped
+            assert all(a < b for a, b in zip(table, table[1:]))
+            assert table[-1] - table[0] < 360.0
+
+    def test_matches_scan_at_edge_directions(self):
+        rng = random.Random(37)
+        for trial in range(40):
+            hull = convex_hull(random_convex_polygon(rng.randint(3, 15),
+                                                     5000 + trial))
+            for d in _edge_queries(hull):
+                for side in ("left", "right"):
+                    assert (support_contact(hull, d, side)
+                            == _scan_contact(hull, d, side))
+
+    def test_matches_scan_at_random_directions(self):
+        rng = random.Random(41)
+        for trial in range(40):
+            hull = convex_hull(random_convex_polygon(rng.randint(3, 15),
+                                                     7000 + trial))
+            for _ in range(20):
+                d = rng.uniform(-540.0, 540.0)
+                for side in ("left", "right"):
+                    assert (support_contact(hull, d, side)
+                            == _scan_contact(hull, d, side))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_direction_rejected(self, bad):
+        hull = convex_hull((Point(0, 0), Point(1, 0), Point(1, 1)))
+        for side in ("left", "right"):
+            with pytest.raises(ValueError):
+                support_contact(hull, bad, side)
+
+    @settings(max_examples=300, deadline=None)
+    @given(jittered_grid_nodes())
+    @example([(0.0, 1.0000000031814469), (1e-09, 1.0), (0.0, 1.0),
+              (0.0, 1.0000000004112657)])
+    @example([(1.0, 0.0), (1.0, 1.1389494824505203e-09),
+              (0.9999999982930137, 0.0), (0.0, 0.0)])
+    def test_jittered_grid_holds_an_exact_extreme(self, nodes):
+        # Near-parallel edges make the table and the scan pick different
+        # vertices of a tie; the table must still touch an exact extreme
+        # vertex.  Their lines coincide within eps_len plus two known
+        # errors: an edge contact is anchored at its first vertex along
+        # the line, which sits up to diagonal * sin(eps_angle) off the
+        # exact support line when the edge is parallel only within
+        # eps_angle, and the scan's float offsets carry a few ulps of the
+        # coordinates, more than eps_len when all nodes share a grid cell.
+        try:
+            arc = PolygonalArc(nodes)
+            if not validate_simple(arc, arc.tolerance()).ok:
+                return
+            hull = convex_hull(arc.nodes)
+        except (InvalidArcError, DegenerateHullError):
+            return
+        table = hull.unwrapped
+        assert all(a < b for a, b in zip(table, table[1:]))
+        assert table[-1] - table[0] < 360.0
+        slack = (hull.tol.eps_len
+                 + bbox_diagonal(nodes) * math.sin(
+                     math.radians(hull.tol.eps_angle))
+                 + 4 * math.ulp(max(map(abs, sum(nodes, ())))))
+        queries = list(_edge_queries(hull)) + [float(d)
+                                              for d in range(-180, 180, 15)]
+        for d in queries:
+            for side in ("left", "right"):
+                got = support_contact(hull, d, side)
+                ref = _scan_contact(hull, d, side)
+                assert set(got.hull_indices) & _exact_extremes(hull, d, side)
+                anchor = Point(got.line.px, got.line.py)
+                assert abs(line_offset(ref.line, anchor)) <= slack
