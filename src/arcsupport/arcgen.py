@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arcio import PolygonalArc, is_segment_arc, validate_simple
+from .arcio import PolygonalArc, validate_simple
 from .errors import DegenerateHullError, GenerationError, InvalidArcError
 from .geom import Point
 from .hull import convex_hull
@@ -96,7 +96,7 @@ def generate_arc(nodes: int, seed: int,
             arc = PolygonalArc(tuple(Point(float(x), float(y)) for x, y in raw))
         except InvalidArcError:
             continue
-        if validate_simple(arc).ok and not is_segment_arc(arc):
+        if validate_simple(arc).ok:
             return arc
     raise GenerationError(
         f"no simple arc with {nodes} nodes after {ATTEMPTS} attempts "

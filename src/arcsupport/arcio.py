@@ -17,8 +17,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import InvalidArcError, ParseError
-from .geom import (DEFAULT_EPS_ANGLE, DEFAULT_EPS_REL, Point, Segment,
-                   Tolerance, bbox_diagonal, dist, orient, segments_intersect)
+from .geom import (DEFAULT_EPS_REL, Point, Segment, Tolerance, bbox_diagonal,
+                   dist, orient, segments_intersect)
 
 _PAIR_BLOCK = 8192              # x-overlapping box pairs expanded at once
 _TINY = sys.float_info.min      # smallest normal float
@@ -54,17 +54,16 @@ class PolygonalArc:
         b = self.nodes[(i + 1) % len(self.nodes)]
         return (a, b)
 
-    def tolerance(self, eps_len: float | None = None,
-                  eps_angle: float = DEFAULT_EPS_ANGLE) -> Tolerance:
+    def tolerance(self, eps_len: float | None = None) -> Tolerance:
         """The one tolerance policy.  ``eps_len`` defaults to DEFAULT_EPS_REL
-        times the bounding-box diagonal, or to DEFAULT_EPS_REL for a point.
-        Given values must be finite and > 0, like ``--eps``/``--eps-angle``
-        (else ValueError); the predicates' products (up to 2 * diagonal**2
-        and eps_len * diagonal) must be finite (else InvalidArcError)."""
-        for name, value in (("eps_len", eps_len), ("eps_angle", eps_angle)):
-            if value is not None and not 0 < value < math.inf:
-                raise ValueError(
-                    f"{name} must be a finite number > 0, got {value!r}")
+        times the bounding-box diagonal, or to DEFAULT_EPS_REL for a point;
+        the angle band is always DEFAULT_EPS_ANGLE.  A given ``eps_len``
+        must be finite and > 0, like ``--eps`` (else ValueError); the
+        predicates' products (up to 2 * diagonal**2 and eps_len * diagonal)
+        must be finite (else InvalidArcError)."""
+        if eps_len is not None and not 0 < eps_len < math.inf:
+            raise ValueError(
+                f"eps_len must be a finite number > 0, got {eps_len!r}")
         diagonal = bbox_diagonal(self.nodes)
         if eps_len is None:
             eps_len = DEFAULT_EPS_REL * diagonal if diagonal > 0 else DEFAULT_EPS_REL
@@ -75,7 +74,7 @@ class PolygonalArc:
             raise InvalidArcError(
                 f"eps_len (--eps) {eps_len:g} times the arc's "
                 f"bounding-box diagonal {diagonal:g} exceeds the float range")
-        return Tolerance(eps_len, eps_angle)
+        return Tolerance(eps_len)
 
 
 class Violation(NamedTuple):
@@ -168,9 +167,9 @@ def serialize_arc(arc: PolygonalArc) -> str:
                        "nodes": [[p.x, p.y] for p in arc.nodes]})
 
 
-def load_arc(path: str, fmt: str | None = None) -> PolygonalArc:
-    if fmt is None:
-        fmt = "csv" if path.lower().endswith(".csv") else "json"
+def load_arc(path: str) -> PolygonalArc:
+    """Read an arc file: CSV when the name ends in .csv, else JSON."""
+    fmt = "csv" if path.lower().endswith(".csv") else "json"
     with open(path, "r", encoding="utf-8") as fh:
         return parse_arc(fh.read(), fmt)
 

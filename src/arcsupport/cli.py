@@ -18,12 +18,11 @@ from .arcgen import RNG_ALGORITHM, STRATEGIES, generate_arc
 from .arcio import load_arc, validate_simple
 from .errors import (ArcSupportError, StructuralViolationError,
                      UnsupportedArcError)
-from .geom import DEFAULT_EPS_ANGLE
 from .hull import convex_hull
 from .oracle import compare_with_solver
 from .report import AnalysisReport, solution_csv, tilt_table_csv
 from .schematic import query_angle
-from .solver import analyze_arc, solve_at_angle, solve_closed
+from .solver import analyze_arc, simple_hull, solve_at_angle, solve_closed
 from .svg import render_scene, render_scene_for, render_schematic
 
 EXIT_OK = 0
@@ -40,7 +39,7 @@ def _write(path: str, text: str) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     arc = load_arc(args.input)
-    report = validate_simple(arc, arc.tolerance(args.eps, args.eps_angle))
+    report = validate_simple(arc, arc.tolerance(args.eps))
     if args.format == "csv":
         lines = ["kind,indices,detail"]
         for v in report.violations:
@@ -58,7 +57,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     arc = load_arc(args.input)
-    analysis = analyze_arc(arc, arc.tolerance(args.eps, args.eps_angle))
+    analysis = analyze_arc(arc, arc.tolerance(args.eps))
     report = AnalysisReport.from_analysis(analysis)
     if args.json:
         _write(args.json, report.to_json() + "\n")
@@ -71,7 +70,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     arc = load_arc(args.input)
-    tol = arc.tolerance(args.eps, args.eps_angle)
+    tol = arc.tolerance(args.eps)
     if arc.closed:
         if args.phi != 0.0:
             raise UnsupportedArcError("closed arcs support only --phi 0")
@@ -105,7 +104,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     arc = load_arc(args.input)
-    tol = arc.tolerance(args.eps, args.eps_angle)
+    tol = arc.tolerance(args.eps)
     report = compare_with_solver(arc, args.phi, tol)
     print(json.dumps(dataclasses.asdict(report), indent=2))
     return EXIT_OK if report.ok else EXIT_DISAGREEMENT
@@ -113,9 +112,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     arc = load_arc(args.input)
-    tol = arc.tolerance(args.eps, args.eps_angle)
+    tol = arc.tolerance(args.eps)
     if args.what == "scene" and arc.closed:
-        hull = convex_hull(arc.nodes, tol)
+        hull = simple_hull(arc, tol)
         _write(f"{args.svg}.scene.svg", render_scene(arc, hull))
         return EXIT_OK
     analysis = analyze_arc(arc, tol)
@@ -159,8 +158,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         angles = [0.0] + grid + [analysis.table.phi_left,
                                  -analysis.table.phi_right]
         for phi in angles:
-            result = compare_with_solver(arc, phi, analysis.tol,
-                                         analysis=analysis)
+            result = compare_with_solver(arc, phi, analysis=analysis)
             checks += 1
             if not result.ok:
                 failures.append({"seed": args.seed + i, "nodes": nodes,
@@ -213,9 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     arc_input.add_argument("--eps", type=_positive, default=None,
                            help="absolute length tolerance (default: "
                                 "relative to the arc's bounding box)")
-    arc_input.add_argument("--eps-angle", type=_positive,
-                           default=DEFAULT_EPS_ANGLE,
-                           help="angle tolerance in degrees")
     stdout_format = argparse.ArgumentParser(add_help=False)
     stdout_format.add_argument("--format", choices=("json", "csv"),
                                default="json",

@@ -16,6 +16,8 @@ from .errors import TooLargeError, ensure
 from .geom import direction_deg, orient
 from .hull import ConvexHull
 
+ENUMERATION_CAP = 12        # enumerate_admissible_paths refuses larger n
+
 
 class Link(NamedTuple):
     """Connection between consecutive guide-path visits (hull indices)."""
@@ -128,13 +130,13 @@ def count_admissible_paths(n: int) -> int:
     return n * 2 ** (n - 2)
 
 
-def enumerate_admissible_paths(n: int, cap: int = 12) -> list[tuple[int, ...]]:
+def enumerate_admissible_paths(n: int) -> list[tuple[int, ...]]:
     """All admissible visit orders of an n-cycle (vertices 0..n-1 in
     cyclic order).  Each path starts anywhere and repeatedly takes either
     end of the remaining contiguous unvisited stretch."""
     if n < 2:
         raise ValueError("need at least 2 vertices")
-    if n > cap:
+    if n > ENUMERATION_CAP:
         raise TooLargeError(
             f"enumeration of {count_admissible_paths(n)} paths exceeds cap")
     paths: list[tuple[int, ...]] = []

@@ -98,7 +98,8 @@ def compare_with_solver(arc: PolygonalArc, phi_deg: float,
     solver pair appears among the raw configurations with the same roles
     and the same contact nodes.  Line agreement means directions within
     ``MATCH_DIR_DEG`` degrees (mod 180) and anchor offset within the
-    length tolerance.  A given ``analysis`` must be that of ``arc``.
+    length tolerance.  A given ``analysis`` must be that of ``arc``, and
+    then ``tol`` is ignored: the analysis carries its own tolerance.
     """
     from .solver import analyze_arc, solve_at_angle
 

@@ -87,14 +87,16 @@ class SolutionSet:
         return out
 
 
-def _require_simple(arc: PolygonalArc, tol: Tolerance) -> None:
-    """Raise InvalidArcError naming the first simplicity violation."""
+def simple_hull(arc: PolygonalArc, tol: Tolerance) -> ConvexHull:
+    """The strict hull of a simple arc; InvalidArcError names the first
+    simplicity violation otherwise."""
     report = validate_simple(arc, tol)
     if not report.ok:
         more = len(report.violations) - 1
         raise InvalidArcError(
             f"arc is not simple: {report.violations[0].detail}"
             + (f" (+{more} more)" if more else ""))
+    return convex_hull(arc.nodes, tol)
 
 
 def analyze_arc(arc: PolygonalArc, tol: Tolerance | None = None) -> Analysis:
@@ -102,8 +104,7 @@ def analyze_arc(arc: PolygonalArc, tol: Tolerance | None = None) -> Analysis:
         raise UnsupportedArcError(
             "full analysis requires an open arc; use solve_closed instead")
     tol = tol or arc.tolerance()
-    _require_simple(arc, tol)
-    hull = convex_hull(arc.nodes, tol)
+    hull = simple_hull(arc, tol)
     guide = build_guide_path(hull)
     decomp = decompose_locales(guide)
     table = tilt_table(decomp)
@@ -199,8 +200,7 @@ def solve_closed(arc: PolygonalArc,
     if not arc.closed:
         raise UnsupportedArcError("solve_closed requires a closed arc")
     tol = tol or arc.tolerance()
-    _require_simple(arc, tol)
-    hull = convex_hull(arc.nodes, tol)
+    hull = simple_hull(arc, tol)
     pu = hull.points[0]
     m = Line(pu.x, pu.y, hull.edge_dirs[0])
     contact = support_contact(hull, m.dir_deg, "right")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from arcsupport import arcgen, arcio
 from arcsupport.arcgen import (
     RNG_ALGORITHM,
     STRATEGIES,
@@ -36,6 +37,21 @@ class TestGenerateArc:
         assert not arc.closed
         assert validate_simple(arc).ok
         assert not is_segment_arc(arc)
+
+    def test_simplicity_is_the_only_check(self, monkeypatch):
+        # collinear output would be refused by the strict hull downstream,
+        # so the generator leaves that verdict to it
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return False
+
+        monkeypatch.setattr(arcio, "is_segment_arc", spy)
+        monkeypatch.setattr(arcgen, "is_segment_arc", spy, raising=False)
+        for strategy in STRATEGIES:
+            generate_arc(6, seed=3, strategy=strategy)
+        assert calls == []
 
     def test_zigzag_monotone_x(self):
         arc = generate_arc(20, seed=9, strategy="zigzag")

@@ -71,34 +71,29 @@ class TestPolygonalArc:
         assert tol.eps_len > 0.0
 
     def test_tolerance_rejects_bad_inputs(self):
+        # the angle band is fixed, so an angle argument is refused
         arc = PolygonalArc(((0, 0), (60, 80)))
         with pytest.raises(ValueError):
-            arc.tolerance(eps_angle=0.0)
-        with pytest.raises(ValueError):
-            arc.tolerance(eps_angle=-1.0)
+            arc.tolerance(0.0)
+        with pytest.raises(TypeError):
+            arc.tolerance(eps_angle=1e-3)
+        with pytest.raises(TypeError):
+            arc.tolerance(1e-6, 1e-3)
 
-    @pytest.mark.parametrize("bad, eps_len, eps_angle", [
-        ("eps_len", -1.0, DEFAULT_EPS_ANGLE), ("eps_len", 0.0, DEFAULT_EPS_ANGLE),
-        ("eps_len", math.nan, DEFAULT_EPS_ANGLE),
-        ("eps_len", math.inf, DEFAULT_EPS_ANGLE),
-        ("eps_angle", 1e-6, 0.0), ("eps_angle", 1e-6, -5.0),
-        ("eps_angle", 1e-6, math.nan), ("eps_angle", 1e-6, math.inf),
-        ("eps_angle", None, math.nan)])
-    def test_explicit_tolerance_checked_like_the_flags(self, bad, eps_len,
-                                                       eps_angle):
+    @pytest.mark.parametrize("eps_len", [-1.0, 0.0, math.nan, math.inf])
+    def test_explicit_tolerance_checked_like_the_flags(self, eps_len):
         arc = PolygonalArc(((0, 0), (60, 80)))
         with pytest.raises(ValueError,
-                           match=f"^{bad} must be a finite number > 0, got"):
-            arc.tolerance(eps_len, eps_angle)
+                           match="^eps_len must be a finite number > 0, got"):
+            arc.tolerance(eps_len)
 
     def test_tolerance_scales_with_diagonal(self):
         small = PolygonalArc(((0, 0), (1, 1))).tolerance()
         big = PolygonalArc(((0, 0), (1000, 1000))).tolerance()
         assert big.eps_len == pytest.approx(1000 * small.eps_len)
-        assert small.eps_angle == DEFAULT_EPS_ANGLE
+        assert small.eps_angle == big.eps_angle == DEFAULT_EPS_ANGLE
         arc = PolygonalArc(((0, 0), (1, 1)))
-        assert arc.tolerance(eps_angle=1e-3) == Tolerance(small.eps_len, 1e-3)
-        assert arc.tolerance(1e-6, 1e-3) == Tolerance(1e-6, 1e-3)
+        assert arc.tolerance(1e-6) == Tolerance(1e-6, DEFAULT_EPS_ANGLE)
 
     def test_tolerance_rejects_overflowing_diagonal(self):
         # every coordinate is finite, but the diagonal overflows to inf
@@ -213,10 +208,18 @@ class TestLoadArc:
         c.write_text("0,0\n1,1\n2,0\n")
         assert load_arc(str(j)).nodes == load_arc(str(c)).nodes
 
-    def test_explicit_format_overrides(self, tmp_path):
-        p = tmp_path / "arc.txt"
-        p.write_text("0,0\n1,1\n")
-        assert len(load_arc(str(p), fmt="csv")) == 2
+    def test_extension_decides_the_format(self, tmp_path):
+        upper = tmp_path / "arc.CSV"
+        upper.write_text("0,0\n1,1\n")
+        assert len(load_arc(str(upper))) == 2
+        other = tmp_path / "arc.txt"       # anything but .csv is JSON
+        other.write_text("0,0\n1,1\n")
+        with pytest.raises(ParseError, match="invalid JSON"):
+            load_arc(str(other))
+        other.write_text('{"nodes": [[0, 0], [1, 1]]}')
+        assert len(load_arc(str(other))) == 2
+        with pytest.raises(TypeError):
+            load_arc(str(upper), fmt="csv")
 
 
 class TestSegmentArcDetection:

@@ -5,6 +5,7 @@ exit code, captured stdout/stderr, and any files written.  Expected numbers
 are recomputed inline rather than taken from library helpers.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from arcsupport.cli import run
+from arcsupport.cli import _build_parser, run
 
 PENTAGON = [[0, 0], [1, 1], [2, -1], [3, 1], [4, 0]]
 SQUARE_CLOSED = [[0, 1], [0, 0], [1, 0], [1, 1]]
@@ -264,6 +265,18 @@ class TestRender:
                     path]) == 0
         assert (tmp_path / "sq.scene.svg").exists()
 
+    @pytest.mark.parametrize("command", [["render", "--what", "scene", "--svg"],
+                                         ["solve", "--phi", "0", "--svg"]])
+    def test_closed_self_intersecting_exits_3(self, tmp_path, capsys,
+                                              command):
+        path = _write_arc(tmp_path, [[0, 0], [1, 1], [1, 0], [0, 1]],
+                          closed=True)
+        stem = tmp_path / "bow"
+        assert run([*command, str(stem), path]) == 3
+        assert capsys.readouterr().err == (
+            "error: arc is not simple: segments 0 and 2 intersect\n")
+        assert not (tmp_path / "bow.scene.svg").exists()
+
     def test_closed_schematic_exits_3(self, tmp_path, capsys):
         path = _write_arc(tmp_path, SQUARE_CLOSED, closed=True)
         stem = tmp_path / "sq"
@@ -373,6 +386,30 @@ class TestUnhonouredFlags:
             capsys.readouterr().err)
 
 
+# ------------------------------------------------------------ option sets
+
+class TestOptionSets:
+    def test_each_subcommand_takes_exactly_these_options(self):
+        # a new knob has to show up here, and so in review
+        parser = _build_parser()
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        options = {name: sorted(o for a in p._actions
+                                for o in a.option_strings
+                                if o not in ("-h", "--help"))
+                   for name, p in sub.choices.items()}
+        assert options == {
+            "validate": ["--eps", "--format"],
+            "analyze": ["--eps", "--format", "--json"],
+            "solve": ["--eps", "--format", "--json", "--phi", "--svg"],
+            "oracle": ["--eps", "--phi"],
+            "render": ["--eps", "--svg", "--what"],
+            "fuzz": ["--count", "--nodes", "--phi-grid", "--seed",
+                     "--strategy"],
+        }
+        assert sum(map(len, options.values())) == 20
+
+
 # ----------------------------------------------------------- error handling
 
 class TestErrorHandling:
@@ -450,19 +487,37 @@ class TestToleranceFlags:
         assert run(["analyze", "--eps", "1e-9", pentagon_file]) == 0
         assert json.loads(capsys.readouterr().out)["schema"] == 1
 
-    def test_eps_angle(self, pentagon_file, capsys):
-        assert run(["solve", "--phi", "30", "--eps-angle", "1e-6",
-                    pentagon_file]) == 0
-        assert len(json.loads(capsys.readouterr().out)["pairs"]) == 2
+    def test_eps_angle(self, pentagon_file, tmp_path, capsys):
+        # the angle band is fixed at DEFAULT_EPS_ANGLE; no subcommand
+        # takes a flag for it, whatever the value
+        stem = str(tmp_path / "unused")
+        for argv in (["validate"], ["analyze"], ["solve", "--phi", "30"],
+                     ["oracle", "--phi", "30"],
+                     ["render", "--what", "scene", "--svg", stem]):
+            for value in ("1e-7", "5", "0"):
+                with pytest.raises(SystemExit) as exc:
+                    run([*argv, pentagon_file, "--eps-angle", value])
+                assert exc.value.code == 2
+                err = capsys.readouterr().err
+                assert "Traceback" not in err
+                assert err.splitlines()[-1] == (
+                    "arcsupport: error: unrecognized arguments: "
+                    f"--eps-angle {value}")
+        assert not (tmp_path / "unused.scene.svg").exists()
 
     def test_both_overrides(self, pentagon_file, capsys):
+        # --eps is the one tolerance override; a wide angle band made
+        # solver and oracle disagree on this pentagon at phi 30
         assert run(["oracle", "--phi", "0", "--eps", "1e-9",
-                    "--eps-angle", "1e-7", pentagon_file]) == 0
+                    pentagon_file]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
+        with pytest.raises(SystemExit) as exc:
+            run(["oracle", "--phi", "30", "--eps-angle", "5", pentagon_file])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag, value", [
-        ("--eps-angle", "0"), ("--eps-angle", "-1"), ("--eps-angle", "inf"),
-        ("--eps", "-1"), ("--eps", "nan"), ("--eps", "0"), ("--eps", "x")])
+        ("--eps", "-1"), ("--eps", "nan"), ("--eps", "0"), ("--eps", "x"),
+        ("--eps-angle", "-1"), ("--eps-angle", "0"), ("--eps-angle", "inf")])
     def test_bad_value_is_usage_error(self, pentagon_file, capsys, flag,
                                       value):
         with pytest.raises(SystemExit) as exc:
@@ -470,9 +525,16 @@ class TestToleranceFlags:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.splitlines()[-1] == (
-            f"arcsupport analyze: error: argument {flag}: "
-            f"must be a finite number > 0, got {value!r}")
+        if flag == "--eps-angle":
+            # the angle band has no flag any more, so any value of it
+            # is rejected by the parser as an unknown argument
+            assert err.splitlines()[-1] == (
+                "arcsupport: error: unrecognized arguments: "
+                f"{flag}={value}")
+        else:
+            assert err.splitlines()[-1] == (
+                f"arcsupport analyze: error: argument {flag}: "
+                f"must be a finite number > 0, got {value!r}")
 
 
 # ------------------------------------------------------- arbitrary flags
@@ -495,10 +557,9 @@ class TestArbitraryFlags:
     @settings(max_examples=50, deadline=None)
     @given(command=st.sampled_from(
                ["validate", "analyze", "solve", "oracle", "render", "fuzz"]),
-           eps=st.none() | TOLERANCES, eps_angle=st.none() | TOLERANCES,
-           phi=ANGLES, step=GRID_STEPS)
+           eps=st.none() | TOLERANCES, phi=ANGLES, step=GRID_STEPS)
     def test_no_traceback(self, pentagon_path, tmp_path_factory, command,
-                          eps, eps_angle, phi, step):
+                          eps, phi, step):
         argv = [command]
         if command == "fuzz":
             argv += ["--count", "1", "--nodes", "5", f"--phi-grid={step}"]
@@ -511,8 +572,6 @@ class TestArbitraryFlags:
             argv += ["--what", "schematic", "--svg", str(stem)]
         if eps is not None and command != "fuzz":
             argv.append(f"--eps={eps}")
-        if eps_angle is not None and command != "fuzz":
-            argv.append(f"--eps-angle={eps_angle}")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):

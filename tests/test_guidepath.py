@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from arcsupport import guidepath
 from arcsupport.arcgen import generate_arc
 from arcsupport.errors import TooLargeError
 from arcsupport.guidepath import (
@@ -113,10 +114,13 @@ class TestEnumeration:
             assert len(paths) == count_admissible_paths(n)
             assert len(set(paths)) == len(paths)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        assert guidepath.ENUMERATION_CAP == 12
+        assert len(enumerate_admissible_paths(12)) == 12 * 2 ** 10
         with pytest.raises(TooLargeError):
             enumerate_admissible_paths(13)
-        assert len(enumerate_admissible_paths(13, cap=13)) == 13 * 2 ** 11
+        monkeypatch.setattr(guidepath, "ENUMERATION_CAP", 13)
+        assert len(enumerate_admissible_paths(13)) == 13 * 2 ** 11
 
     def test_prefixes_leave_contiguous_stretch(self):
         for n in range(3, 9):
