@@ -10,7 +10,7 @@ out the toolkit.
 """
 
 from .arcio import (PolygonalArc, ValidationReport, Violation, is_segment_arc,
-                    load_arc, parse_arc, serialize_arc, validate_simple)
+                    load_arc, parse_arc, validate_simple)
 from .arcgen import (RNG_ALGORITHM, generate_arc, random_convex_polygon,
                      random_star_polygon)
 from .errors import (ArcSupportError, DegenerateHullError, GenerationError,
@@ -50,7 +50,7 @@ __all__ = [
     "crossing_point", "decompose_locales", "enumerate_admissible_paths",
     "generate_arc", "is_segment_arc", "load_arc", "parse_arc", "query_angle",
     "random_convex_polygon", "random_star_polygon", "realize_solution",
-    "render_scene", "render_scene_for", "render_schematic", "serialize_arc",
+    "render_scene", "render_scene_for", "render_schematic",
     "solve_at_angle", "solve_closed", "solve_parallel", "support_contact",
     "tilt_table", "validate_simple", "__version__",
 ]

@@ -60,7 +60,8 @@ class PolygonalArc:
         the angle band is always DEFAULT_EPS_ANGLE.  A given ``eps_len``
         must be finite and > 0, like ``--eps`` (else ValueError); the
         predicates' products (up to 2 * diagonal**2 and eps_len * diagonal)
-        must be finite (else InvalidArcError)."""
+        must be finite, and the widest collinearity band, eps_len *
+        diagonal, must not underflow to 0 (else InvalidArcError)."""
         if eps_len is not None and not 0 < eps_len < math.inf:
             raise ValueError(
                 f"eps_len must be a finite number > 0, got {eps_len!r}")
@@ -74,6 +75,10 @@ class PolygonalArc:
             raise InvalidArcError(
                 f"eps_len (--eps) {eps_len:g} times the arc's "
                 f"bounding-box diagonal {diagonal:g} exceeds the float range")
+        if diagonal > 0 and eps_len * diagonal == 0:
+            raise InvalidArcError(
+                f"eps_len (--eps) {eps_len:g} times the arc's "
+                f"bounding-box diagonal {diagonal:g} underflows the float range")
         return Tolerance(eps_len)
 
 
@@ -89,9 +94,6 @@ class Violation(NamedTuple):
 class ValidationReport:
     ok: bool
     violations: tuple[Violation, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def parse_arc(text: str, fmt: str = "json") -> PolygonalArc:
@@ -159,12 +161,6 @@ def _parse_csv(text: str) -> PolygonalArc:
         return PolygonalArc(tuple(points), closed=False)
     except InvalidArcError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def serialize_arc(arc: PolygonalArc) -> str:
-    """JSON text whose parse reproduces the arc exactly (float round-trip)."""
-    return json.dumps({"closed": arc.closed,
-                       "nodes": [[p.x, p.y] for p in arc.nodes]})
 
 
 def load_arc(path: str) -> PolygonalArc:

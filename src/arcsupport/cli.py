@@ -147,23 +147,35 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
     failures: list[dict] = []
     checks = 0
+    violated = False
     for i in range(args.count):
         nodes = lo + i % (hi - lo + 1)
         if args.strategy == "mixed":
             strategy = STRATEGIES[i % len(STRATEGIES)]
         else:
             strategy = args.strategy
-        arc = generate_arc(nodes, args.seed + i, strategy)
-        analysis = analyze_arc(arc)
-        angles = [0.0] + grid + [analysis.table.phi_left,
-                                 -analysis.table.phi_right]
-        for phi in angles:
-            result = compare_with_solver(arc, phi, analysis=analysis)
-            checks += 1
-            if not result.ok:
-                failures.append({"seed": args.seed + i, "nodes": nodes,
-                                 "strategy": strategy, "phi": phi,
-                                 "message": result.message})
+        seed = args.seed + i
+        reproduce = (f"arcsupport fuzz --count 1 --seed {seed} --nodes {nodes}"
+                     f" --strategy {strategy}")
+        if step is not None:
+            reproduce += f" --phi-grid {step!r}"
+        arc = generate_arc(nodes, seed, strategy)
+        found: list[tuple[float | None, str]] = []
+        phi = None
+        try:
+            analysis = analyze_arc(arc)
+            for phi in [0.0] + grid + [analysis.table.phi_left,
+                                       -analysis.table.phi_right]:
+                result = compare_with_solver(arc, phi, analysis=analysis)
+                checks += 1
+                if not result.ok:
+                    found.append((phi, result.message))
+        except StructuralViolationError as exc:
+            violated = True
+            found.append((phi, f"structural violation: {exc}"))
+        failures.extend({"seed": seed, "nodes": nodes, "strategy": strategy,
+                         "phi": angle, "message": message,
+                         "reproduce": reproduce} for angle, message in found)
 
     print(json.dumps({
         "rng": RNG_ALGORITHM,
@@ -175,6 +187,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         "failures": failures,
         "ok": not failures,
     }, indent=2))
+    if violated:
+        return EXIT_STRUCTURAL
     return EXIT_OK if not failures else EXIT_DISAGREEMENT
 
 

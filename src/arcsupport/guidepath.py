@@ -41,14 +41,6 @@ class GuidePath:
         return self.visit[0]
 
     @property
-    def second(self) -> int:
-        return self.visit[1]
-
-    @property
-    def penultimate(self) -> int:
-        return self.visit[-2]
-
-    @property
     def tail(self) -> int:
         return self.visit[-1]
 
@@ -56,11 +48,6 @@ class GuidePath:
     def rank(self) -> dict[int, int]:
         """Visit position of each hull index."""
         return {h: r for r, h in enumerate(self.visit)}
-
-    @property
-    def visit_nodes(self) -> tuple[int, ...]:
-        """The visit order as arc node indices."""
-        return tuple(self.hull.node_ids[h] for h in self.visit)
 
     def side_of(self, hull_index: int) -> int:
         """+1 for the upper side, -1 for the lower, 0 for head and tail."""

@@ -82,14 +82,11 @@ def convex_hull(points: tuple[Point, ...] | list[Point],
 
 
 class SupportContact(NamedTuple):
-    """A support line and the hull vertices it touches, listed in order
-    along the line's direction."""
+    """A support line and the arc nodes of the hull vertices it touches,
+    in order along the line's direction."""
 
     line: Line
-    hull_indices: tuple[int, ...]
     node_ids: tuple[int, ...]
-    points: tuple[Point, ...]
-    is_edge: bool
 
 
 def support_contact(hull: ConvexHull, dir_deg: float,
@@ -123,9 +120,6 @@ def support_contact(hull: ConvexHull, dir_deg: float,
         u = unit_vector(dir_deg)
         ids.sort(key=lambda i: (hull.points[i].x * u.x
                                 + hull.points[i].y * u.y, i))
-    pts = tuple([hull.points[i] for i in ids])
-    return SupportContact(line=Line(pts[0].x, pts[0].y, dir_deg),
-                          hull_indices=tuple(ids),
-                          node_ids=tuple([hull.node_ids[i] for i in ids]),
-                          points=pts,
-                          is_edge=len(ids) > 1)
+    anchor = hull.points[ids[0]]
+    return SupportContact(line=Line(anchor.x, anchor.y, dir_deg),
+                          node_ids=tuple([hull.node_ids[i] for i in ids]))

@@ -98,10 +98,10 @@ def compute_tilts(decomp: LocaleDecomposition) -> tuple[float, ...]:
         raw = hull.edge_dir(a, b) - guide.axis_deg
         return sigma * normalize_angle(raw) + 0.0   # +0.0 avoids -0.0
 
-    tilts = [tilt_of(guide.head, guide.second)]
+    tilts = [tilt_of(guide.head, guide.visit[1])]
     for loc in decomp.locales:
         tilts.append(tilt_of(*loc.base))
-    tilts.append(tilt_of(guide.penultimate, guide.tail))
+    tilts.append(tilt_of(guide.visit[-2], guide.tail))
     return tuple(tilts)
 
 

@@ -2,8 +2,8 @@
 
 Every index in the report refers to an arc node (the input numbering),
 never to internal hull positions, so reports stay meaningful without the
-objects that produced them.  ``to_dict``/``from_dict`` round-trip exactly;
-the JSON schema is versioned via a top-level ``"schema"`` field.
+objects that produced them.  The JSON schema is versioned via a top-level
+``"schema"`` field.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class AnalysisReport:
             arc_nodes=tuple((p.x, p.y) for p in analysis.arc.nodes),
             arc_closed=analysis.arc.closed,
             hull_nodes=node,
-            visit_nodes=guide.visit_nodes,
+            visit_nodes=tuple(node[h] for h in guide.visit),
             sigma=guide.sigma,
             axis_deg=guide.axis_deg,
             axis_on_boundary=guide.axis_on_boundary,
@@ -81,44 +81,8 @@ class AnalysisReport:
             "tilt_table": self.table.to_dict(),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "AnalysisReport":
-        if data.get("schema") != SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported report schema {data.get('schema')!r}; "
-                f"expected {SCHEMA_VERSION}")
-        gp = data["guide_path"]
-        tt = data["tilt_table"]
-        return cls(
-            arc_nodes=tuple((float(x), float(y))
-                            for x, y in data["arc"]["nodes"]),
-            arc_closed=bool(data["arc"]["closed"]),
-            hull_nodes=tuple(data["hull"]),
-            visit_nodes=tuple(gp["visit"]),
-            sigma=int(gp["sigma"]),
-            axis_deg=float(gp["axis_deg"]),
-            axis_on_boundary=bool(gp["axis_on_boundary"]),
-            links=tuple((int(s), int(e), str(kind))
-                        for s, e, kind in gp["links"]),
-            locales=tuple(
-                LocaleRow(index=int(row["index"]),
-                          base=(int(row["base"][0]), int(row["base"][1])),
-                          cap=tuple(int(c) for c in row["cap"]),
-                          side=str(row["side"]))
-                for row in data["locales"]),
-            table=TiltTable(tilts=tuple(float(t) for t in tt["tilts"]),
-                            spans=tuple(float(s) for s in tt["spans"]),
-                            phi_left=float(tt["phi_left"]),
-                            phi_right=float(tt["phi_right"]),
-                            delta_total=float(tt["delta_total"])),
-        )
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AnalysisReport":
-        return cls.from_dict(json.loads(text))
 
 
 def tilt_table_csv(report: AnalysisReport) -> str:

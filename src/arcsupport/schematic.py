@@ -26,10 +26,6 @@ class Strip(NamedTuple):
     x_right: float
     span: float     # signed span of the locale
 
-    @property
-    def width(self) -> float:
-        return self.x_right - self.x_left
-
 
 class AbstractSolution(NamedTuple):
     """A support-line pair in diagram coordinates.
@@ -62,15 +58,6 @@ class SchematicDiagram:
     @property
     def width(self) -> float:
         return self.strips[-1].x_right
-
-    @property
-    def crossing_x(self) -> float:
-        """Position where the two profiles meet."""
-        return self.table.phi_left
-
-    @property
-    def crossing_strip(self) -> int:
-        return self.strip_at(self.crossing_x).index
 
     def strip_at(self, x: float) -> Strip:
         """Strip containing ``x``; strips are half-open on the right, the
@@ -112,7 +99,8 @@ def build_schematic(table: TiltTable) -> SchematicDiagram:
 
 def crossing_point(diagram: SchematicDiagram) -> tuple[float, int]:
     """(position, strip index) where the profile gap vanishes."""
-    return (diagram.crossing_x, diagram.crossing_strip)
+    x = diagram.table.phi_left
+    return (x, diagram.strip_at(x).index)
 
 
 def query_angle(diagram: SchematicDiagram, phi_deg: float,

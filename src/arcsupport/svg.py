@@ -198,7 +198,7 @@ def render_schematic(diagram: SchematicDiagram,
     parts.append(_polyline(lower, "lower-profile"))
     parts.append(_polyline([(0.0, table.phi_left), (width, table.phi_right)],
                            "delta-profile"))
-    parts.append(_circle(diagram.crossing_x, 0.0, r_mark, "crossing"))
+    parts.append(_circle(table.phi_left, 0.0, r_mark, "crossing"))
 
     if query is not None:
         for sol in query.solutions:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,12 +21,17 @@ from arcsupport.arcio import (
     is_segment_arc,
     load_arc,
     parse_arc,
-    serialize_arc,
     validate_simple,
 )
 from arcsupport.errors import InvalidArcError, ParseError
 from arcsupport.geom import (DEFAULT_EPS_ANGLE, DEFAULT_EPS_REL, Point,
                              Tolerance, dist, orient, segments_intersect)
+
+
+def _arc_json(arc):
+    """The arc in the JSON input form; floats keep their repr."""
+    return json.dumps({"closed": arc.closed,
+                       "nodes": [[p.x, p.y] for p in arc.nodes]})
 
 
 class TestPolygonalArc:
@@ -114,6 +120,31 @@ class TestPolygonalArc:
         with pytest.raises(InvalidArcError, match="float range"):
             arc.tolerance()
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-165, 1e-300, 1e-320])
+    def test_tolerance_rejects_underflowing_band(self, scale):
+        # eps_len * diagonal, the widest collinearity band, underflows to 0;
+        # below 1e-164 every cross product of these nodes does too
+        pentagon = ((0, 0), (1, 1), (2, -1), (3, 1), (4, 0))
+        arc = PolygonalArc(tuple((x * scale, y * scale) for x, y in pentagon))
+        with pytest.raises(InvalidArcError, match="underflows the float range"):
+            arc.tolerance()
+        with pytest.raises(InvalidArcError, match="underflows the float range"):
+            arc.tolerance(1e-200)
+
+    def test_smallest_accepted_scale_keeps_the_hull(self):
+        scale = 1e-155
+        pentagon = ((0, 0), (1, 1), (2, -1), (3, 1), (4, 0))
+        arc = PolygonalArc(tuple((x * scale, y * scale) for x, y in pentagon))
+        tol = arc.tolerance()
+        # the band is subnormal, yet every turn keeps its exact sign
+        band = tol.eps_len * math.hypot(4 * scale, 2 * scale)
+        assert 0 < band < sys.float_info.min
+        for a in arc.nodes:
+            for b in arc.nodes:
+                for c in arc.nodes:
+                    if len({a, b, c}) == 3:
+                        assert orient(a, b, c, tol) == orient(a, b, c)
+
     def test_largest_accepted_scale_keeps_the_hull(self):
         # 2 * diagonal**2 is just finite at this scale; the tolerant orient
         # then agrees with the exact one on every triple of nodes
@@ -131,13 +162,13 @@ class TestPolygonalArc:
 class TestJsonParsing:
     def test_round_trip(self):
         arc = PolygonalArc(((0.1, -2.25), (1e-17, 3.5), (7, 0.30000000000000004)))
-        again = parse_arc(serialize_arc(arc))
+        again = parse_arc(_arc_json(arc))
         assert again.nodes == arc.nodes
         assert again.closed == arc.closed
 
     def test_round_trip_closed(self):
         arc = PolygonalArc(((0, 0), (2, 0), (1, 2)), closed=True)
-        again = parse_arc(serialize_arc(arc))
+        again = parse_arc(_arc_json(arc))
         assert again.closed is True
         assert again.nodes == arc.nodes
 
@@ -242,7 +273,7 @@ class TestSegmentArcDetection:
 class TestValidateSimple:
     def test_pentagon_ok(self, pentagon_arc):
         report = validate_simple(pentagon_arc)
-        assert report.ok and bool(report) and report.violations == ()
+        assert report.ok and report.violations == ()
 
     def test_duplicate_node(self):
         arc = PolygonalArc(((0, 0), (1, 1), (1, 1), (2, 0)))
@@ -401,11 +432,18 @@ class TestBatchedValidation:
     @example(arc=NEAR_TIE)
     @given(arc=jittered_grid_arcs())
     def test_matches_scalar_reference(self, arc):
-        for scale in (1.0, 1e-300, 1e150):
+        # at 1e-150 the filter's band is subnormal, so the scalar test
+        # decides every pair; at 1e-300 the collinearity band underflows
+        for scale in (1.0, 1e-150, 1e-300, 1e150):
             scaled = PolygonalArc(
                 tuple((x * scale, y * scale) for x, y in arc.nodes), arc.closed)
-            assert validate_simple(scaled) == _scalar_report(
-                scaled, scaled.tolerance())
+            try:
+                tol = scaled.tolerance()
+            except InvalidArcError:
+                with pytest.raises(InvalidArcError, match="float range"):
+                    validate_simple(scaled)
+                continue
+            assert validate_simple(scaled) == _scalar_report(scaled, tol)
 
     def test_near_tie_goes_to_the_scalar_test(self, monkeypatch):
         # the turn of (0.5, 2.1e-9) about segment 0: |cross| = 2.1e-9 and
@@ -445,13 +483,13 @@ def test_serialize_parse_round_trip_property(coords):
         arc = PolygonalArc(tuple(coords))
     except InvalidArcError:
         return
-    again = parse_arc(serialize_arc(arc))
+    again = parse_arc(_arc_json(arc))
     assert again.nodes == arc.nodes
 
 
 def test_json_float_round_trip_is_exact():
     value = 0.1 + 0.2  # 0.30000000000000004
     arc = PolygonalArc(((value, -value), (1e300, 5e-324)))
-    again = parse_arc(serialize_arc(arc))
+    again = parse_arc(_arc_json(arc))
     assert again.nodes[0].x == value
     assert again.nodes[1].y == 5e-324

@@ -10,11 +10,16 @@ import contextlib
 import io
 import json
 import math
+import shlex
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from arcsupport import cli
+from arcsupport.arcgen import STRATEGIES, generate_arc
 from arcsupport.cli import _build_parser, run
+from arcsupport.errors import StructuralViolationError
+from arcsupport.oracle import AgreementReport
 
 PENTAGON = [[0, 0], [1, 1], [2, -1], [3, 1], [4, 0]]
 SQUARE_CLOSED = [[0, 1], [0, 0], [1, 0], [1, 1]]
@@ -362,6 +367,102 @@ class TestFuzz:
         assert exc.value.code == 2
 
 
+class TestFuzzFailures:
+    """A failing arc is recorded with a command that replays it, and the
+    run goes on to the next arc."""
+
+    # arc 2 of `fuzz --count 4 --seed 7 --nodes 5-8`: 7 nodes, seed 9
+    BAD = generate_arc(7, 9, STRATEGIES[0])
+
+    def _fuzz(self, capsys, argv):
+        code = run(["fuzz", *argv])
+        return code, json.loads(capsys.readouterr().out)
+
+    def _break_analysis(self, monkeypatch):
+        analyze = cli.analyze_arc
+
+        def broken(arc, *args):
+            if arc == self.BAD:
+                raise StructuralViolationError("planted")
+            return analyze(arc, *args)
+        monkeypatch.setattr(cli, "analyze_arc", broken)
+
+    def test_violation_is_recorded_and_the_run_goes_on(self, capsys,
+                                                        monkeypatch):
+        self._break_analysis(monkeypatch)
+        code, payload = self._fuzz(
+            capsys, ["--count", "4", "--seed", "7", "--nodes", "5-8"])
+        assert code == 4
+        assert payload["ok"] is False
+        assert payload["checks"] == 3 * 3      # the other three arcs
+        reproduce = ("arcsupport fuzz --count 1 --seed 9 --nodes 7 "
+                     f"--strategy {STRATEGIES[0]}")
+        assert payload["failures"] == [{
+            "seed": 9, "nodes": 7, "strategy": STRATEGIES[0], "phi": None,
+            "message": "structural violation: planted",
+            "reproduce": reproduce}]
+        # the command replays the failure, and only that arc
+        code, again = self._fuzz(capsys, shlex.split(reproduce)[2:])
+        assert code == 4 and again["failures"] == payload["failures"]
+        assert again["count"] == 1 and again["checks"] == 0
+        monkeypatch.undo()
+        code, fixed = self._fuzz(capsys, shlex.split(reproduce)[2:])
+        assert code == 0 and fixed["checks"] == 3
+
+    def test_violation_in_a_check_names_the_angle(self, capsys, monkeypatch):
+        compare = cli.compare_with_solver
+
+        def broken(arc, phi, **kwargs):
+            if arc == self.BAD and phi == 60.0:
+                raise StructuralViolationError("planted")
+            return compare(arc, phi, **kwargs)
+        monkeypatch.setattr(cli, "compare_with_solver", broken)
+        code, payload = self._fuzz(capsys, [
+            "--count", "4", "--seed", "7", "--nodes", "5-8",
+            "--phi-grid", "60"])
+        assert code == 4
+        # arc 2 got through 0 and grid angle 0 before the violation
+        assert payload["checks"] == 3 * 6 + 2
+        [failure] = payload["failures"]
+        assert failure["phi"] == 60.0
+        assert failure["reproduce"].endswith(" --phi-grid 60.0")
+
+    def test_disagreements_alone_exit_5(self, capsys, monkeypatch):
+        compare = cli.compare_with_solver
+
+        def disagree(arc, phi, **kwargs):
+            report = compare(arc, phi, **kwargs)
+            if arc != self.BAD:
+                return report
+            return AgreementReport(phi=phi, case=report.case, solver_count=1,
+                                   oracle_count=2, ok=False,
+                                   message="pair counts differ")
+        monkeypatch.setattr(cli, "compare_with_solver", disagree)
+        code, payload = self._fuzz(
+            capsys, ["--count", "4", "--seed", "7", "--nodes", "5-8"])
+        assert code == 5
+        assert payload["checks"] == 4 * 3
+        assert [f["seed"] for f in payload["failures"]] == [9, 9, 9]
+        assert all(f["reproduce"].startswith("arcsupport fuzz --count 1 "
+                                             "--seed 9 --nodes 7 ")
+                   for f in payload["failures"])
+
+    def test_violation_outranks_disagreement(self, capsys, monkeypatch):
+        self._break_analysis(monkeypatch)
+        compare = cli.compare_with_solver
+
+        def disagree(arc, phi, **kwargs):
+            report = compare(arc, phi, **kwargs)
+            return AgreementReport(phi=phi, case=report.case, solver_count=1,
+                                   oracle_count=2, ok=False,
+                                   message="pair counts differ")
+        monkeypatch.setattr(cli, "compare_with_solver", disagree)
+        code, payload = self._fuzz(
+            capsys, ["--count", "4", "--seed", "7", "--nodes", "5-8"])
+        assert code == 4
+        assert len(payload["failures"]) == 3 * 3 + 1
+
+
 # --------------------------------------------------- flags not honoured
 
 class TestUnhonouredFlags:
@@ -439,6 +540,26 @@ class TestErrorHandling:
         assert run([*argv, path]) == 3
         err = capsys.readouterr().err
         assert "float range" in err and "collinear" not in err
+
+    def test_scale_range_is_one_verdict(self, tmp_path, capsys):
+        # the pentagon scaled by 10**-e: validate, analyze and oracle share
+        # one exit code and, when it is 3, one message; below a diagonal of
+        # about 5e-158 the collinearity band underflows to 0
+        for e in range(140, 321, 5):
+            scale = float(f"1e-{e}")
+            path = _write_arc(tmp_path, [[x * scale, y * scale]
+                                         for x, y in PENTAGON])
+            codes, errors = set(), set()
+            for argv in (["validate"], ["analyze"], ["oracle", "--phi", "30"]):
+                codes.add(run([*argv, path]))
+                errors.add(capsys.readouterr().err)
+            assert codes == {0 if e <= 155 else 3}, e
+            [err] = errors
+            if e <= 155:
+                assert err == ""
+            else:
+                assert err.count("\n") == 1 and err.startswith("error: ")
+                assert "underflows the float range" in err
 
     def test_overflowing_eps_names_the_flag(self, pentagon_file, capsys):
         # the pentagon's diagonal is fine; only eps_len times it overflows

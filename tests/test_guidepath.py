@@ -25,11 +25,16 @@ from arcsupport.guidepath import (
 from arcsupport.hull import convex_hull
 
 
+def _visit_nodes(guide):
+    """The visit order as arc node indices."""
+    return tuple(guide.hull.node_ids[h] for h in guide.visit)
+
+
 class TestPentagonGuidePath:
     def test_structure(self, pentagon_arc):
         guide = build_guide_path(convex_hull(pentagon_arc.nodes))
         assert guide.visit == (0, 4, 1, 3, 2)
-        assert guide.visit_nodes == (0, 1, 2, 3, 4)
+        assert _visit_nodes(guide) == (0, 1, 2, 3, 4)
         assert guide.sigma == 1
         assert guide.axis_deg == pytest.approx(0.0)
         assert not guide.axis_on_boundary
@@ -37,7 +42,7 @@ class TestPentagonGuidePath:
     def test_endpoints(self, pentagon_arc):
         guide = build_guide_path(convex_hull(pentagon_arc.nodes))
         assert guide.head == 0 and guide.tail == 2
-        assert guide.second == 4 and guide.penultimate == 3
+        assert guide.visit[1] == 4 and guide.visit[-2] == 3
 
     def test_links(self, pentagon_arc):
         guide = build_guide_path(convex_hull(pentagon_arc.nodes))
@@ -61,14 +66,14 @@ class TestAxisOnBoundary:
         assert guide.sigma == -1
         assert guide.axis_on_boundary
         assert guide.visit == (3, 0, 1, 2)
-        assert guide.visit_nodes == (0, 1, 2, 3)
+        assert _visit_nodes(guide) == (0, 1, 2, 3)
         assert guide.axis_deg == pytest.approx(0.0)
         assert tuple(l.kind for l in guide.links) == ("edge",) * 3
 
     def test_triangle(self, triangle_arc):
         guide = build_guide_path(convex_hull(triangle_arc.nodes))
         assert guide.axis_on_boundary
-        assert guide.visit_nodes == (0, 1, 2)
+        assert _visit_nodes(guide) == (0, 1, 2)
 
     def test_pentagon_not_on_boundary(self, pentagon_arc):
         guide = build_guide_path(convex_hull(pentagon_arc.nodes))
@@ -78,7 +83,7 @@ class TestAxisOnBoundary:
 class TestInteriorStart:
     def test_same_shape_shifted(self, pentagon_interior_start):
         guide = build_guide_path(convex_hull(pentagon_interior_start.nodes))
-        assert guide.visit_nodes == (1, 2, 3, 4, 5)
+        assert _visit_nodes(guide) == (1, 2, 3, 4, 5)
         assert guide.sigma == 1
         assert tuple(l.kind for l in guide.links) == (
             "edge", "crossing", "crossing", "edge")

@@ -42,22 +42,18 @@ def _scan_contact(hull, dir_deg, side):
             ids.add(j)
     ordered = sorted(ids, key=lambda i: (hull.points[i].x * u.x
                                          + hull.points[i].y * u.y, i))
-    pts = tuple(hull.points[i] for i in ordered)
-    anchor = pts[0]
+    anchor = hull.points[ordered[0]]
     return SupportContact(line=Line(anchor.x, anchor.y, dir_deg),
-                          hull_indices=tuple(ordered),
-                          node_ids=tuple(hull.node_ids[i] for i in ordered),
-                          points=pts,
-                          is_edge=len(ordered) > 1)
+                          node_ids=tuple(hull.node_ids[i] for i in ordered))
 
 
 def _exact_extremes(hull, dir_deg, side):
-    """Hull indices whose leftward offset along unit_vector(dir_deg) is
-    extreme in exact arithmetic."""
+    """Arc nodes of the hull vertices whose leftward offset along
+    unit_vector(dir_deg) is extreme in exact arithmetic."""
     ux, uy = map(Fraction, unit_vector(dir_deg))
     vals = [Fraction(p.y) * ux - Fraction(p.x) * uy for p in hull.points]
     best = min(vals) if side == "left" else max(vals)
-    return {i for i, v in enumerate(vals) if v == best}
+    return {hull.node_ids[i] for i, v in enumerate(vals) if v == best}
 
 
 def _edge_queries(hull):
@@ -184,45 +180,47 @@ class TestInteriorAngle:
             assert total == pytest.approx(180.0 * (k - 2), abs=1e-6)
 
 
+# node i of this square is SQUARE[i]
+SQUARE = (Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1))
+
+
 class TestSupportContact:
     def test_square_bottom_edge(self):
-        hull = convex_hull((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
-        c = support_contact(hull, 0.0, "left")
-        assert c.is_edge
-        assert c.points == (Point(0, 0), Point(1, 0))
+        c = support_contact(convex_hull(SQUARE), 0.0, "left")
+        assert c.node_ids == (0, 1)
         assert c.line.px == 0.0 and c.line.py == 0.0 and c.line.dir_deg == 0.0
 
     def test_square_top_edge_other_side(self):
-        hull = convex_hull((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
-        c = support_contact(hull, 0.0, "right")
-        assert c.is_edge
-        assert c.points == (Point(0, 1), Point(1, 1))
+        c = support_contact(convex_hull(SQUARE), 0.0, "right")
+        assert c.node_ids == (3, 2)
+        assert c.line == Line(0.0, 1.0, 0.0)
 
     def test_square_oblique_single_vertex(self):
-        hull = convex_hull((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
+        hull = convex_hull(SQUARE)
         c = support_contact(hull, 45.0, "right")
-        assert not c.is_edge
-        assert c.points == (Point(0, 1),)
+        assert c.node_ids == (3,)
+        assert c.line == Line(0.0, 1.0, 45.0)
         c2 = support_contact(hull, 45.0, "left")
-        assert c2.points == (Point(1, 0),)
+        assert c2.node_ids == (1,)
 
     def test_contact_ordered_along_direction(self):
-        hull = convex_hull((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
+        hull = convex_hull(SQUARE)
         c = support_contact(hull, 90.0, "left")       # hull left of upward line
-        assert c.points == (Point(1, 0), Point(1, 1))
+        assert c.node_ids == (1, 2)
+        assert c.line == Line(1.0, 0.0, 90.0)         # anchored at the first
         c2 = support_contact(hull, -90.0, "right")    # same geometric side
-        assert c2.points == (Point(1, 1), Point(1, 0))
+        assert c2.node_ids == (2, 1)
+        assert c2.line == Line(1.0, 1.0, -90.0)
 
     def test_direction_within_eps_still_edge(self):
-        hull = convex_hull((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
-        c = support_contact(hull, 1e-8, "left")
-        assert c.is_edge and len(c.points) == 2
+        c = support_contact(convex_hull(SQUARE), 1e-8, "left")
+        assert c.node_ids == (0, 1)
 
     def test_reversed_direction_swaps_side(self):
-        hull = convex_hull((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
+        hull = convex_hull(SQUARE)
         a = support_contact(hull, 0.0, "left")
         b = support_contact(hull, 180.0, "right")
-        assert set(a.points) == set(b.points)
+        assert set(a.node_ids) == set(b.node_ids)
 
     def test_bad_side_rejected(self):
         hull = convex_hull((Point(0, 0), Point(1, 0), Point(0, 1)))
@@ -241,8 +239,8 @@ class TestSupportContact:
             for p in hull.points:
                 assert sign * line_offset(c.line, p) >= -hull.tol.eps_len
             # Every contact point lies on the line itself.
-            for p in c.points:
-                assert abs(line_offset(c.line, p)) <= hull.tol.eps_len
+            for node in c.node_ids:
+                assert abs(line_offset(c.line, poly[node])) <= hull.tol.eps_len
 
     def test_extreme_vertex_is_in_contact(self):
         rng = random.Random(29)
@@ -254,7 +252,7 @@ class TestSupportContact:
             vals = [p.x * (-u.y) + p.y * u.x for p in hull.points]
             lo_idx = min(range(len(vals)), key=vals.__getitem__)
             c = support_contact(hull, d, "left")
-            assert lo_idx in c.hull_indices
+            assert hull.node_ids[lo_idx] in c.node_ids
 
 
 class TestEdgeDirectionTable:
@@ -339,6 +337,6 @@ class TestEdgeDirectionTable:
             for side in ("left", "right"):
                 got = support_contact(hull, d, side)
                 ref = _scan_contact(hull, d, side)
-                assert set(got.hull_indices) & _exact_extremes(hull, d, side)
+                assert set(got.node_ids) & _exact_extremes(hull, d, side)
                 anchor = Point(got.line.px, got.line.py)
                 assert abs(line_offset(ref.line, anchor)) <= slack

@@ -28,7 +28,7 @@ class TestStripLayout:
     def test_pentagon_strips(self, pentagon_arc):
         d = _pentagon_diagram(pentagon_arc)
         assert len(d.strips) == 3
-        widths = [s.width for s in d.strips]
+        widths = [s.x_right - s.x_left for s in d.strips]
         assert widths == pytest.approx(
             [DEG_ATAN_1_1, 2 * DEG_ATAN_1_2, DEG_ATAN_1_1], abs=1e-12)
         assert d.strips[0].x_left == 0.0
