@@ -58,13 +58,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     arc = load_arc(args.input)
     analysis = analyze_arc(arc, arc.tolerance(args.eps))
-    report = AnalysisReport.from_analysis(analysis)
+    text = AnalysisReport.from_analysis(analysis).to_json()
     if args.json:
-        _write(args.json, report.to_json() + "\n")
+        _write(args.json, text + "\n")
     if args.format == "csv":
-        print(tilt_table_csv(report), end="")
+        print(tilt_table_csv(analysis.table), end="")
     else:
-        print(report.to_json())
+        print(text)
     return EXIT_OK
 
 

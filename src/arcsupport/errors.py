@@ -30,11 +30,13 @@ class DegenerateHullError(ArcSupportError, ValueError):
 
 
 class UnsupportedArcError(ArcSupportError, ValueError):
-    """Valid input outside this solver's domain (e.g. a segment arc)."""
+    """Valid input outside this solver's domain: a closed arc passed to
+    ``analyze_arc`` or ``brute_force_pairs``, an open arc passed to
+    ``solve_closed``, or a closed arc solved at φ ≠ 0."""
 
 
 class TooLargeError(ArcSupportError, ValueError):
-    """An enumeration was requested above the configured size cap."""
+    """An enumeration was requested above ``guidepath.ENUMERATION_CAP``."""
 
 
 class GenerationError(ArcSupportError, RuntimeError):

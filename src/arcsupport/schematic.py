@@ -24,28 +24,24 @@ class Strip(NamedTuple):
     index: int      # 1-based locale number
     x_left: float
     x_right: float
-    span: float     # signed span of the locale
 
 
 class AbstractSolution(NamedTuple):
     """A support-line pair in diagram coordinates.
 
     ``ordinate`` is the prescribed profile gap (signed), ``abscissa`` the
-    diagram position where the gap occurs, ``contact_angle`` the moving
-    profile's tilt there, and ``base_tilt`` the holding profile's tilt,
-    which is the tilt of locale ``locale_index``.
+    diagram position where the gap occurs, in the strip of locale
+    ``locale_index``, and ``contact_angle`` the moving profile's tilt there.
     """
 
     ordinate: float
     abscissa: float
     locale_index: int
     contact_angle: float
-    base_tilt: float
 
 
 @dataclass(frozen=True)
 class AngleQuery:
-    phi: float
     case: str       # 'A', 'B', 'C', or 'D'
     solutions: tuple[AbstractSolution, ...]
 
@@ -91,8 +87,7 @@ def build_schematic(table: TiltTable) -> SchematicDiagram:
     strips = []
     x = 0.0
     for j, span in enumerate(table.spans, start=1):
-        strips.append(Strip(index=j, x_left=x, x_right=x + abs(span),
-                            span=span))
+        strips.append(Strip(index=j, x_left=x, x_right=x + abs(span)))
         x += abs(span)
     return SchematicDiagram(table=table, strips=tuple(strips))
 
@@ -126,8 +121,7 @@ def query_angle(diagram: SchematicDiagram, phi_deg: float,
         tilt_j = table.tilts[j]
         theta = tilt_j + s if j % 2 == 1 else tilt_j - s
         solutions.append(AbstractSolution(
-            ordinate=s, abscissa=x, locale_index=j,
-            contact_angle=theta, base_tilt=tilt_j))
+            ordinate=s, abscissa=x, locale_index=j, contact_angle=theta))
     solutions.sort(key=lambda sol: sol.abscissa)
 
     lo = min(table.phi_left, -table.phi_right)
@@ -144,4 +138,4 @@ def query_angle(diagram: SchematicDiagram, phi_deg: float,
     expected = {"A": 1, "B": 2, "C": 1, "D": 0}[case]
     ensure(len(solutions) == expected,
            f"case {case} expects {expected} solutions, found {len(solutions)}")
-    return AngleQuery(phi=phi_deg, case=case, solutions=tuple(solutions))
+    return AngleQuery(case=case, solutions=tuple(solutions))

@@ -224,6 +224,21 @@ class TestSolve:
         assert run(["solve", "--phi", "0", path]) == 0
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["solve", "--phi", "30"]],
+                         ids=["analyze", "solve"])
+def test_json_file_with_csv_stdout(command, pentagon_file, tmp_path, capsys):
+    """``--json PATH`` writes the plain JSON stdout, also when stdout is CSV."""
+    assert run(command + [pentagon_file]) == 0
+    json_stdout = capsys.readouterr().out
+    assert run(command + ["--format", "csv", pentagon_file]) == 0
+    csv_stdout = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    assert run(command + ["--json", str(out), "--format", "csv",
+                          pentagon_file]) == 0
+    assert capsys.readouterr().out == csv_stdout
+    assert out.read_bytes() == json_stdout.encode()
+
+
 # ------------------------------------------------------------------ oracle
 
 class TestOracle:

@@ -12,31 +12,39 @@ from arcsupport.arcio import PolygonalArc
 
 
 @pytest.fixture
-def pentagon_report(pentagon_arc):
-    return AnalysisReport.from_analysis(analyze_arc(pentagon_arc))
+def pentagon_analysis(pentagon_arc):
+    return analyze_arc(pentagon_arc)
+
+
+@pytest.fixture
+def pentagon_report(pentagon_analysis):
+    return AnalysisReport.from_analysis(pentagon_analysis)
 
 
 class TestReportContent:
     def test_node_indexed_fields(self, pentagon_report):
-        r = pentagon_report
-        assert r.hull_nodes == (0, 2, 4, 3, 1)
-        assert r.visit_nodes == (0, 1, 2, 3, 4)
-        assert r.sigma == 1
-        assert r.axis_deg == pytest.approx(0.0)
-        assert not r.axis_on_boundary
-        assert r.links == ((0, 1, "edge"), (1, 2, "crossing"),
-                           (2, 3, "crossing"), (3, 4, "edge"))
-        assert [(row.base, row.cap, row.side) for row in r.locales] == [
-            ((0, 2), (1,), "lower"),
-            ((1, 3), (2,), "upper"),
-            ((2, 4), (3,), "lower"),
+        d = pentagon_report.to_dict()
+        guide = d["guide_path"]
+        assert d["hull"] == [0, 2, 4, 3, 1]
+        assert guide["visit"] == [0, 1, 2, 3, 4]
+        assert guide["sigma"] == 1
+        assert guide["axis_deg"] == pytest.approx(0.0)
+        assert guide["axis_on_boundary"] is False
+        assert guide["links"] == [[0, 1, "edge"], [1, 2, "crossing"],
+                                  [2, 3, "crossing"], [3, 4, "edge"]]
+        assert [(loc["base"], loc["cap"], loc["side"])
+                for loc in d["locales"]] == [
+            ([0, 2], [1], "lower"),
+            ([1, 3], [2], "upper"),
+            ([2, 4], [3], "lower"),
         ]
-        assert len(r.table.tilts) == 5 and len(r.table.spans) == 3
+        table = d["tilt_table"]
+        assert len(table["tilts"]) == 5 and len(table["spans"]) == 3
 
     def test_arc_nodes_round(self, pentagon_report, pentagon_arc):
-        assert pentagon_report.arc_nodes == tuple(
-            (p.x, p.y) for p in pentagon_arc.nodes)
-        assert pentagon_report.arc_closed is False
+        arc = pentagon_report.to_dict()["arc"]
+        assert arc["nodes"] == [[p.x, p.y] for p in pentagon_arc.nodes]
+        assert arc["closed"] is False
 
 
 class TestRoundTrip:
@@ -52,8 +60,9 @@ class TestRoundTrip:
 
 
 class TestCsv:
-    def test_tilt_table_csv(self, pentagon_report):
-        text = tilt_table_csv(pentagon_report)
+    def test_tilt_table_csv(self, pentagon_analysis):
+        table = pentagon_analysis.table
+        text = tilt_table_csv(table)
         lines = text.strip().split("\n")
         assert lines[0] == "index,tilt_deg,span_deg"
         assert len(lines) == 6      # header + five tilts
@@ -62,8 +71,8 @@ class TestCsv:
         last = lines[-1].split(",")
         assert last[0] == "4" and last[2] == ""       # none at tilt J+1
         mid = lines[2].split(",")
-        assert float(mid[1]) == pytest.approx(pentagon_report.table.tilts[1])
-        assert float(mid[2]) == pytest.approx(pentagon_report.table.spans[0])
+        assert float(mid[1]) == pytest.approx(table.tilts[1])
+        assert float(mid[2]) == pytest.approx(table.spans[0])
 
     def test_solution_csv(self, pentagon_arc):
         result = solve_at_angle(analyze_arc(pentagon_arc), 30.0)
@@ -83,8 +92,9 @@ class TestCsv:
         assert row[0] == ""
         assert row[10] == "none"
 
-    def test_csv_floats_round_trip(self, pentagon_report):
+    def test_csv_floats_round_trip(self, pentagon_analysis):
         # repr output preserves the exact float value.
-        for line in tilt_table_csv(pentagon_report).strip().split("\n")[1:]:
+        table = pentagon_analysis.table
+        for line in tilt_table_csv(table).strip().split("\n")[1:]:
             _, tilt, _ = line.split(",")
-            assert float(tilt) in pentagon_report.table.tilts
+            assert float(tilt) in table.tilts
