@@ -18,11 +18,11 @@ from .arcgen import RNG_ALGORITHM, STRATEGIES, generate_arc
 from .arcio import load_arc, validate_simple
 from .errors import (ArcSupportError, StructuralViolationError,
                      UnsupportedArcError)
-from .hull import convex_hull
 from .oracle import compare_with_solver
 from .report import AnalysisReport, solution_csv, tilt_table_csv
 from .schematic import query_angle
-from .solver import analyze_arc, simple_hull, solve_at_angle, solve_closed
+from .solver import (analyze_arc, simple_hull, solve_at_angle,
+                     solve_closed_hull)
 from .svg import render_scene, render_scene_for, render_schematic
 
 EXIT_OK = 0
@@ -74,7 +74,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if arc.closed:
         if args.phi != 0.0:
             raise UnsupportedArcError("closed arcs support only --phi 0")
-        solution = solve_closed(arc, tol)
+        hull = simple_hull(arc, tol)
+        solution = solve_closed_hull(hull)
         analysis = None
     else:
         analysis = analyze_arc(arc, tol)
@@ -90,7 +91,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     if args.svg:
         if analysis is None:
-            hull = convex_hull(arc.nodes, tol)
             _write(f"{args.svg}.scene.svg",
                    render_scene(arc, hull, None, solution))
         else:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
@@ -9,8 +10,8 @@ from typing import NamedTuple
 
 from .arcio import PolygonalArc
 from .errors import DegenerateHullError
-from .geom import (Line, Point, Tolerance, angle_dist_mod180, direction_deg,
-                   normalize_angle, orient, unit_vector)
+from .geom import (Line, Point, Tolerance, direction_deg, normalize_angle,
+                   orient, unit_vector)
 
 
 @dataclass(frozen=True)
@@ -97,25 +98,38 @@ def support_contact(hull: ConvexHull, dir_deg: float,
     anchors the line so every hull point sits at non-negative leftward
     offset, 'right' the opposite.  When an incident hull edge runs parallel
     to the line within the angle tolerance the contact is that whole edge
-    (two vertices); otherwise it is the single extreme vertex.  The
-    edge-or-vertex decision is purely angular so that it transitions at
-    exactly the same prescribed angles as the strip-diagram queries,
-    regardless of how short the grazed edge is.
+    (two vertices); otherwise it is the single extreme vertex.  A bisection
+    of ``unwrapped`` finds the extreme vertex, and the parallel test reads
+    the turns to its two neighbouring entries of that table: an edge joins
+    when its turn mod 180 is within ``eps_angle`` of 0.  The edge-or-vertex
+    decision is purely angular so that it transitions at exactly the same
+    prescribed angles as the strip-diagram queries, regardless of how
+    short the grazed edge is.  A non-finite direction raises ValueError.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+    if not math.isfinite(dir_deg):
+        raise ValueError(f"direction must be finite, got {dir_deg!r}")
     # Vertex i is extreme for the directions from edge i-1's to edge i's
     # (hull on the left); the right side is the left side of the reverse.
-    first = hull.unwrapped[0]
+    table = hull.unwrapped
+    first = table[0]
     back = 0.0 if side == "left" else 180.0
     k = len(hull)
-    extreme = bisect_left(hull.unwrapped,
-                          first + (dir_deg + back - first) % 360.0) % k
+    target = first + (dir_deg + back - first) % 360.0
+    pos = bisect_left(table, target)
+    extreme = pos % k
+    # Turns from the incoming edge to the target and from the target to
+    # the outgoing edge, both in [0, 180); the table wraps by 360 at its
+    # ends.  An edge is parallel to the line when its turn is 0 or 180.
+    before = target - (table[pos - 1] if pos else table[-1] - 360.0)
+    after = (table[pos] if pos < k else first + 360.0) - target
+    eps = hull.tol.eps_angle
     ids = [extreme]
-    for e, j in ((hull.edge_dirs[extreme - 1], (extreme - 1) % k),
-                 (hull.edge_dirs[extreme], (extreme + 1) % k)):
-        if angle_dist_mod180(e, dir_deg) <= hull.tol.eps_angle:
-            ids.append(j)
+    if before <= eps or before >= 180.0 - eps:
+        ids.append((extreme - 1) % k)
+    if after <= eps or after >= 180.0 - eps:
+        ids.append((extreme + 1) % k)
     if len(ids) > 1:
         u = unit_vector(dir_deg)
         ids.sort(key=lambda i: (hull.points[i].x * u.x

@@ -1,12 +1,15 @@
 """Independent brute-force reference for support-line pairs.
 
-Instead of the guide-path machinery, this module tries every hull edge as
+Instead of the guide-path machinery, this module tries the hull edges as
 the two-contact line m: for a prescribed angle it builds both rotated
 candidate directions, takes the far-side support line n for each, and
 keeps the configuration whenever n touches the arc at a node strictly
-between m's contact nodes.  Distinct configurations can describe the same
-unordered pair of lines (this happens exactly at strip-boundary angles),
-so the deduplicated pair list is reported alongside the raw finds.
+between m's contact nodes.  Contacts are hull vertices, so the search
+skips the edges whose two nodes bracket no other hull vertex in arc
+order: they yield no configuration at any angle.  Distinct configurations
+can describe the same unordered pair of lines (this happens exactly at
+strip-boundary angles), so the deduplicated pair list is reported
+alongside the raw finds.
 Shares only the geometry and hull modules, and the hull itself, with the
 solver; the search never reads the guide path, locales or strip diagram.
 """
@@ -14,10 +17,11 @@ solver; the search never reads the guide path, locales or strip diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .arcio import PolygonalArc
 from .errors import UnsupportedArcError
-from .geom import Line, Tolerance, lines_equal, same_line_pair
+from .geom import Line, Point, Tolerance, lines_equal, same_line_pair
 from .hull import ConvexHull, convex_hull, support_contact
 
 MATCH_DIR_DEG = 1e-6        # see compare_with_solver
@@ -49,13 +53,18 @@ def brute_force_configs(hull: ConvexHull, phi_deg: float) -> list[OraclePair]:
     if not 0.0 <= phi_deg < 180.0:
         raise ValueError(f"angle must lie in [0, 180), got {phi_deg}")
     k = len(hull)
+    # Contacts are hull vertices, so an edge whose two nodes are adjacent
+    # in arc order among the hull's nodes has no contact between them.
+    rank = {node: r for r, node in enumerate(sorted(hull.node_ids))}
 
     found: list[OraclePair] = []
     for i in range(k):
-        a = hull.points[i]
-        edge_dir = hull.edge_dirs[i]
         node_a = hull.node_ids[i]
         node_b = hull.node_ids[(i + 1) % k]
+        if abs(rank[node_a] - rank[node_b]) == 1:
+            continue
+        a = hull.points[i]
+        edge_dir = hull.edge_dirs[i]
         lo, hi = min(node_a, node_b), max(node_a, node_b)
         m = Line(a.x, a.y, edge_dir)
         cands = [edge_dir] if phi_deg == 0.0 else [edge_dir + phi_deg,
@@ -75,8 +84,15 @@ def brute_force_pairs(arc: PolygonalArc, phi_deg: float,
     """Deduplicated unordered support-line pairs realizing ``phi_deg``."""
     if arc.closed:
         raise UnsupportedArcError("the brute-force search needs an open arc")
-    hull = convex_hull(arc.nodes, tol or arc.tolerance())
+    hull = _hull(arc.nodes, tol or arc.tolerance())
     return _dedupe(brute_force_configs(hull, phi_deg), hull.tol)
+
+
+@lru_cache(maxsize=1)
+def _hull(nodes: tuple[Point, ...], tol: Tolerance) -> ConvexHull:
+    """The hull of the last arc searched: callers sweep many angles over
+    one arc, and the hull is immutable."""
+    return convex_hull(nodes, tol)
 
 
 def _dedupe(configs: list[OraclePair], tol: Tolerance) -> list[OraclePair]:

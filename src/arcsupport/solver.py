@@ -191,16 +191,20 @@ def solve_parallel(analysis: Analysis) -> SolutionSet:
 
 def solve_closed(arc: PolygonalArc,
                  tol: Tolerance | None = None) -> SolutionSet:
-    """Parallel support pair of a closed arc.
+    """Parallel support pair of a closed arc; see ``solve_closed_hull``."""
+    if not arc.closed:
+        raise UnsupportedArcError("solve_closed requires a closed arc")
+    return solve_closed_hull(simple_hull(arc, tol or arc.tolerance()))
+
+
+def solve_closed_hull(hull: ConvexHull) -> SolutionSet:
+    """Parallel support pair of a closed arc from the hull that
+    ``simple_hull`` built for it.
 
     m runs along the first hull edge out of the lowest-leftmost node; n is
     the opposite parallel support line and v its first contact along the
     shared direction.  Closed arcs carry no betweenness requirement.
     """
-    if not arc.closed:
-        raise UnsupportedArcError("solve_closed requires a closed arc")
-    tol = tol or arc.tolerance()
-    hull = simple_hull(arc, tol)
     pu = hull.points[0]
     m = Line(pu.x, pu.y, hull.edge_dirs[0])
     contact = support_contact(hull, m.dir_deg, "right")

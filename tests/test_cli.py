@@ -11,11 +11,13 @@ import io
 import json
 import math
 import shlex
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from arcsupport import cli
+from arcsupport import hull as hull_module
 from arcsupport.arcgen import STRATEGIES, generate_arc
 from arcsupport.cli import _build_parser, run
 from arcsupport.errors import StructuralViolationError
@@ -206,6 +208,25 @@ class TestSolve:
         capsys.readouterr()
         assert (tmp_path / "closedpic.scene.svg").exists()
         assert not (tmp_path / "closedpic.schematic.svg").exists()
+
+    def test_closed_arc_svg_builds_one_hull(self, tmp_path, capsys,
+                                            monkeypatch):
+        original = hull_module.convex_hull
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "arcsupport"
+                    and getattr(module, "convex_hull", None) is original):
+                monkeypatch.setattr(module, "convex_hull", counting)
+        path = _write_arc(tmp_path, SQUARE_CLOSED, closed=True)
+        stem = tmp_path / "closedpic"
+        assert run(["solve", "--phi", "0", "--svg", str(stem), path]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
     def test_invalid_arc_exits_3(self, tmp_path, capsys):
         path = _write_arc(tmp_path, BOWTIE_OPEN)

@@ -5,12 +5,17 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from test_hull import jittered_grid_nodes
 
-from arcsupport.arcgen import generate_arc
-from arcsupport.arcio import PolygonalArc
-from arcsupport.errors import UnsupportedArcError
-from arcsupport.hull import convex_hull
+from arcsupport.arcgen import STRATEGIES, generate_arc
+from arcsupport.arcio import PolygonalArc, validate_simple
+from arcsupport.errors import (DegenerateHullError, InvalidArcError,
+                               UnsupportedArcError)
+from arcsupport.geom import Line, angle_dist_mod180
+from arcsupport.hull import convex_hull, support_contact
 from arcsupport.oracle import (
+    OraclePair,
     brute_force_configs,
     brute_force_pairs,
     compare_with_solver,
@@ -19,6 +24,29 @@ from arcsupport.solver import analyze_arc
 
 DEG_ATAN_1_2 = math.degrees(math.atan2(1, 2))
 PHI_LEFT_PENTAGON = 45.0 + DEG_ATAN_1_2
+
+
+def _all_edges_configs(hull, phi_deg):
+    """Reference search: every hull edge tried as m, with no skipping."""
+    k = len(hull)
+    found = []
+    for i in range(k):
+        a = hull.points[i]
+        edge_dir = hull.edge_dirs[i]
+        node_a = hull.node_ids[i]
+        node_b = hull.node_ids[(i + 1) % k]
+        lo, hi = min(node_a, node_b), max(node_a, node_b)
+        m = Line(a.x, a.y, edge_dir)
+        cands = [edge_dir] if phi_deg == 0.0 else [edge_dir + phi_deg,
+                                                   edge_dir - phi_deg]
+        for d in cands:
+            contact = support_contact(hull, d, "right")
+            between = [c for c in contact.node_ids if lo < c < hi]
+            if not between:
+                continue
+            found.append(OraclePair(m=m, n=contact.line, u=node_a,
+                                    v=min(between), w=node_b))
+    return found
 
 
 class TestBruteForceCounts:
@@ -51,6 +79,47 @@ class TestBruteForceCounts:
         configs = brute_force_configs(convex_hull(pentagon_arc.nodes), 30.0)
         pairs = brute_force_pairs(pentagon_arc, 30.0)
         assert len(configs) == len(pairs) == 2
+
+
+class TestEdgeSkip:
+    """The search skips edges whose nodes bracket no other hull vertex;
+    it must find exactly what trying every edge finds, in order."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_generated_arcs_at_grid_and_thresholds(self, strategy):
+        for n in range(5, 51):
+            analysis = analyze_arc(generate_arc(n, 31000 + n, strategy))
+            table = analysis.table
+            phis = [float(g) for g in range(180)]
+            for threshold in (table.phi_left, -table.phi_right):
+                phis += [threshold, threshold - 1e-6, threshold + 1e-6]
+            for phi in phis:
+                if 0.0 <= phi < 180.0:
+                    assert (brute_force_configs(analysis.hull, phi)
+                            == _all_edges_configs(analysis.hull, phi)), (
+                        n, phi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(jittered_grid_nodes())
+    def test_jittered_grid_arcs(self, nodes):
+        try:
+            arc = PolygonalArc(nodes)
+            if not validate_simple(arc, arc.tolerance()).ok:
+                return
+            hull = convex_hull(arc.nodes)
+        except (InvalidArcError, DegenerateHullError):
+            return
+        # Configurations change where n turns parallel to a hull edge:
+        # probe the angles between edge directions and either side of them.
+        phis = [float(g) for g in range(0, 180, 15)]
+        for a in hull.edge_dirs:
+            for b in hull.edge_dirs:
+                gap = angle_dist_mod180(a, b)
+                phis += [gap, gap + 1e-6, 180.0 - gap, 180.0 - gap - 1e-6]
+        for phi in phis:
+            if 0.0 <= phi < 180.0:
+                assert (brute_force_configs(hull, phi)
+                        == _all_edges_configs(hull, phi)), phi
 
 
 class TestBruteForceValidity:
