@@ -57,16 +57,13 @@ class PolygonalArc:
     def tolerance(self, eps_len: float | None = None) -> Tolerance:
         """The one tolerance policy.  ``eps_len`` defaults to DEFAULT_EPS_REL
         times the bounding-box diagonal, or to DEFAULT_EPS_REL for a point;
-        the angle band is always DEFAULT_EPS_ANGLE.  A given ``eps_len``
-        must be finite and > 0, like ``--eps`` (else ValueError); the
+        a given one is checked by ``Tolerance``, like ``--eps``.  The
         predicates' products (up to 2 * diagonal**2 and eps_len * diagonal)
         must be finite, and the widest collinearity band, eps_len *
         diagonal, must not underflow to 0 (else InvalidArcError)."""
-        if eps_len is not None and not 0 < eps_len < math.inf:
-            raise ValueError(
-                f"eps_len must be a finite number > 0, got {eps_len!r}")
+        given = None if eps_len is None else Tolerance(eps_len)
         diagonal = bbox_diagonal(self.nodes)
-        if eps_len is None:
+        if given is None:
             eps_len = DEFAULT_EPS_REL * diagonal if diagonal > 0 else DEFAULT_EPS_REL
         if not math.isfinite(2 * diagonal * diagonal):
             raise InvalidArcError(
@@ -79,7 +76,7 @@ class PolygonalArc:
             raise InvalidArcError(
                 f"eps_len (--eps) {eps_len:g} times the arc's "
                 f"bounding-box diagonal {diagonal:g} underflows the float range")
-        return Tolerance(eps_len)
+        return given or Tolerance(eps_len)
 
 
 class Violation(NamedTuple):

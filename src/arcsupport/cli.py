@@ -96,7 +96,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         else:
             _write(f"{args.svg}.scene.svg",
                    render_scene_for(analysis, solution))
-            query = query_angle(analysis.diagram, args.phi, tol.eps_angle)
+            query = query_angle(analysis.diagram, args.phi)
             _write(f"{args.svg}.schematic.svg",
                    render_schematic(analysis.diagram, query))
     return EXIT_OK
@@ -104,8 +104,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     arc = load_arc(args.input)
-    tol = arc.tolerance(args.eps)
-    report = compare_with_solver(arc, args.phi, tol)
+    analysis = analyze_arc(arc, arc.tolerance(args.eps))
+    report = compare_with_solver(arc, args.phi, analysis=analysis)
     print(json.dumps(dataclasses.asdict(report), indent=2))
     return EXIT_OK if report.ok else EXIT_DISAGREEMENT
 

@@ -2,19 +2,21 @@
 
 Points are float pairs, directions are degrees counterclockwise from +x and
 every angle-valued function returns a value normalized into (-180, 180].
-Length comparisons go through a Tolerance (absolute eps_len, angular eps);
-``arcio.PolygonalArc.tolerance`` alone derives its default and checks given
-values, so that one policy governs the whole pipeline.
+Length comparisons go through a Tolerance, one eps_len checked when built, and
+``arcio.PolygonalArc.tolerance`` alone derives its default; the angle bands
+only absorb float noise, so they are constants.  One policy governs all stages.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass
+from typing import ClassVar, Iterable, NamedTuple
 
 DEFAULT_EPS_REL = 1e-9     # eps_len as a fraction of the bounding-box diagonal
 DEFAULT_EPS_ANGLE = 1e-7   # degrees
+DIRECTION_AGREE_DEG = 1e-6  # degrees: two routes to one direction agree
 
 
 class Point(NamedTuple):
@@ -33,11 +35,17 @@ class Line(NamedTuple):
     dir_deg: float
 
 
-class Tolerance(NamedTuple):
-    """Absolute thresholds: eps_len in plane units, eps_angle in degrees."""
+@dataclass(frozen=True)
+class Tolerance:
+    """eps_len in plane units, finite and > 0; eps_angle in degrees, fixed."""
 
     eps_len: float
-    eps_angle: float = DEFAULT_EPS_ANGLE
+    eps_angle: ClassVar[float] = DEFAULT_EPS_ANGLE
+
+    def __post_init__(self):
+        if not 0 < self.eps_len < math.inf:
+            raise ValueError(
+                f"eps_len must be a finite number > 0, got {self.eps_len!r}")
 
 
 def normalize_angle(a: float) -> float:
@@ -139,27 +147,28 @@ def line_offset(line: Line, p: Point) -> float:
     return ux * (p[1] - line.py) - uy * (p[0] - line.px)
 
 
-def lines_parallel(l1: Line, l2: Line, eps_angle: float = DEFAULT_EPS_ANGLE) -> bool:
-    return angle_dist_mod180(l1.dir_deg, l2.dir_deg) <= eps_angle
+def lines_parallel(l1: Line, l2: Line) -> bool:
+    return angle_dist_mod180(l1.dir_deg, l2.dir_deg) <= DEFAULT_EPS_ANGLE
 
 
-def lines_equal(l1: Line, l2: Line, tol: Tolerance) -> bool:
+def lines_equal(l1: Line, l2: Line, eps_len: float, eps_angle: float) -> bool:
     """Same undirected line: parallel within eps_angle, coincident within eps_len."""
-    return (lines_parallel(l1, l2, tol.eps_angle)
-            and abs(line_offset(l1, Point(l2.px, l2.py))) <= tol.eps_len)
+    return (angle_dist_mod180(l1.dir_deg, l2.dir_deg) <= eps_angle
+            and abs(line_offset(l1, Point(l2.px, l2.py))) <= eps_len)
 
 
 def same_line_pair(m1: Line, n1: Line, m2: Line, n2: Line,
-                   tol: Tolerance) -> bool:
+                   eps_len: float, eps_angle: float) -> bool:
     """Whether {m1, n1} and {m2, n2} are the same unordered pair of lines."""
-    return ((lines_equal(m1, m2, tol) and lines_equal(n1, n2, tol))
-            or (lines_equal(m1, n2, tol) and lines_equal(n1, m2, tol)))
+    return ((lines_equal(m1, m2, eps_len, eps_angle)
+             and lines_equal(n1, n2, eps_len, eps_angle))
+            or (lines_equal(m1, n2, eps_len, eps_angle)
+                and lines_equal(n1, m2, eps_len, eps_angle)))
 
 
-def lines_intersection(l1: Line, l2: Line,
-                       eps_angle: float = DEFAULT_EPS_ANGLE) -> Point | None:
+def lines_intersection(l1: Line, l2: Line) -> Point | None:
     """Intersection point, or None for (anti)parallel lines."""
-    if lines_parallel(l1, l2, eps_angle):
+    if lines_parallel(l1, l2):
         return None
     u1x, u1y = unit_vector(l1.dir_deg)
     u2x, u2y = unit_vector(l2.dir_deg)

@@ -21,10 +21,9 @@ from functools import lru_cache
 
 from .arcio import PolygonalArc
 from .errors import UnsupportedArcError
-from .geom import Line, Point, Tolerance, lines_equal, same_line_pair
+from .geom import (DIRECTION_AGREE_DEG, Line, Point, Tolerance, lines_equal,
+                   same_line_pair)
 from .hull import ConvexHull, convex_hull, support_contact
-
-MATCH_DIR_DEG = 1e-6        # see compare_with_solver
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,8 @@ def _dedupe(configs: list[OraclePair], tol: Tolerance) -> list[OraclePair]:
     """The first configuration of each unordered pair of lines."""
     kept: list[OraclePair] = []
     for c in configs:
-        if not any(same_line_pair(c.m, c.n, k.m, k.n, tol) for k in kept):
+        if not any(same_line_pair(c.m, c.n, k.m, k.n, tol.eps_len,
+                                  tol.eps_angle) for k in kept):
             kept.append(c)
     return kept
 
@@ -113,20 +113,19 @@ def compare_with_solver(arc: PolygonalArc, phi_deg: float,
     pair matches a distinct brute-force pair up to role swap; and each
     solver pair appears among the raw configurations with the same roles
     and the same contact nodes.  Line agreement means directions within
-    ``MATCH_DIR_DEG`` degrees (mod 180) and anchor offset within the
-    length tolerance.  A given ``analysis`` must be that of ``arc``, and
-    then ``tol`` is ignored: the analysis carries its own tolerance.
+    ``DIRECTION_AGREE_DEG`` degrees (mod 180) and anchor offset within the
+    length tolerance.  A given ``analysis`` must be that of ``arc``, and a
+    ``tol`` given with it must equal ``analysis.tol`` (else ValueError).
     """
     from .solver import analyze_arc, solve_at_angle
 
     if analysis is None:
         analysis = analyze_arc(arc, tol)
-    elif analysis.arc != arc:
-        raise ValueError("analysis was made for a different arc")
+    elif analysis.arc != arc or tol not in (None, analysis.tol):
+        raise ValueError("analysis was made for a different arc or tolerance")
     solved = solve_at_angle(analysis, phi_deg)
     configs = brute_force_configs(analysis.hull, phi_deg)
-    match_tol = Tolerance(eps_len=analysis.tol.eps_len,
-                          eps_angle=MATCH_DIR_DEG)
+    match = (analysis.tol.eps_len, DIRECTION_AGREE_DEG)
     deduped = _dedupe(configs, analysis.tol)
 
     def fail(message: str) -> AgreementReport:
@@ -142,15 +141,15 @@ def compare_with_solver(arc: PolygonalArc, phi_deg: float,
     for pair in solved.pairs:
         hit = next((other for other in unmatched
                     if same_line_pair(pair.m, pair.n, other.m, other.n,
-                                      match_tol)), None)
+                                      *match)), None)
         if hit is None:
             return fail(f"solver pair has no brute-force match at {phi_deg}")
         unmatched.remove(hit)
 
         role_hit = next(
             (c for c in configs
-             if lines_equal(pair.m, c.m, match_tol)
-             and lines_equal(pair.n, c.n, match_tol)), None)
+             if lines_equal(pair.m, c.m, *match)
+             and lines_equal(pair.n, c.n, *match)), None)
         if role_hit is None:
             return fail(f"no role-preserving brute-force find at {phi_deg}")
         if {pair.u, pair.w} != {role_hit.u, role_hit.w}:

@@ -15,16 +15,15 @@ from dataclasses import dataclass
 
 from .arcio import PolygonalArc, validate_simple
 from .errors import InvalidArcError, UnsupportedArcError, ensure
-from .geom import (Line, Point, Tolerance, lines_intersection, normalize_angle,
-                   same_line_pair, unit_vector)
+from .geom import (DIRECTION_AGREE_DEG, Line, Point, Tolerance,
+                   lines_intersection, normalize_angle, same_line_pair,
+                   unit_vector)
 from .guidepath import GuidePath, build_guide_path
 from .hull import ConvexHull, convex_hull, support_contact
 from .locales import (LocaleDecomposition, TiltTable, decompose_locales,
                       tilt_table)
 from .schematic import (AbstractSolution, SchematicDiagram, build_schematic,
                         query_angle)
-
-ANGLE_CHECK_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -139,10 +138,10 @@ def realize_solution(analysis: Analysis,
     ensure(node_v in cap_nodes, "chosen contact is outside the locale's cap")
 
     gap = abs(normalize_angle(contact.line.dir_deg - m.dir_deg))
-    ensure(abs(gap - abs(abstract.ordinate)) <= ANGLE_CHECK_SLACK,
+    ensure(abs(gap - abs(abstract.ordinate)) <= DIRECTION_AGREE_DEG,
            "realized lines do not meet at the prescribed angle")
 
-    apex = lines_intersection(m, contact.line, analysis.tol.eps_angle)
+    apex = lines_intersection(m, contact.line)
     if apex is None:
         apex_side = "none"
     else:
@@ -171,11 +170,12 @@ def realize_solution(analysis: Analysis,
 
 def solve_at_angle(analysis: Analysis, phi_deg: float) -> SolutionSet:
     """All unordered support-line pairs realizing ``phi_deg`` degrees."""
-    query = query_angle(analysis.diagram, phi_deg, analysis.tol.eps_angle)
+    query = query_angle(analysis.diagram, phi_deg)
     pairs = tuple(realize_solution(analysis, sol) for sol in query.solutions)
     if len(pairs) == 2:
         a, b = pairs
-        ensure(not same_line_pair(a.m, a.n, b.m, b.n, analysis.tol),
+        ensure(not same_line_pair(a.m, a.n, b.m, b.n, analysis.tol.eps_len,
+                                  analysis.tol.eps_angle),
                "the two solutions collapse to one line pair")
     return SolutionSet(phi=phi_deg, case=query.case, pairs=pairs,
                        table=analysis.table)

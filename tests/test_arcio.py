@@ -24,8 +24,9 @@ from arcsupport.arcio import (
     validate_simple,
 )
 from arcsupport.errors import InvalidArcError, ParseError
-from arcsupport.geom import (DEFAULT_EPS_ANGLE, DEFAULT_EPS_REL, Point,
-                             Tolerance, dist, orient, segments_intersect)
+from arcsupport.geom import (DEFAULT_EPS_ANGLE, DEFAULT_EPS_REL, Line, Point,
+                             Tolerance, dist, lines_intersection, orient,
+                             segments_intersect)
 
 
 def _arc_json(arc):
@@ -85,6 +86,12 @@ class TestPolygonalArc:
             arc.tolerance(eps_angle=1e-3)
         with pytest.raises(TypeError):
             arc.tolerance(1e-6, 1e-3)
+        eps_len = arc.tolerance().eps_len
+        with pytest.raises(TypeError):
+            Tolerance(eps_len, 5.0)
+        with pytest.raises(TypeError):
+            lines_intersection(Line(0, 0, 0.0), Line(0, 0, 90.0), 5.0)
+        assert Tolerance(eps_len).eps_angle == DEFAULT_EPS_ANGLE
 
     @pytest.mark.parametrize("eps_len", [-1.0, 0.0, math.nan, math.inf])
     def test_explicit_tolerance_checked_like_the_flags(self, eps_len):
@@ -92,6 +99,10 @@ class TestPolygonalArc:
         with pytest.raises(ValueError,
                            match="^eps_len must be a finite number > 0, got"):
             arc.tolerance(eps_len)
+        # a hand-built tolerance is checked the same way
+        with pytest.raises(ValueError,
+                           match="^eps_len must be a finite number > 0, got"):
+            Tolerance(eps_len)
 
     def test_tolerance_scales_with_diagonal(self):
         small = PolygonalArc(((0, 0), (1, 1))).tolerance()
@@ -99,7 +110,7 @@ class TestPolygonalArc:
         assert big.eps_len == pytest.approx(1000 * small.eps_len)
         assert small.eps_angle == big.eps_angle == DEFAULT_EPS_ANGLE
         arc = PolygonalArc(((0, 0), (1, 1)))
-        assert arc.tolerance(1e-6) == Tolerance(1e-6, DEFAULT_EPS_ANGLE)
+        assert arc.tolerance(1e-6) == Tolerance(1e-6)
 
     def test_tolerance_rejects_overflowing_diagonal(self):
         # every coordinate is finite, but the diagonal overflows to inf

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from arcsupport.geom import (
-    DEFAULT_EPS_ANGLE,
     Line,
     Point,
     Tolerance,
@@ -130,7 +129,7 @@ class TestOrient:
         assert orient(a, b, Point(5, 0)) == 0
 
     def test_tolerance_snaps_near_collinear(self):
-        tol = Tolerance(eps_len=1e-6, eps_angle=DEFAULT_EPS_ANGLE)
+        tol = Tolerance(eps_len=1e-6)
         a, b = Point(0, 0), Point(1, 0)
         assert orient(a, b, Point(0.5, 1e-8), tol) == 0
         assert orient(a, b, Point(0.5, 1e-3), tol) == 1
@@ -220,12 +219,11 @@ class TestLines:
                                   Line(0, 0, 11.0))
 
     def test_lines_equal_ignores_anchor_and_flip(self):
-        tol = Tolerance(eps_len=1e-9, eps_angle=1e-7)
         a = Line(0, 0, 45.0)
         b = Line(2, 2, 225.0)
         c = Line(0, 1, 45.0)
-        assert lines_equal(a, b, tol)
-        assert not lines_equal(a, c, tol)
+        assert lines_equal(a, b, 1e-9, 1e-7)
+        assert not lines_equal(a, c, 1e-9, 1e-7)
 
     def test_lines_intersection(self):
         a = Line(0, 0, 0.0)

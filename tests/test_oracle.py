@@ -12,10 +12,11 @@ from arcsupport.arcgen import STRATEGIES, generate_arc
 from arcsupport.arcio import PolygonalArc, validate_simple
 from arcsupport.errors import (DegenerateHullError, InvalidArcError,
                                UnsupportedArcError)
-from arcsupport.geom import Line, angle_dist_mod180
+from arcsupport.geom import Line, Tolerance, angle_dist_mod180
 from arcsupport.hull import convex_hull, support_contact
 from arcsupport.oracle import (
     OraclePair,
+    _hull,
     brute_force_configs,
     brute_force_pairs,
     compare_with_solver,
@@ -205,3 +206,32 @@ class TestAgreement:
         with pytest.raises(ValueError, match="different arc"):
             compare_with_solver(square_arc, 30.0,
                                 analysis=analyze_arc(pentagon_arc))
+
+    def test_tolerance_other_than_the_analysis_rejected(self, pentagon_arc):
+        analysis = analyze_arc(pentagon_arc)
+        other = Tolerance(2 * analysis.tol.eps_len)
+        with pytest.raises(ValueError, match="different arc or tolerance"):
+            compare_with_solver(pentagon_arc, 30.0, other, analysis=analysis)
+        report = compare_with_solver(pentagon_arc, 30.0, analysis.tol,
+                                     analysis=analysis)
+        assert report.ok, report.message
+
+
+class TestHullCache:
+    def test_angle_sweep_builds_one_hull(self, monkeypatch):
+        # each call derives a fresh Tolerance; the cache must key on its
+        # value, not its identity, or every angle rebuilds the hull
+        arc = generate_arc(30, 7, "zigzag")
+        assert arc.tolerance() is not arc.tolerance()
+        assert hash(arc.tolerance()) == hash(arc.tolerance())
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return convex_hull(*args, **kwargs)
+
+        monkeypatch.setattr("arcsupport.oracle.convex_hull", counting)
+        _hull.cache_clear()
+        for phi in (0.0, 10.0, 30.0, 45.0, 90.0, 135.0):
+            brute_force_pairs(arc, phi)
+        assert len(calls) == 1
