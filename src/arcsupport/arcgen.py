@@ -6,7 +6,8 @@ integers alone.  Strategies:
 
 * ``uncross``: i.i.d. uniform nodes whose path is repeatedly 2-opt
   reversed until no two segments properly cross.  Each reversal strictly
-  shortens the path, so the loop terminates.
+  shortens the path, so the loop terminates.  Each step holds several
+  n x n arrays, so n is capped at ``UNCROSS_MAX_NODES``.
 * ``zigzag``: strictly increasing x with alternating-sign y, which is
   simple by construction and tends to produce many locales.
 """
@@ -24,6 +25,7 @@ RNG_ALGORITHM = "pcg64"
 STRATEGIES = ("uncross", "zigzag")
 ATTEMPTS = 20               # seeds tried per open arc or star polygon
 CONVEX_ATTEMPTS = 50        # seeds tried per convex polygon
+UNCROSS_MAX_NODES = 1000    # nodes of the largest uncross arc
 
 
 def _rng(seed: int, attempt: int) -> np.random.Generator:
@@ -87,6 +89,10 @@ def generate_arc(nodes: int, seed: int,
                          f"{', '.join(STRATEGIES)}")
     if nodes < 3:
         raise ValueError("need at least 3 nodes for a non-degenerate arc")
+    if strategy == "uncross" and nodes > UNCROSS_MAX_NODES:
+        raise GenerationError(
+            f"uncross arcs have at most {UNCROSS_MAX_NODES} nodes, got {nodes}"
+            f"; zigzag has no limit")
     for attempt in range(ATTEMPTS):
         rng = _rng(seed, attempt)
         raw = _uncross(rng, nodes) if strategy == "uncross" else _zigzag(rng, nodes)

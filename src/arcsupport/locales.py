@@ -1,10 +1,10 @@
 """Locale decomposition of the guide path and the tilt/span table.
 
-Each hull edge the guide path does not traverse spans one locale: the edge
-is the locale's base, and the hull vertices visited strictly between the
-base's endpoints form its cap.  Locales are numbered 1..J in order of the
-base's earlier-visited endpoint; base sides alternate, starting opposite
-the second visit's side.
+Each hull edge whose two ends are not consecutive visits of the guide path
+spans one locale: the edge is the locale's base, and the hull vertices
+visited strictly between the base's endpoints form its cap.  Locales are
+numbered 1..J in order of the base's earlier-visited endpoint; base sides
+alternate, starting opposite the second visit's side.
 
 Tilt j is the signed angle from the axis to base j (earlier endpoint to
 later), scaled by sigma; tilt 0 and tilt J+1 use the first and last guide
@@ -48,16 +48,11 @@ def decompose_locales(guide: GuidePath) -> LocaleDecomposition:
     k = len(hull)
     rank = guide.rank
 
-    traversed = {frozenset((l.start, l.end))
-                 for l in guide.links if l.kind == "edge"}
-    untraversed = [frozenset((i, (i + 1) % k))
-                   for i in range(k)
-                   if frozenset((i, (i + 1) % k)) not in traversed]
-
     bases = []
-    for edge in untraversed:
-        u, w = sorted(edge, key=lambda h: rank[h])
-        bases.append((u, w))
+    for i in range(k):
+        u, w = sorted((i, (i + 1) % k), key=rank.get)
+        if rank[w] - rank[u] > 1:
+            bases.append((u, w))
     bases.sort(key=lambda b: rank[b[0]])
 
     crossings = sum(1 for l in guide.links if l.kind == "crossing")
@@ -74,7 +69,6 @@ def decompose_locales(guide: GuidePath) -> LocaleDecomposition:
     locales = []
     for j, (u, w) in enumerate(bases, start=1):
         cap = tuple(h for h in guide.visit if rank[u] < rank[h] < rank[w])
-        ensure(len(cap) > 0, f"locale {j} has an empty cap")
         loc = Locale(index=j, base=(u, w), cap=cap,
                      base_side="lower" if j % 2 == 1 else "upper")
         ensure(all(guide.side_of(h) == loc.cap_sign for h in cap),
@@ -139,12 +133,6 @@ class TiltTable:
                "odd tilts are not strictly increasing")
 
         spans = compute_spans(tilts)
-        for j, span in enumerate(spans, start=1):
-            if j % 2 == 1:
-                ensure(span < 0, f"span {j} should be negative")
-            else:
-                ensure(span > 0, f"span {j} should be positive")
-
         phi_left = tilts[0] - tilts[1]
         if j_count % 2 == 0:
             phi_right = tilts[j_count] - tilts[j_count + 1]

@@ -10,8 +10,8 @@ order: they yield no configuration at any angle.  Distinct configurations
 can describe the same unordered pair of lines (this happens exactly at
 strip-boundary angles), so the deduplicated pair list is reported
 alongside the raw finds.
-Shares only the geometry and hull modules, and the hull itself, with the
-solver; the search never reads the guide path, locales or strip diagram.
+The search shares only the geometry and hull modules, and the hull itself,
+with the solver; it never reads the guide path, locales or strip diagram.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import UnsupportedArcError
 from .geom import (DIRECTION_AGREE_DEG, Line, Point, Tolerance, lines_equal,
                    same_line_pair)
 from .hull import ConvexHull, convex_hull, support_contact
+from .solver import analyze_arc, solve_at_angle
 
 
 @dataclass(frozen=True)
@@ -83,14 +84,15 @@ def brute_force_pairs(arc: PolygonalArc, phi_deg: float,
     """Deduplicated unordered support-line pairs realizing ``phi_deg``."""
     if arc.closed:
         raise UnsupportedArcError("the brute-force search needs an open arc")
-    hull = _hull(arc.nodes, tol or arc.tolerance())
+    hull = _hull(arc.nodes, tol)
     return _dedupe(brute_force_configs(hull, phi_deg), hull.tol)
 
 
 @lru_cache(maxsize=1)
-def _hull(nodes: tuple[Point, ...], tol: Tolerance) -> ConvexHull:
+def _hull(nodes: tuple[Point, ...], tol: Tolerance | None) -> ConvexHull:
     """The hull of the last arc searched: callers sweep many angles over
-    one arc, and the hull is immutable."""
+    one arc, and the hull is immutable.  ``convex_hull`` derives the
+    default tolerance for None, so only a cache miss pays for it."""
     return convex_hull(nodes, tol)
 
 
@@ -117,8 +119,6 @@ def compare_with_solver(arc: PolygonalArc, phi_deg: float,
     length tolerance.  A given ``analysis`` must be that of ``arc``, and a
     ``tol`` given with it must equal ``analysis.tol`` (else ValueError).
     """
-    from .solver import analyze_arc, solve_at_angle
-
     if analysis is None:
         analysis = analyze_arc(arc, tol)
     elif analysis.arc != arc or tol not in (None, analysis.tol):

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ensure
 from .geom import DEFAULT_EPS_ANGLE
 from .locales import TiltTable
 
@@ -58,7 +57,6 @@ class SchematicDiagram:
     def strip_at(self, x: float) -> Strip:
         """Strip containing ``x``; strips are half-open on the right, the
         last one closed.  Positions outside the diagram are clamped."""
-        x = min(max(x, 0.0), self.width)
         for strip in self.strips[:-1]:
             if x < strip.x_right:
                 return strip
@@ -105,6 +103,8 @@ def query_angle(diagram: SchematicDiagram, phi_deg: float,
     Queries the diagram at profile gaps +phi and -phi; a gap is realized
     exactly when it lies between the right and left aspect angles, with an
     ``eps_angle`` slack so prescribed angles at the exact extremes are kept.
+    The case follows from the solution count: A at phi = 0, otherwise B, C
+    or D for two, one or no realized gaps.
     """
     if not 0.0 <= phi_deg < 180.0:
         raise ValueError(f"angle must lie in [0, 180), got {phi_deg}")
@@ -123,19 +123,5 @@ def query_angle(diagram: SchematicDiagram, phi_deg: float,
         solutions.append(AbstractSolution(
             ordinate=s, abscissa=x, locale_index=j, contact_angle=theta))
     solutions.sort(key=lambda sol: sol.abscissa)
-
-    lo = min(table.phi_left, -table.phi_right)
-    hi = max(table.phi_left, -table.phi_right)
-    if phi_deg == 0.0:
-        case = "A"
-    elif phi_deg <= lo + eps_angle:
-        case = "B"
-    elif phi_deg <= hi + eps_angle:
-        case = "C"
-    else:
-        case = "D"
-
-    expected = {"A": 1, "B": 2, "C": 1, "D": 0}[case]
-    ensure(len(solutions) == expected,
-           f"case {case} expects {expected} solutions, found {len(solutions)}")
+    case = "A" if phi_deg == 0.0 else {2: "B", 1: "C", 0: "D"}[len(solutions)]
     return AngleQuery(case=case, solutions=tuple(solutions))

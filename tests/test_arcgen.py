@@ -9,6 +9,7 @@ from arcsupport import arcgen, arcio
 from arcsupport.arcgen import (
     RNG_ALGORITHM,
     STRATEGIES,
+    UNCROSS_MAX_NODES,
     _first_proper_crossing,
     generate_arc,
     random_convex_polygon,
@@ -70,6 +71,22 @@ class TestGenerateArc:
         monkeypatch.setattr("arcsupport.arcgen.ATTEMPTS", 0)
         with pytest.raises(GenerationError):
             generate_arc(5, seed=0)
+
+    def test_uncross_node_cap(self, monkeypatch):
+        # a generation that starts fails at once instead of allocating
+        # its n x n arrays
+        def no_rng(*args):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr("arcsupport.arcgen._rng", no_rng)
+        with pytest.raises(GenerationError, match="uncross"):
+            generate_arc(UNCROSS_MAX_NODES + 1, seed=0, strategy="uncross")
+        with pytest.raises(AssertionError, match="generation started"):
+            generate_arc(UNCROSS_MAX_NODES, seed=0, strategy="uncross")
+
+    def test_zigzag_has_no_node_cap(self):
+        assert len(generate_arc(UNCROSS_MAX_NODES + 1, seed=0,
+                                strategy="zigzag")) == UNCROSS_MAX_NODES + 1
 
     def test_rng_algorithm_label(self):
         assert RNG_ALGORITHM == "pcg64"

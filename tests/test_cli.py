@@ -394,6 +394,18 @@ class TestFuzz:
         assert err.splitlines()[-1].endswith(
             f"must be an integer >= 0, got {value!r}")
 
+    def test_large_uncross_exits_3(self, capsys, monkeypatch):
+        def no_rng(*args):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr("arcsupport.arcgen._rng", no_rng)
+        assert run(["fuzz", "--count", "1", "--nodes", "1001",
+                    "--strategy", "uncross"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: uncross arcs have at most")
+        assert len(captured.err.splitlines()) == 1
+
     def test_bad_nodes_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["fuzz", "--nodes", "2"])

@@ -161,6 +161,17 @@ class TestOrient:
         for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
             assert orient(Point(*p), Point(*q), Point(*r)) == expected
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the tolerant "
+                       "orient depends on the base point")
+    def test_tolerant_sign_is_rotation_invariant(self):
+        # the rotations give 0, -1 and 0; the exact sign is -1
+        tol = Tolerance(1e-3)
+        a = Point(0.879978251626048, 0.9869136550287957)
+        b = Point(0.4343523126756511, 0.9501611663830228)
+        c = Point(0.08470252772176531, 0.9225275191004757)
+        assert (orient(a, b, c, tol) == orient(b, c, a, tol)
+                == orient(c, a, b, tol))
+
     @pytest.mark.parametrize("bad, error", [
         (math.nan, ValueError), (math.inf, OverflowError),
         (-math.inf, OverflowError)])

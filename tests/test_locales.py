@@ -9,10 +9,13 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from test_hull import jittered_grid_nodes
 
-from arcsupport.arcgen import generate_arc
+from arcsupport.arcgen import STRATEGIES, generate_arc
 from arcsupport.arcio import PolygonalArc
-from arcsupport.errors import StructuralViolationError
+from arcsupport.errors import (DegenerateHullError, InvalidArcError,
+                               StructuralViolationError)
 from arcsupport.guidepath import build_guide_path
 from arcsupport.hull import convex_hull
 from arcsupport.locales import (
@@ -23,6 +26,7 @@ from arcsupport.locales import (
     decompose_locales,
     tilt_table,
 )
+from arcsupport.solver import analyze_arc
 
 DEG_ATAN_1_1 = math.degrees(math.atan2(1, 1))   # 45
 DEG_ATAN_1_2 = math.degrees(math.atan2(1, 2))   # 26.565...
@@ -196,3 +200,36 @@ class TestFuzzedInvariants:
             assert abs(table.delta_total
                        - (table.phi_left - table.phi_right)) <= 1e-9
             assert table.delta_total < 360.0 + 1e-7
+
+
+class TestBasesAreTheUnwalkedEdges:
+    """The bases read off the visit ranks equal the hull edges missing
+    from the guide path's edge links, oriented and ordered by visit."""
+
+    @staticmethod
+    def _check(decomp):
+        guide = decomp.guide
+        k = len(guide.hull)
+        rank = guide.rank
+        walked = {frozenset((l.start, l.end))
+                  for l in guide.links if l.kind == "edge"}
+        bases = [tuple(sorted((i, (i + 1) % k), key=lambda h: rank[h]))
+                 for i in range(k)
+                 if frozenset((i, (i + 1) % k)) not in walked]
+        bases.sort(key=lambda b: rank[b[0]])
+        assert [loc.base for loc in decomp.locales] == bases
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_generated_arcs(self, strategy):
+        for n in range(5, 51):
+            arc = generate_arc(n, 31000 + n, strategy)
+            self._check(analyze_arc(arc).decomposition)
+
+    @settings(max_examples=200, deadline=None)
+    @given(jittered_grid_nodes())
+    def test_jittered_grid_arcs(self, nodes):
+        try:
+            analysis = analyze_arc(PolygonalArc(nodes))
+        except (InvalidArcError, DegenerateHullError):
+            return
+        self._check(analysis.decomposition)

@@ -230,8 +230,18 @@ class TestHullCache:
             calls.append(args)
             return convex_hull(*args, **kwargs)
 
+        # the default tolerance is derived on a cache miss only
+        tolerance = PolygonalArc.tolerance
+        derived = []
+
+        def counting_tolerance(self, *args, **kwargs):
+            derived.append(self)
+            return tolerance(self, *args, **kwargs)
+
         monkeypatch.setattr("arcsupport.oracle.convex_hull", counting)
+        monkeypatch.setattr(PolygonalArc, "tolerance", counting_tolerance)
         _hull.cache_clear()
         for phi in (0.0, 10.0, 30.0, 45.0, 90.0, 135.0):
             brute_force_pairs(arc, phi)
         assert len(calls) == 1
+        assert len(derived) == 1

@@ -10,10 +10,13 @@ import math
 
 import pytest
 
+from arcsupport.arcgen import STRATEGIES, generate_arc
+from arcsupport.geom import DEFAULT_EPS_ANGLE
 from arcsupport.guidepath import build_guide_path
 from arcsupport.hull import convex_hull
 from arcsupport.locales import TiltTable, decompose_locales, tilt_table
 from arcsupport.schematic import build_schematic, crossing_point, query_angle
+from arcsupport.solver import analyze_arc
 
 DEG_ATAN_1_1 = math.degrees(math.atan2(1, 1))
 DEG_ATAN_1_2 = math.degrees(math.atan2(1, 2))
@@ -195,3 +198,50 @@ class TestQueryReferenceTable:
         assert query_angle(diagram, hi - 1e-6).case == "C"
         assert query_angle(diagram, hi).case == "C"
         assert query_angle(diagram, hi + 1e-6).case == "D"
+
+
+def _threshold_case(table, phi):
+    """The case read off the aspect angles alone, without solving."""
+    lo = min(table.phi_left, -table.phi_right)
+    hi = max(table.phi_left, -table.phi_right)
+    if phi == 0.0:
+        return "A"
+    if phi <= lo + DEFAULT_EPS_ANGLE:
+        return "B"
+    if phi <= hi + DEFAULT_EPS_ANGLE:
+        return "C"
+    return "D"
+
+
+def _probe_angles(table):
+    """0 and each threshold, nudged by the angle band, 1e-6 and one ulp."""
+    phis = [0.0]
+    for t in (table.phi_left, -table.phi_right):
+        phis.append(t)
+        for d in (DEFAULT_EPS_ANGLE, 1e-6):
+            phis += [t - d, t + d]
+        phis += [math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+        phis += [math.nextafter(t + DEFAULT_EPS_ANGLE, s)
+                 for s in (-math.inf, math.inf)]
+    return [phi for phi in phis if 0.0 <= phi < 180.0]
+
+
+class TestCaseIsTheSolutionCount:
+    """The case read off the solutions equals the case read off the
+    thresholds, right at the float edges of the angle band."""
+
+    @staticmethod
+    def _check(table):
+        diagram = build_schematic(table)
+        for phi in _probe_angles(table):
+            q = query_angle(diagram, phi)
+            assert q.case == _threshold_case(table, phi), phi
+            assert len(q.solutions) == {"A": 1, "B": 2, "C": 1, "D": 0}[q.case]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_generated_arcs(self, strategy):
+        for n in range(5, 51):
+            self._check(analyze_arc(generate_arc(n, 31000 + n, strategy)).table)
+
+    def test_reference_table(self, reference_tilts):
+        self._check(TiltTable.from_tilts(reference_tilts))
