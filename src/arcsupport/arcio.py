@@ -121,11 +121,11 @@ def _parse_json(text: str) -> PolygonalArc:
         raise ParseError('"nodes" must be a list of [x, y] pairs')
     points = []
     for i, entry in enumerate(nodes):
-        if (not isinstance(entry, list) or len(entry) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           for v in entry)):
+        # parse_int=float makes every JSON number a float
+        if (type(entry) is not list or len(entry) != 2
+                or type(entry[0]) is not float or type(entry[1]) is not float):
             raise ParseError(f"node {i} is not a numeric [x, y] pair")
-        points.append(Point(float(entry[0]), float(entry[1])))
+        points.append(Point(*entry))
     try:
         return PolygonalArc(tuple(points), closed=closed)
     except InvalidArcError as exc:

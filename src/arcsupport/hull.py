@@ -48,10 +48,16 @@ def convex_hull(points: tuple[Point, ...] | list[Point],
                     for i, p in enumerate(points))
 
     def build(seq: list[tuple[Point, int]]) -> list[tuple[Point, int]]:
+        # Pops on the float sign alone: a tolerant pop could drop a far end
+        # of a near-vertical run, whose x order is arbitrary.
         chain: list[tuple[Point, int]] = []
         for item in seq:
-            while (len(chain) >= 2
-                   and orient(chain[-2][0], chain[-1][0], item[0], tol) <= 0):
+            (cx, cy), _ = item
+            while len(chain) >= 2:
+                (ax, ay), _ = chain[-2]
+                (bx, by), _ = chain[-1]
+                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0.0:
+                    break
                 chain.pop()
             chain.append(item)
         return chain
@@ -60,7 +66,9 @@ def convex_hull(points: tuple[Point, ...] | list[Point],
     upper = build(tagged[::-1])
     ring = lower[:-1] + upper[:-1]
     # The chain never pops its first and last sorted points: delete ring
-    # vertices inside their neighbours' band until every turn is left.
+    # vertices inside their neighbours' band until every turn is left.  A
+    # deletion changes only the turns at i - 1 and i (and at 0 after the
+    # last vertex goes), so the scan steps back one vertex.
     i = 0
     while i < len(ring) and len(ring) >= 3:
         if orient(ring[i - 1][0], ring[i][0], ring[(i + 1) % len(ring)][0],
@@ -68,7 +76,7 @@ def convex_hull(points: tuple[Point, ...] | list[Point],
             i += 1
         else:
             del ring[i]
-            i = 0
+            i = 0 if i == len(ring) else max(i - 1, 0)
     if len(ring) < 3:
         raise DegenerateHullError("all nodes are collinear")
     start = ring.index(min(ring))

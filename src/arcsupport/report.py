@@ -27,13 +27,29 @@ class AnalysisReport:
         return cls(analysis)
 
     def to_dict(self) -> dict:
+        data = self._dict_without_nodes()
+        data["arc"]["nodes"] = [[p.x, p.y] for p in self.analysis.arc.nodes]
+        return data
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), indent=2)``, with the node array
+        written directly: nodes are finite floats, which ``json`` writes
+        with ``float.__repr__``."""
+        # only "schema" and "closed" precede the empty node list
+        head, tail = json.dumps(self._dict_without_nodes(), indent=2).split(
+            '"nodes": []', 1)
+        nodes = ",\n".join(f"      [\n        {x!r},\n        {y!r}\n      ]"
+                           for x, y in self.analysis.arc.nodes)
+        return f'{head}"nodes": [\n{nodes}\n    ]{tail}'
+
+    def _dict_without_nodes(self) -> dict:
+        """``to_dict()`` with ``arc.nodes`` an empty list in its place."""
         a = self.analysis
         guide = a.guide
         node = a.hull.node_ids
         return {
             "schema": SCHEMA_VERSION,
-            "arc": {"closed": a.arc.closed,
-                    "nodes": [[p.x, p.y] for p in a.arc.nodes]},
+            "arc": {"closed": a.arc.closed, "nodes": []},
             "hull": list(node),
             "guide_path": {
                 "visit": [node[h] for h in guide.visit],
@@ -50,9 +66,6 @@ class AnalysisReport:
                         for loc in a.decomposition.locales],
             "tilt_table": a.table.to_dict(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def tilt_table_csv(table: TiltTable) -> str:

@@ -20,10 +20,10 @@ PAD_FRACTION = 0.05
 
 
 def _fmt(v: float) -> str:
-    r = round(v, 6)
-    if r == 0:
-        r = 0.0
-    return f"{r:.6f}"
+    # ".6f" rounds the exact binary value half-even, as round(v, 6) does;
+    # only a negative value that rounds to zero needs its sign dropped
+    s = f"{v:.6f}"
+    return "0.000000" if s == "-0.000000" else s
 
 
 def _pt(x: float, y: float) -> str:

@@ -212,6 +212,15 @@ class TestJsonParsing:
         with pytest.raises(ParseError):
             parse_arc(text)
 
+    @pytest.mark.parametrize("entry", [
+        'true', '"1"', 'null', '[1]', '[1, 2, 3]', '[0, true]', '[0, "1"]',
+        '[null, 0]', '{"x": 0, "y": 1}'])
+    def test_non_pair_entry_message(self, entry):
+        text = f'{{"nodes": [[0, 0], {entry}, [2, 0]]}}'
+        with pytest.raises(ParseError,
+                           match=r"^node 1 is not a numeric \[x, y\] pair$"):
+            parse_arc(text)
+
 
 class TestCsvParsing:
     def test_basic_with_header_comments_blanks(self):

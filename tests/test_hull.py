@@ -14,8 +14,9 @@ from arcsupport.arcio import PolygonalArc, validate_simple
 from arcsupport.errors import DegenerateHullError, InvalidArcError
 from arcsupport.geom import (Line, Point, Tolerance, angle_dist_mod180,
                              bbox_diagonal, direction_deg, line_offset,
-                             unit_vector)
+                             orient, unit_vector)
 from arcsupport.hull import SupportContact, convex_hull, support_contact
+from arcsupport.oracle import compare_with_solver
 from arcsupport.solver import analyze_arc
 
 # Nodes of an open arc whose monotone chain keeps (~0, 3) between (~0, 1)
@@ -24,6 +25,25 @@ BAND_VERTEX_ARC = ((1.1409202948491878e-11, 4.00000000000434),
                    (1.0000000000412659, 5.0000000000333635),
                    (-2.584917400927296e-11, 2.9999999999553295),
                    (5.723925676186563e-11, 0.9999999999211368))
+
+# Nodes of an open arc whose x order on the near-vertical run at x ~ 2 is
+# arbitrary: a chain that pops inside the band popped node 0, the far
+# corner (3, 3), and returned a hull that node 0 lies 1.0 outside of.
+FAR_CORNER_ARC = ((3.0000000013338823, 2.999999999761901),
+                  (1.9999999983508574, 1.9999999984590333),
+                  (-2.892423790930259e-09, 1.0000000024817595),
+                  (2.000000003135437, 1.00000000368836),
+                  (3.000000001834676, 1.065052398792385e-09),
+                  (2.999999997891401, 2.0000000040817434))
+
+
+def _flat_top_arc(n):
+    """Open arc of n nodes along a flat top that bulges by 1e-12, inside
+    the collinearity band, and n nodes back along a lower half circle."""
+    xs = [-1.0 + 2.0 * i / (n - 1) for i in range(n)]
+    angles = [-math.pi * k / (n + 1) for k in range(1, n + 1)]
+    return ([(x, 1e-12 * (1.0 - x * x)) for x in xs]
+            + [(math.cos(t), math.sin(t)) for t in angles])
 
 
 def _scan_contact(hull, dir_deg, side):
@@ -151,6 +171,54 @@ class TestConvexHull:
         assert 2 not in hull.node_ids
         assert hull.points[0] == min(hull.points)
         analyze_arc(PolygonalArc(BAND_VERTEX_ARC))
+
+    def test_far_corner_kept(self):
+        arc = PolygonalArc(FAR_CORNER_ARC)
+        assert validate_simple(arc).ok
+        assert convex_hull(arc.nodes).node_ids == (2, 4, 0)
+        analysis = analyze_arc(arc)
+        for phi in (0.0, 30.0, 90.0):
+            report = compare_with_solver(arc, phi, analysis=analysis)
+            assert report.ok, report.message
+
+    @settings(max_examples=300, deadline=None)
+    @given(jittered_grid_nodes())
+    @example(list(FAR_CORNER_ARC))
+    def test_jittered_grid_nodes_inside_every_edge(self, nodes):
+        # plain float arithmetic, independent of geom: every node lies on
+        # the inner side of each hull edge's line, up to a few eps_len
+        try:
+            arc = PolygonalArc(nodes)
+            if not validate_simple(arc).ok:
+                return
+            hull = convex_hull(arc.nodes)
+        except (InvalidArcError, DegenerateHullError):
+            return
+        slack = 4 * hull.tol.eps_len
+        k = len(hull)
+        for i in range(k):
+            (ax, ay), (bx, by) = hull.points[i], hull.points[(i + 1) % k]
+            length = math.hypot(bx - ax, by - ay)
+            for px, py in arc.nodes:
+                inward = ((bx - ax) * (py - ay) - (by - ay) * (px - ax)) / length
+                assert inward >= -slack, (i, px, py, inward)
+
+    def test_strictness_pass_is_linear(self, monkeypatch):
+        # the chain keeps the whole flat top and the strictness pass
+        # deletes it; restarting the scan after each deletion made that
+        # quadratic in the top's length
+        nodes = _flat_top_arc(2000)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return orient(*args, **kwargs)
+
+        monkeypatch.setattr("arcsupport.hull.orient", counting)
+        hull = convex_hull(nodes)
+        assert len(calls) <= 3 * len(nodes)
+        assert set(hull.node_ids).isdisjoint(range(1, 1999))
+        assert {0, 1999} <= set(hull.node_ids)
 
     def test_index_of_node(self, pentagon_arc):
         hull = convex_hull(pentagon_arc.nodes)

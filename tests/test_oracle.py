@@ -216,6 +216,31 @@ class TestAgreement:
                                      analysis=analysis)
         assert report.ok, report.message
 
+    # Jittered grid arcs that validate and whose hull keeps a vertex within
+    # a few eps_len of its neighbours' line; both sides disagree at 0.
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the oracle "
+                       "finds a second pair where the solver finds one")
+    def test_near_collinear_far_corner_agrees(self):
+        arc = PolygonalArc([
+            (1.9999999990024584, 1.0000000009812862),
+            (1.9999999999538567, -5.438553401730275e-10),
+            (0.9999999995376644, 4.1957918860748365e-10),
+            (1.9999999998217555, 2.999999999466927),
+            (1.0000000008430991, 0.9999999992441041)])
+        report = compare_with_solver(arc, 0.0)
+        assert report.ok, report.message
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the solver pair "
+                       "of a sliver hull has no brute-force match")
+    def test_sliver_hull_agrees(self):
+        arc = PolygonalArc([
+            (4.9999999945961235, 5.000000002174351),
+            (3.9999999941325726, 4.000000009893777),
+            (2.9999999917272717, 2.9999999972123157),
+            (-1.6183397882444143e-09, -9.316618314308862e-09)])
+        report = compare_with_solver(arc, 0.0)
+        assert report.ok, report.message
+
 
 class TestHullCache:
     def test_angle_sweep_builds_one_hull(self, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 import xml.etree.ElementTree as ET
 
@@ -13,6 +14,7 @@ from arcsupport.locales import TiltTable
 from arcsupport.schematic import build_schematic, query_angle
 from arcsupport.solver import analyze_arc, solve_at_angle
 from arcsupport.svg import (
+    _fmt,
     clip_line_to_box,
     render_scene,
     render_scene_for,
@@ -70,6 +72,38 @@ class TestWellFormed:
             analysis = analyze_arc(arc)
             svg = render_scene_for(analysis, solve_at_angle(analysis, 0.0))
             assert "-0.000000" not in svg
+
+
+def _round_fmt(v: float) -> str:
+    """The six-decimal rule as first written: round, then drop the sign
+    of a zero."""
+    r = round(v, 6)
+    if r == 0:
+        r = 0.0
+    return f"{r:.6f}"
+
+
+class TestNumberFormat:
+    EDGES = (0.0, -0.0, 2.5e-7, -2.5e-7, 5e-7, -5e-7, 4.9999999e-7,
+             -4.9999999e-7, 0.0078125, -0.0078125, 0.5, 1.0000005, 2.0000025,
+             1e300, -1e300, 1e16 + 0.5, 123456789012.1234567, math.inf,
+             -math.inf, math.nan, 5e-324, -5e-324)
+
+    def test_edge_values_match_round(self):
+        values = [w for v in self.EDGES
+                  for w in (v, math.nextafter(v, math.inf),
+                            math.nextafter(v, -math.inf))]
+        for v in values:
+            assert _fmt(v) == _round_fmt(v), v
+
+    def test_random_values_match_round(self):
+        rng = random.Random(15)
+        for _ in range(20000):
+            v = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-9.0, 12.0)
+            assert _fmt(v) == _round_fmt(v), v
+        for _ in range(5000):   # odd multiples of 2**-7: exact ties
+            v = (2 * rng.randrange(-10**9, 10**9) + 1) / 128
+            assert _fmt(v) == _round_fmt(v), v
 
 
 class TestSceneContent:
