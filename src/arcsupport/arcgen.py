@@ -6,13 +6,17 @@ integers alone.  Strategies:
 
 * ``uncross``: i.i.d. uniform nodes whose path is repeatedly 2-opt
   reversed until no two segments properly cross.  Each reversal strictly
-  shortens the path, so the loop terminates.  Each step holds several
-  n x n arrays, so n is capped at ``UNCROSS_MAX_NODES``.
+  shortens the path, so the loop terminates.  Each step finds the first
+  crossing with one vectorised pass over all segment pairs: a
+  (2, 2, n, n) float array of start and end offsets and a few n x n ones,
+  about 64 n^2 bytes at its peak, so n is capped at ``UNCROSS_MAX_NODES``.
 * ``zigzag``: strictly increasing x with alternating-sign y, which is
   simple by construction and tends to produce many locales.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +37,16 @@ def _rng(seed: int, attempt: int) -> np.random.Generator:
         np.random.PCG64(np.random.SeedSequence([seed, attempt])))
 
 
+@lru_cache(maxsize=1)
+def _upper(m: int) -> np.ndarray:
+    """Where segment j comes at least two after segment i, as an (m, m)
+    mask: the pairs that are neither the same nor adjacent.  Every step of
+    one uncross run has the same m, so the run builds it once."""
+    upper = np.triu(np.ones((m, m), dtype=bool), k=2)
+    upper.flags.writeable = False       # shared by every caller
+    return upper
+
+
 def _first_proper_crossing(pts: np.ndarray) -> tuple[int, int] | None:
     """Lexicographically first pair of non-adjacent properly crossing
     segments of the open path ``pts``, or None."""
@@ -42,23 +56,18 @@ def _first_proper_crossing(pts: np.ndarray) -> tuple[int, int] | None:
     a = pts[:-1]
     d = pts[1:] - a
 
-    # cross1[i, j] = d_i x (a_j - a_i); crossing uses the four orientation
-    # signs of each segment pair
-    diff_x = a[None, :, 0] - a[:, None, 0]
-    diff_y = a[None, :, 1] - a[:, None, 1]
-    c_start = d[:, None, 0] * diff_y - d[:, None, 1] * diff_x
-    end_x = diff_x + d[None, :, 0]
-    end_y = diff_y + d[None, :, 1]
-    c_end = d[:, None, 0] * end_y - d[:, None, 1] * end_x
+    # rel[0, :, i, j] = a_j - a_i and rel[1, :, i, j] = (a_j - a_i) + d_j,
+    # as x and y planes; cross[0] and cross[1] are d_i x rel, and segment j
+    # straddles the line of segment i when their signs differ
+    rel = np.empty((2, 2, m, m))
+    np.subtract(a.T[:, None], a.T[:, :, None], out=rel[0])
+    np.add(rel[0], d.T[:, None], out=rel[1])
+    cross = d[:, 0, None] * rel[:, 1] - d[:, 1, None] * rel[:, 0]
 
-    straddle = (c_start * c_end) < 0
-    proper = straddle & straddle.T
-    idx = np.triu_indices(m, k=2)
-    hits = np.nonzero(proper[idx])[0]
-    if hits.size == 0:
-        return None
-    h = int(hits[0])
-    return int(idx[0][h]), int(idx[1][h])
+    straddle = (cross[0] * cross[1]) < 0
+    proper = straddle & straddle.T & _upper(m)
+    h = int(proper.argmax())        # row-major: the first (i, j)
+    return divmod(h, m) if proper.flat[h] else None
 
 
 def _uncross(rng: np.random.Generator, nodes: int) -> np.ndarray | None:
@@ -99,7 +108,7 @@ def generate_arc(nodes: int, seed: int,
         if raw is None:
             continue
         try:
-            arc = PolygonalArc(tuple(Point(float(x), float(y)) for x, y in raw))
+            arc = PolygonalArc(raw.tolist())
         except InvalidArcError:
             continue
         if validate_simple(arc).ok:
@@ -158,8 +167,7 @@ def random_star_polygon(nodes: int, seed: int) -> PolygonalArc:
         order = np.lexsort((rad, ang))
         ring = pts[order]
         try:
-            arc = PolygonalArc(tuple(Point(float(x), float(y)) for x, y in ring),
-                               closed=True)
+            arc = PolygonalArc(ring.tolist(), closed=True)
         except InvalidArcError:
             continue
         if validate_simple(arc).ok:

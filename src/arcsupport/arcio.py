@@ -26,7 +26,8 @@ _TINY = sys.float_info.min      # smallest normal float
 
 @dataclass(frozen=True)
 class PolygonalArc:
-    """A polygonal arc given by its nodes, open or closed."""
+    """A polygonal arc given by its nodes, open or closed.  Any sequence of
+    (x, y) pairs may be passed; it is stored as a tuple of Points."""
 
     nodes: tuple[Point, ...]
     closed: bool = False
@@ -119,15 +120,13 @@ def _parse_json(text: str) -> PolygonalArc:
     nodes = data.get("nodes")
     if not isinstance(nodes, list):
         raise ParseError('"nodes" must be a list of [x, y] pairs')
-    points = []
     for i, entry in enumerate(nodes):
         # parse_int=float makes every JSON number a float
         if (type(entry) is not list or len(entry) != 2
                 or type(entry[0]) is not float or type(entry[1]) is not float):
             raise ParseError(f"node {i} is not a numeric [x, y] pair")
-        points.append(Point(*entry))
-    try:
-        return PolygonalArc(tuple(points), closed=closed)
+    try:    # PolygonalArc makes the Points
+        return PolygonalArc(nodes, closed=closed)
     except InvalidArcError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -153,9 +152,9 @@ def _parse_csv(text: str) -> PolygonalArc:
         header_allowed = False
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ParseError("non-finite coordinate", line=lineno)
-        points.append(Point(x, y))
+        points.append((x, y))
     try:
-        return PolygonalArc(tuple(points), closed=False)
+        return PolygonalArc(points, closed=False)
     except InvalidArcError as exc:
         raise ParseError(str(exc)) from exc
 

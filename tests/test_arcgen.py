@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -74,7 +77,7 @@ class TestGenerateArc:
 
     def test_uncross_node_cap(self, monkeypatch):
         # a generation that starts fails at once instead of allocating
-        # its n x n arrays
+        # the crossing search's arrays, about 64 n^2 bytes at their peak
         def no_rng(*args):
             raise AssertionError("generation started")
 
@@ -102,12 +105,90 @@ class TestFirstProperCrossing:
         assert _first_proper_crossing(pts) is None
 
     def test_lexicographically_first(self):
-        # Two crossings: (0, 2) and (2, 4); the first must win.
-        pts = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0],
-                        [4.0, 2.0], [4.0, 0.0], [2.5, 1.5]])
-        hit = _first_proper_crossing(pts)
-        assert hit is not None
-        assert hit == min(hit, (2, 4))
+        # crossings (0, 4), (1, 3) and (1, 4): the first row wins even
+        # though (1, 3) has the smaller second index
+        pts = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 4.0],
+                        [8.0, 3.0], [12.0, 1.0], [5.0, -2.0]])
+        assert _all_proper_crossings(pts) == [(0, 4), (1, 3), (1, 4)]
+        assert _first_proper_crossing(pts) == (0, 4)
+
+    @pytest.mark.parametrize("nodes, zero", [
+        # segment 4 overlaps segment 0 on [1, 2] and touches segment 1's
+        # start; segment 3 ends on segment 0's interior
+        ([[0, 0], [2, 0], [2, 1], [1, 1], [1, 0], [3, 0]], [(0, 4), (0, 3)]),
+        # node 4 is node 1: segments 0, 1, 3 and 4 share it
+        ([[0, 0], [1, 1], [2, 0], [2, 2], [1, 1], [0, 2]], [(0, 3), (1, 4)]),
+    ])
+    def test_contacts_are_not_crossings(self, nodes, zero):
+        pts = np.array(nodes, dtype=float)
+        for i, j in zero:
+            assert _straddle_product(pts.tolist(), i, j) == 0.0
+        assert _all_proper_crossings(pts) == []
+        assert _first_proper_crossing(pts) is None
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_double_loop_on_random_paths(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.random((int(rng.integers(4, 31)), 2))
+        assert _first_proper_crossing(pts) == _reference_crossing(pts)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_double_loop_on_grid_paths(self, seed):
+        # a 4 x 4 grid makes collinear overlaps, touching endpoints and
+        # shared vertices common
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, 4, (int(rng.integers(4, 31)), 2)).astype(float)
+        assert _first_proper_crossing(pts) == _reference_crossing(pts)
+
+    def test_generated_arcs_have_none(self):
+        for n in (4, 9, 30):
+            pts = np.array(generate_arc(n, seed=n).nodes)
+            assert _reference_crossing(pts) is None
+            assert _first_proper_crossing(pts) is None
+
+
+def _straddle_product(p: list, i: int, j: int) -> float:
+    """The product of the two turns of segment j's ends against segment
+    i's line, in the generator's operation order: negative exactly when
+    segment j straddles that line."""
+    ax, ay = p[i]
+    dx, dy = p[i + 1][0] - ax, p[i + 1][1] - ay
+    sx, sy = p[j][0] - ax, p[j][1] - ay
+    ex = sx + (p[j + 1][0] - p[j][0])
+    ey = sy + (p[j + 1][1] - p[j][1])
+    return (dx * sy - dy * sx) * (dx * ey - dy * ex)
+
+
+def _all_proper_crossings(pts: np.ndarray) -> list[tuple[int, int]]:
+    p = pts.tolist()
+    m = len(p) - 1
+    return [(i, j) for i in range(m) for j in range(i + 2, m)
+            if _straddle_product(p, i, j) < 0 and _straddle_product(p, j, i) < 0]
+
+
+def _reference_crossing(pts: np.ndarray) -> tuple[int, int] | None:
+    hits = _all_proper_crossings(pts)
+    return hits[0] if hits else None
+
+
+# SHA-256 over the exact node floats of the generators' output; every
+# fuzz and sweep input comes from them, so it changes only when a change
+# to the generated arcs is intended
+GENERATOR_DIGEST = \
+    "979efcdd12f5037f212f9871563760d4cc81591453744d895170a9c7b2430241"
+
+
+def test_generator_output_digest():
+    arcs = [generate_arc(n, seed, "uncross")
+            for n in range(5, 51) for seed in range(3)]
+    arcs += [generate_arc(100, 1, "uncross"), generate_arc(200, 1, "uncross")]
+    arcs += [generate_arc(n, n, "zigzag") for n in (3, 10, 50, 1000)]
+    arcs += [random_star_polygon(n, n) for n in (3, 10, 50, 500)]
+    h = hashlib.sha256()
+    for arc in arcs:
+        h.update(struct.pack(f"<?q{2 * len(arc)}d", arc.closed, len(arc),
+                             *(c for p in arc.nodes for c in p)))
+    assert h.hexdigest() == GENERATOR_DIGEST
 
 
 class TestRandomConvexPolygon:
