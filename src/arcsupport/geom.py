@@ -147,14 +147,16 @@ def line_offset(line: Line, p: Point) -> float:
     return ux * (p[1] - line.py) - uy * (p[0] - line.px)
 
 
-def lines_parallel(l1: Line, l2: Line) -> bool:
-    return angle_dist_mod180(l1.dir_deg, l2.dir_deg) <= DEFAULT_EPS_ANGLE
-
-
 def lines_equal(l1: Line, l2: Line, eps_len: float, eps_angle: float) -> bool:
-    """Same undirected line: parallel within eps_angle, coincident within eps_len."""
-    return (angle_dist_mod180(l1.dir_deg, l2.dir_deg) <= eps_angle
-            and abs(line_offset(l1, Point(l2.px, l2.py))) <= eps_len)
+    """Same undirected line: parallel within eps_angle, coincident within
+    eps_len.  ``angle_dist_mod180`` and ``line_offset`` are written out
+    (fmod is exact), as the oracle calls this per candidate and angle."""
+    d = abs(math.fmod(l1.dir_deg - l2.dir_deg, 180.0))
+    if min(d, 180.0 - d) > eps_angle:
+        return False
+    r = math.radians(l1.dir_deg)
+    return abs(math.cos(r) * (l2.py - l1.py)
+               - math.sin(r) * (l2.px - l1.px)) <= eps_len
 
 
 def same_line_pair(m1: Line, n1: Line, m2: Line, n2: Line,
@@ -167,11 +169,14 @@ def same_line_pair(m1: Line, n1: Line, m2: Line, n2: Line,
 
 
 def lines_intersection(l1: Line, l2: Line) -> Point | None:
-    """Intersection point, or None for (anti)parallel lines."""
-    if lines_parallel(l1, l2):
+    """Intersection point, or None for lines within ``DEFAULT_EPS_ANGLE``
+    of (anti)parallel; written out as ``lines_equal`` is."""
+    d = abs(math.fmod(l1.dir_deg - l2.dir_deg, 180.0))
+    if min(d, 180.0 - d) <= DEFAULT_EPS_ANGLE:
         return None
-    u1x, u1y = unit_vector(l1.dir_deg)
-    u2x, u2y = unit_vector(l2.dir_deg)
+    r1, r2 = math.radians(l1.dir_deg), math.radians(l2.dir_deg)
+    u1x, u1y = math.cos(r1), math.sin(r1)
+    u2x, u2y = math.cos(r2), math.sin(r2)
     denom = u1x * u2y - u1y * u2x
     wx, wy = l2.px - l1.px, l2.py - l1.py
     t = (wx * u2y - wy * u2x) / denom

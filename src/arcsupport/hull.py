@@ -123,7 +123,7 @@ def support_contact(hull: ConvexHull, dir_deg: float,
     table = hull.unwrapped
     first = table[0]
     back = 0.0 if side == "left" else 180.0
-    k = len(hull)
+    k = len(table)
     target = first + (dir_deg + back - first) % 360.0
     pos = bisect_left(table, target)
     extreme = pos % k
@@ -133,15 +133,19 @@ def support_contact(hull: ConvexHull, dir_deg: float,
     before = target - (table[pos - 1] if pos else table[-1] - 360.0)
     after = (table[pos] if pos < k else first + 360.0) - target
     eps = hull.tol.eps_angle
+    joins_before = before <= eps or before >= 180.0 - eps
+    joins_after = after <= eps or after >= 180.0 - eps
+    if not (joins_before or joins_after):
+        x, y = hull.points[extreme]
+        return SupportContact(Line(x, y, dir_deg), (hull.node_ids[extreme],))
     ids = [extreme]
-    if before <= eps or before >= 180.0 - eps:
+    if joins_before:
         ids.append((extreme - 1) % k)
-    if after <= eps or after >= 180.0 - eps:
+    if joins_after:
         ids.append((extreme + 1) % k)
-    if len(ids) > 1:
-        u = unit_vector(dir_deg)
-        ids.sort(key=lambda i: (hull.points[i].x * u.x
-                                + hull.points[i].y * u.y, i))
+    u = unit_vector(dir_deg)
+    ids.sort(key=lambda i: (hull.points[i].x * u.x
+                            + hull.points[i].y * u.y, i))
     anchor = hull.points[ids[0]]
     return SupportContact(line=Line(anchor.x, anchor.y, dir_deg),
                           node_ids=tuple([hull.node_ids[i] for i in ids]))

@@ -6,10 +6,10 @@ candidate directions, takes the far-side support line n for each, and
 keeps the configuration whenever n touches the arc at a node strictly
 between m's contact nodes.  Contacts are hull vertices, so the search
 skips the edges whose two nodes bracket no other hull vertex in arc
-order: they yield no configuration at any angle.  Distinct configurations
-can describe the same unordered pair of lines (this happens exactly at
-strip-boundary angles), so the deduplicated pair list is reported
-alongside the raw finds.
+order: they yield no configuration at any angle; the bracketing edges are
+worked out once per hull.  Distinct configurations can describe one
+unordered pair of lines (exactly at strip-boundary angles), so the
+deduplicated pair list is reported alongside the raw finds.
 The search shares only the geometry and hull modules, and the hull itself,
 with the solver; it never reads the guide path, locales or strip diagram.
 """
@@ -52,24 +52,10 @@ def brute_force_configs(hull: ConvexHull, phi_deg: float) -> list[OraclePair]:
     counterclockwise edge orientation."""
     if not 0.0 <= phi_deg < 180.0:
         raise ValueError(f"angle must lie in [0, 180), got {phi_deg}")
-    k = len(hull)
-    # Contacts are hull vertices, so an edge whose two nodes are adjacent
-    # in arc order among the hull's nodes has no contact between them.
-    rank = {node: r for r, node in enumerate(sorted(hull.node_ids))}
-
     found: list[OraclePair] = []
-    for i in range(k):
-        node_a = hull.node_ids[i]
-        node_b = hull.node_ids[(i + 1) % k]
-        if abs(rank[node_a] - rank[node_b]) == 1:
-            continue
-        a = hull.points[i]
-        edge_dir = hull.edge_dirs[i]
-        lo, hi = min(node_a, node_b), max(node_a, node_b)
-        m = Line(a.x, a.y, edge_dir)
-        cands = [edge_dir] if phi_deg == 0.0 else [edge_dir + phi_deg,
-                                                   edge_dir - phi_deg]
-        for d in cands:
+    for m, node_a, node_b, lo, hi in _bracketing_edges(hull):
+        for d in ((m.dir_deg,) if phi_deg == 0.0
+                  else (m.dir_deg + phi_deg, m.dir_deg - phi_deg)):
             contact = support_contact(hull, d, "right")
             between = [c for c in contact.node_ids if lo < c < hi]
             if not between:
@@ -77,6 +63,26 @@ def brute_force_configs(hull: ConvexHull, phi_deg: float) -> list[OraclePair]:
             found.append(OraclePair(m=m, n=contact.line, u=node_a,
                                     v=min(between), w=node_b))
     return found
+
+
+_last_brackets: tuple = (None, ())
+
+
+def _bracketing_edges(hull: ConvexHull) -> tuple:
+    """(m, node_a, node_b, lo, hi) per hull edge whose nodes bracket
+    another hull vertex in arc order, kept for the last hull by identity:
+    a sweep asks one hull at every angle, and hashing it is not cheap."""
+    global _last_brackets
+    last, edges = _last_brackets
+    if last is not hull:
+        ids = hull.node_ids
+        rank = {node: r for r, node in enumerate(sorted(ids))}
+        edges = tuple((Line(a.x, a.y, d), u, w, min(u, w), max(u, w))
+                      for a, d, u, w in zip(hull.points, hull.edge_dirs,
+                                            ids, ids[1:] + ids[:1])
+                      if abs(rank[u] - rank[w]) != 1)
+        _last_brackets = (hull, edges)
+    return edges
 
 
 def brute_force_pairs(arc: PolygonalArc, phi_deg: float,

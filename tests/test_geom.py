@@ -13,6 +13,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from arcsupport.geom import (
+    DEFAULT_EPS_ANGLE,
+    DIRECTION_AGREE_DEG,
     Line,
     Point,
     Tolerance,
@@ -24,7 +26,6 @@ from arcsupport.geom import (
     line_offset,
     lines_equal,
     lines_intersection,
-    lines_parallel,
     normalize_angle,
     orient,
     segments_intersect,
@@ -225,9 +226,9 @@ class TestLines:
         assert line_offset(line, Point(3, -1)) == pytest.approx(-3.0)
 
     def test_lines_parallel(self):
-        assert lines_parallel(Line(0, 0, 10.0), Line(5, 5, 190.0))
-        assert not lines_parallel(Line(0, 0, 10.0),
-                                  Line(0, 0, 11.0))
+        assert lines_intersection(Line(0, 0, 10.0), Line(5, 5, 190.0)) is None
+        assert lines_intersection(Line(0, 0, 10.0),
+                                  Line(0, 0, 11.0)) is not None
 
     def test_lines_equal_ignores_anchor_and_flip(self):
         a = Line(0, 0, 45.0)
@@ -257,6 +258,61 @@ class TestLines:
         a = Line(0, 0, 30.0)
         b = Line(0, 1, 210.0)
         assert lines_intersection(a, b) is None
+
+
+@st.composite
+def near_line_pairs(draw):
+    """Two lines whose directions sit at, or within 1e-7 or 1e-6 degrees
+    of, parallel or antiparallel (or anywhere), the second anchored at an
+    offset of 1e-12 to 1e6 from the first, shifted along it."""
+    a = draw(st.one_of(st.sampled_from([180.0, -180.0, 0.0, 90.0]), angles))
+    turn = draw(st.sampled_from([0.0, 180.0, -180.0, 360.0]))
+    near = draw(st.one_of(
+        st.sampled_from([0.0, 1e-7, -1e-7, 1e-6, -1e-6]),
+        st.floats(min_value=-2e-6, max_value=2e-6), angles))
+    px, py, along = draw(finite), draw(finite), draw(finite)
+    offset = draw(st.sampled_from([1.0, -1.0])) * draw(
+        st.floats(min_value=1e-12, max_value=1e6))
+    c, s = math.cos(math.radians(a)), math.sin(math.radians(a))
+    return Line(px, py, a), Line(px + along * c - offset * s,
+                                 py + along * s + offset * c, a + turn + near)
+
+
+def _bits(p):
+    return None if p is None else (p.x.hex(), p.y.hex())
+
+
+class TestWrittenOutPredicates:
+    """``lines_equal`` and ``lines_intersection`` inline the angle and
+    offset helpers; they must agree with them bit for bit."""
+
+    @given(near_line_pairs(), st.floats(min_value=1e-12, max_value=1e6),
+           st.sampled_from([DEFAULT_EPS_ANGLE, DIRECTION_AGREE_DEG]))
+    @example((Line(0.0, 0.0, 180.0), Line(0.0, 1e-12, -180.0)), 1e-12, 1e-7)
+    @example((Line(3.0, 4.0, 180.0), Line(-2.0, 4.0, 1e-7)), 1.0, 1e-7)
+    def test_lines_equal(self, pair, eps_len, eps_angle):
+        for l1, l2 in (pair, pair[::-1]):
+            gap = angle_dist_mod180(l1.dir_deg, l2.dir_deg)
+            off = abs(line_offset(l1, Point(l2.px, l2.py)))
+            # the bands themselves, where <= and < would differ
+            for eps_l, eps_a in ((eps_len, eps_angle), (off, gap)):
+                assert lines_equal(l1, l2, eps_l, eps_a) is (
+                    gap <= eps_a and off <= eps_l)
+
+    @given(near_line_pairs())
+    @example((Line(0.0, 0.0, 180.0), Line(1.0, 1.0, -180.0)))
+    @example((Line(0.0, 0.0, 10.0), Line(0.0, 1.0, 190.0 + 1e-7)))
+    def test_lines_intersection(self, pair):
+        for l1, l2 in (pair, pair[::-1]):
+            want = None
+            if angle_dist_mod180(l1.dir_deg, l2.dir_deg) > DEFAULT_EPS_ANGLE:
+                u1x, u1y = unit_vector(l1.dir_deg)
+                u2x, u2y = unit_vector(l2.dir_deg)
+                denom = u1x * u2y - u1y * u2x
+                wx, wy = l2.px - l1.px, l2.py - l1.py
+                t = (wx * u2y - wy * u2x) / denom
+                want = Point(l1.px + t * u1x, l1.py + t * u1y)
+            assert _bits(lines_intersection(l1, l2)) == _bits(want)
 
 
 class TestBoxesAndTolerance:

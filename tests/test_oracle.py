@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -21,7 +23,7 @@ from arcsupport.oracle import (
     brute_force_pairs,
     compare_with_solver,
 )
-from arcsupport.solver import analyze_arc
+from arcsupport.solver import analyze_arc, solve_at_angle
 
 DEG_ATAN_1_2 = math.degrees(math.atan2(1, 2))
 PHI_LEFT_PENTAGON = 45.0 + DEG_ATAN_1_2
@@ -270,3 +272,27 @@ class TestHullCache:
             brute_force_pairs(arc, phi)
         assert len(calls) == 1
         assert len(derived) == 1
+
+
+# SHA-256 over every per-angle output on the criterion-4 arcs: the
+# agreement report, the solve JSON, the raw configurations and each pair's
+# apex; it changes only when a change to those outputs is intended
+PER_ANGLE_DIGEST = \
+    "ce66e216661100cacf950773a6d5046069dac12afe86b4c64fd6882c40f4e518"
+
+
+def test_per_angle_output_digest():
+    h = hashlib.sha256()
+    for i, n in enumerate(range(5, 51)):
+        arc = generate_arc(n, n, STRATEGIES[i % 2])
+        analysis = analyze_arc(arc)
+        table = analysis.table
+        for phi in ([float(g) for g in range(180)]
+                    + [table.phi_left, -table.phi_right]):
+            report = compare_with_solver(arc, phi, analysis=analysis)
+            solved = solve_at_angle(analysis, phi)
+            configs = brute_force_configs(analysis.hull, phi)
+            apexes = [(p.apex, p.apex_side) for p in solved.pairs]
+            h.update(repr((dataclasses.asdict(report), solved.to_json_dict(),
+                           configs, apexes)).encode())
+    assert h.hexdigest() == PER_ANGLE_DIGEST
