@@ -49,14 +49,18 @@ class GuidePath:
         """Visit position of each hull index."""
         return {h: r for r, h in enumerate(self.visit)}
 
+    @cached_property
+    def sides(self) -> tuple[int, ...]:
+        """``side_of`` of each hull index, one tolerant orient per vertex."""
+        points, tol = self.hull.points, self.hull.tol
+        a, b = points[self.head], points[self.tail]
+        sides = [self.sigma * orient(a, b, p, tol) for p in points]
+        sides[self.head] = sides[self.tail] = 0
+        return tuple(sides)
+
     def side_of(self, hull_index: int) -> int:
         """+1 for the upper side, -1 for the lower, 0 for head and tail."""
-        if hull_index in (self.head, self.tail):
-            return 0
-        a = self.hull.points[self.head]
-        b = self.hull.points[self.tail]
-        return self.sigma * orient(a, b, self.hull.points[hull_index],
-                                   self.hull.tol)
+        return self.sides[hull_index]
 
 
 def classify_links(hull: ConvexHull, visit: tuple[int, ...]) -> tuple[Link, ...]:
@@ -86,12 +90,12 @@ def build_guide_path(hull: ConvexHull) -> GuidePath:
                       axis_deg=direction_deg(a, b),
                       links=classify_links(hull, visit),
                       axis_on_boundary=(tail - head) % k in (1, k - 1))
-    side = guide.side_of
+    side = guide.sides
 
     ensure(guide.links[0].kind == "edge",
            "the link out of the first visit is not a hull edge")
     for link in guide.links:
-        s1, s2 = side(link.start), side(link.end)
+        s1, s2 = side[link.start], side[link.end]
         if s1 != 0 and s1 == s2:
             ensure(link.kind == "edge",
                    "same-side consecutive visits are not hull-adjacent")
@@ -103,7 +107,7 @@ def build_guide_path(hull: ConvexHull) -> GuidePath:
     # when sigma is +1 (the upper side when -1), so visit order on each side
     # is monotone in hull position.
     for sign, expect_increasing in ((-1, sigma > 0), (1, sigma < 0)):
-        run = [(h - head) % k for h in visit if side(h) == sign]
+        run = [(h - head) % k for h in visit if side[h] == sign]
         ordered = sorted(run) if expect_increasing else sorted(run, reverse=True)
         ensure(run == ordered, "side visits are not boundary-monotone")
     return guide

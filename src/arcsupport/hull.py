@@ -44,27 +44,29 @@ def convex_hull(points: tuple[Point, ...] | list[Point],
     Its DegenerateHullError is the analysis' one collinearity verdict."""
     if tol is None:
         tol = PolygonalArc(points).tolerance()
-    tagged = sorted((Point(float(p[0]), float(p[1])), i)
-                    for i, p in enumerate(points))
+    # Flat (x, y, i) tuples sort as (Point, i) pairs do and unpack faster
+    # in the pop test.
+    tagged = sorted([(float(p[0]), float(p[1]), i)
+                     for i, p in enumerate(points)])
 
-    def build(seq: list[tuple[Point, int]]) -> list[tuple[Point, int]]:
+    def build(seq: list[tuple[float, float, int]]
+              ) -> list[tuple[float, float, int]]:
         # Pops on the float sign alone: a tolerant pop could drop a far end
         # of a near-vertical run, whose x order is arbitrary.
-        chain: list[tuple[Point, int]] = []
+        chain: list[tuple[float, float, int]] = []
         for item in seq:
-            (cx, cy), _ = item
+            cx, cy, _ = item
             while len(chain) >= 2:
-                (ax, ay), _ = chain[-2]
-                (bx, by), _ = chain[-1]
+                ax, ay, _ = chain[-2]
+                bx, by, _ = chain[-1]
                 if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0.0:
                     break
                 chain.pop()
             chain.append(item)
         return chain
 
-    lower = build(tagged)
-    upper = build(tagged[::-1])
-    ring = lower[:-1] + upper[:-1]
+    ring = [(Point(x, y), i)
+            for x, y, i in build(tagged)[:-1] + build(tagged[::-1])[:-1]]
     # The chain never pops its first and last sorted points: delete ring
     # vertices inside their neighbours' band until every turn is left.  A
     # deletion changes only the turns at i - 1 and i (and at 0 after the

@@ -66,16 +66,18 @@ def decompose_locales(guide: GuidePath) -> LocaleDecomposition:
     ensure((len(bases) == 1) == guide.axis_on_boundary,
            "single-locale form must coincide with the axis lying on the hull")
 
+    side = guide.sides
     locales = []
     for j, (u, w) in enumerate(bases, start=1):
-        cap = tuple(h for h in guide.visit if rank[u] < rank[h] < rank[w])
+        # visit is in rank order, so the cap is the visits strictly between
+        cap = guide.visit[rank[u] + 1:rank[w]]
         loc = Locale(index=j, base=(u, w), cap=cap,
                      base_side="lower" if j % 2 == 1 else "upper")
-        ensure(all(guide.side_of(h) == loc.cap_sign for h in cap),
+        ensure(all(side[h] == loc.cap_sign for h in cap),
                f"cap of locale {j} is not a single-side run")
         for h in (u, w):
             if h not in (guide.head, guide.tail):
-                ensure(guide.side_of(h) == -loc.cap_sign,
+                ensure(side[h] == -loc.cap_sign,
                        f"base endpoints of locale {j} break side alternation")
         locales.append(loc)
 

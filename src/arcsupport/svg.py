@@ -80,6 +80,19 @@ def _circle(x: float, y: float, r: float, cls: str) -> str:
             f'r="{_fmt(r)}"/>\n')
 
 
+def _arc_and_nodes(nodes: tuple[Point, ...], r: float) -> str:
+    """The arc polyline and a dot of radius r at each node, as _polyline
+    and _circle write them, from one "%.6f" format over every coordinate.
+    "%.6f" converts as _fmt's f"{v:.6f}" does, and in this text a '-' can
+    only be a number's sign, so one replace drops the sign of a zero."""
+    xy = [v for x, y in nodes for v in (x, -y)]
+    dot = f'<circle class="node" cx="%.6f" cy="%.6f" r="{_fmt(r)}"/>\n'
+    template = ('<polyline class="arc" points="'
+                + " ".join(["%.6f,%.6f"] * len(nodes)) + '"/>\n'
+                + dot * len(nodes))
+    return (template % tuple(xy + xy)).replace("-0.000000", "0.000000")
+
+
 def _segment(a: Point, b: Point, cls: str) -> str:
     return (f'<line class="{cls}" x1="{_fmt(a.x)}" y1="{_fmt(-a.y)}" '
             f'x2="{_fmt(b.x)}" y2="{_fmt(-b.y)}"/>\n')
@@ -124,9 +137,7 @@ def render_scene(arc: PolygonalArc, hull: ConvexHull | None = None,
         parts.append(_polyline(
             [(hull.points[h].x, hull.points[h].y) for h in guide.visit],
             "guide"))
-    parts.append(_polyline([(p.x, p.y) for p in arc.nodes], "arc"))
-    for p in arc.nodes:
-        parts.append(_circle(p.x, p.y, r_node, "node"))
+    parts.append(_arc_and_nodes(arc.nodes, r_node))
     if solution is not None:
         for pair in solution.pairs:
             for line, cls in ((pair.m, "m-line"), (pair.n, "n-line")):

@@ -22,7 +22,9 @@ from arcsupport.guidepath import (
     count_admissible_paths,
     enumerate_admissible_paths,
 )
+from arcsupport.geom import orient
 from arcsupport.hull import convex_hull
+from arcsupport.solver import analyze_arc
 
 
 def _visit_nodes(guide):
@@ -58,6 +60,33 @@ class TestPentagonGuidePath:
     def test_rank(self, pentagon_arc):
         guide = build_guide_path(convex_hull(pentagon_arc.nodes))
         assert guide.rank == {0: 0, 4: 1, 1: 2, 3: 3, 2: 4}
+
+
+class TestSides:
+    def test_one_orient_per_hull_vertex(self, monkeypatch, star_fan_700):
+        # the checks in build_guide_path and decompose_locales read each
+        # side several times; every one of them comes from the sides table
+        calls = []
+
+        def counting(*args, **kwargs):
+            if len(args) > 3 or "tol" in kwargs:
+                calls.append(args)
+            return orient(*args, **kwargs)
+
+        monkeypatch.setattr(guidepath, "orient", counting)
+        analysis = analyze_arc(star_fan_700)
+        k = len(analysis.hull)
+        assert k > 300
+        assert 0 < len(calls) <= k + 2
+
+    def test_sides_match_orient(self, star_fan_700):
+        guide = analyze_arc(star_fan_700).guide
+        points, tol = guide.hull.points, guide.hull.tol
+        head, tail = points[guide.head], points[guide.tail]
+        for h in guide.visit[1:-1]:
+            assert guide.side_of(h) == guide.sigma * orient(head, tail,
+                                                            points[h], tol)
+        assert guide.side_of(guide.head) == guide.side_of(guide.tail) == 0
 
 
 class TestAxisOnBoundary:

@@ -67,6 +67,58 @@ def _scan_contact(hull, dir_deg, side):
                           node_ids=tuple(hull.node_ids[i] for i in ordered))
 
 
+def _point_chain_hull(points, tol):
+    """Reference hull: the monotone chain over (Point, i) pairs that
+    convex_hull ran before it chained flat (x, y, i) tuples, with the same
+    strictness pass.  Returns (points, node_ids)."""
+    tagged = sorted((Point(float(p[0]), float(p[1])), i)
+                    for i, p in enumerate(points))
+
+    def build(seq):
+        chain = []
+        for item in seq:
+            (cx, cy), _ = item
+            while len(chain) >= 2:
+                (ax, ay), _ = chain[-2]
+                (bx, by), _ = chain[-1]
+                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0.0:
+                    break
+                chain.pop()
+            chain.append(item)
+        return chain
+
+    ring = build(tagged)[:-1] + build(tagged[::-1])[:-1]
+    i = 0
+    while i < len(ring) and len(ring) >= 3:
+        if orient(ring[i - 1][0], ring[i][0], ring[(i + 1) % len(ring)][0],
+                  tol) > 0:
+            i += 1
+        else:
+            del ring[i]
+            i = 0 if i == len(ring) else max(i - 1, 0)
+    if len(ring) < 3:
+        raise DegenerateHullError("all nodes are collinear")
+    start = ring.index(min(ring))
+    ring = ring[start:] + ring[:start]
+    return tuple(p for p, _ in ring), tuple(i for _, i in ring)
+
+
+def _assert_same_as_point_chain(nodes):
+    """convex_hull and _point_chain_hull agree on the vertices, the signs
+    of their zeros, the node ids and a DegenerateHullError."""
+    tol = PolygonalArc(nodes).tolerance()
+    try:
+        ref_points, ref_ids = _point_chain_hull(nodes, tol)
+    except DegenerateHullError:
+        with pytest.raises(DegenerateHullError):
+            convex_hull(nodes, tol)
+        return
+    hull = convex_hull(nodes, tol)
+    assert hull.node_ids == ref_ids
+    assert hull.points == ref_points
+    assert repr(hull.points) == repr(ref_points)
+
+
 def _exact_extremes(hull, dir_deg, side):
     """Arc nodes of the hull vertices whose leftward offset along
     unit_vector(dir_deg) is extreme in exact arithmetic."""
@@ -202,6 +254,33 @@ class TestConvexHull:
             for px, py in arc.nodes:
                 inward = ((bx - ax) * (py - ay) - (by - ay) * (px - ax)) / length
                 assert inward >= -slack, (i, px, py, inward)
+
+    @pytest.mark.parametrize("nodes", [
+        # duplicate nodes, a repeated corner among them
+        [(0, 0), (1, 0), (1, 0), (1, 1), (0, 1), (0, 0), (0.5, 0.5), (1, 1)],
+        # +-0.0 ties break on the node index, and the kept zero's sign shows
+        [(0.0, 0.0), (-0.0, 1.0), (1.0, -0.0), (-0.0, -0.0), (1.0, 1.0),
+         (0.0, 1.0), (0.5, -0.0)],
+        # vertical runs on both ends of the x order
+        [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1.5), (2, 3), (2, 1), (2, 0),
+         (2, 2)],
+        list(BAND_VERTEX_ARC),
+        list(FAR_CORNER_ARC),
+        _flat_top_arc(40),
+        # all collinear: both raise
+        [(0, 0), (1, 1), (2, 2), (3, 3)],
+    ])
+    def test_flat_chain_matches_point_chain(self, nodes):
+        _assert_same_as_point_chain(nodes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(jittered_grid_nodes())
+    def test_flat_chain_matches_point_chain_on_jittered_grids(self, nodes):
+        try:
+            PolygonalArc(nodes).tolerance()
+        except InvalidArcError:
+            return
+        _assert_same_as_point_chain(nodes)
 
     def test_strictness_pass_is_linear(self, monkeypatch):
         # the chain keeps the whole flat top and the strictness pass

@@ -8,7 +8,11 @@ import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from arcsupport import svg
+from arcsupport.arcgen import generate_arc
+from arcsupport.arcio import PolygonalArc
 from arcsupport.geom import Line, Point
 from arcsupport.locales import TiltTable
 from arcsupport.schematic import build_schematic, query_angle
@@ -144,6 +148,63 @@ class TestSceneContent:
     def test_node_count(self, pentagon_arc):
         svg = render_scene(pentagon_arc)
         assert svg.count('class="node"') == len(pentagon_arc)
+
+
+def _per_number_arc_and_nodes(nodes, r):
+    """The arc polyline and node dots written one number at a time, as
+    _polyline and _circle write them."""
+    pts = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in nodes)
+    dots = "".join(f'<circle class="node" cx="{_fmt(x)}" cy="{_fmt(-y)}" '
+                   f'r="{_fmt(r)}"/>\n' for x, y in nodes)
+    return f'<polyline class="arc" points="{pts}"/>\n' + dots
+
+
+class TestSceneWriter:
+    """render_scene's one-format arc and node writer against the
+    per-number one."""
+
+    @staticmethod
+    def _both(monkeypatch, render):
+        fast = render()
+        with monkeypatch.context() as m:
+            m.setattr(svg, "_arc_and_nodes", _per_number_arc_and_nodes)
+            slow = render()
+        return fast, slow
+
+    @pytest.mark.parametrize("nodes", [
+        # y of 0.0 and +-4e-7 give -0.000000 before the sign is dropped
+        [(0.0, 0.0), (1.0, 4e-7), (2.0, -4e-7), (-4e-7, 1.0), (4e-7, -0.0),
+         (-0.0, 2.0)],
+        [(1e15, 1e15), (1e15 + 0.5, -1e15 + 0.125), (-1e15, 9.99e14),
+         (123456789012.1234567, -5e-7)],
+        [(5e-324, -5e-324), (2.2250738585072014e-308, 0.0),
+         (-1e-310, 1e-310), (1.0, 1.0)],
+    ])
+    def test_edge_coordinates(self, monkeypatch, nodes):
+        arc = PolygonalArc(nodes)
+        fast, slow = self._both(monkeypatch, lambda: render_scene(arc))
+        assert fast == slow
+        assert "-0.000000" not in fast
+
+    @pytest.mark.parametrize("which", ["zigzag 3000", "fan 700"])
+    def test_big_scenes(self, monkeypatch, star_fan_700, which):
+        arc = (generate_arc(3000, 18, "zigzag") if which == "zigzag 3000"
+               else star_fan_700)
+        analysis = analyze_arc(arc)
+        solution = solve_at_angle(analysis, 30.0)
+        fast, slow = self._both(
+            monkeypatch, lambda: render_scene_for(analysis, solution))
+        assert fast == slow
+        assert fast.count('class="node"') == len(arc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e16, 1e16), st.floats(-1e-5, 1e-5)),
+                    min_size=2, max_size=30))
+    def test_drawn_coordinates(self, nodes):
+        arc = PolygonalArc(nodes)
+        r = 0.008 * 3.5
+        assert (svg._arc_and_nodes(arc.nodes, r)
+                == _per_number_arc_and_nodes(arc.nodes, r))
 
 
 class TestSchematicContent:
