@@ -22,6 +22,7 @@ from .geom import (DEFAULT_EPS_REL, Point, Segment, Tolerance, bbox_diagonal,
 
 _PAIR_BLOCK = 8192              # x-overlapping box pairs expanded at once
 _TINY = sys.float_info.min      # smallest normal float
+_last_report: tuple = (None, None, None)    # (arc, tol, its report)
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,8 @@ def _node_array(arc: PolygonalArc) -> np.ndarray:
 
 def _segment_ends(pts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Start and end nodes of the first m segments, one row per segment."""
-    return pts[:m], np.roll(pts, -1, axis=0)[:m]
+    ring = pts if m < len(pts) else np.concatenate((pts, pts[:1]))
+    return ring[:m], ring[1:m + 1]
 
 
 def _filter_band(eps: float, length: np.ndarray) -> float:
@@ -276,9 +278,20 @@ def validate_simple(arc: PolygonalArc, tol: Tolerance | None = None) -> Validati
     and no contact between non-adjacent segments.
 
     NumPy flags the segments, junctions and segment pairs that may violate;
-    the scalar predicates decide each flagged one, in index order.
+    the scalar predicates decide each flagged one, in index order.  A repeat
+    call on the same arc object, with an equal tolerance, is not rescanned.
     """
+    global _last_report
     tol = tol or arc.tolerance()
+    last, last_tol, report = _last_report
+    if last is not arc or last_tol != tol:
+        report = _scan_simple(arc, tol)
+        _last_report = (arc, tol, report)
+    return report
+
+
+def _scan_simple(arc: PolygonalArc, tol: Tolerance) -> ValidationReport:
+    """``validate_simple`` without its one-entry cache."""
     violations: list[Violation] = []
     nodes = arc.nodes
     n = len(nodes)
@@ -304,12 +317,13 @@ def validate_simple(arc: PolygonalArc, tol: Tolerance | None = None) -> Validati
     # adjacent segments may share only their common node: reject reversal
     # onto the previous segment (collinear backtracking)
     band = _filter_band(tol.eps_len, length)
-    prev = np.roll(pts, 1, axis=0)
-    ab, ac = pts - prev, np.roll(pts, -1, axis=0) - prev
+    # junction k + first joins ring rows k, k + 1 and k + 2
+    first = 0 if arc.closed else 1
+    ring = np.concatenate((pts[-1:], pts, pts[:1])) if arc.closed else pts
+    ab, ac = ring[1:-1] - ring[:-2], ring[2:] - ring[:-2]
     clear = _clear(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0], np.hypot(*ab.T),
                    np.hypot(*ac.T), band)
-    junctions = np.arange(n) if arc.closed else np.arange(1, n - 1)
-    for j in junctions[~clear[junctions]].tolist():
+    for j in (np.flatnonzero(~clear) + first).tolist():
         a, b, c = nodes[j - 1], nodes[j], nodes[(j + 1) % n]
         if orient(a, b, c, tol) == 0:
             dot = (b.x - a.x) * (c.x - b.x) + (b.y - a.y) * (c.y - b.y)

@@ -17,11 +17,10 @@ with the solver; it never reads the guide path, locales or strip diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .arcio import PolygonalArc
 from .errors import UnsupportedArcError
-from .geom import (DIRECTION_AGREE_DEG, Line, Point, Tolerance, lines_equal,
+from .geom import (DIRECTION_AGREE_DEG, Line, Tolerance, lines_equal,
                    same_line_pair)
 from .hull import ConvexHull, convex_hull, support_contact
 from .solver import analyze_arc, solve_at_angle
@@ -66,6 +65,7 @@ def brute_force_configs(hull: ConvexHull, phi_deg: float) -> list[OraclePair]:
 
 
 _last_brackets: tuple = (None, ())
+_last_hull: tuple = (None, None, None)      # (arc, tol, its hull)
 
 
 def _bracketing_edges(hull: ConvexHull) -> tuple:
@@ -90,16 +90,20 @@ def brute_force_pairs(arc: PolygonalArc, phi_deg: float,
     """Deduplicated unordered support-line pairs realizing ``phi_deg``."""
     if arc.closed:
         raise UnsupportedArcError("the brute-force search needs an open arc")
-    hull = _hull(arc.nodes, tol)
+    hull = _hull(arc, tol)
     return _dedupe(brute_force_configs(hull, phi_deg), hull.tol)
 
 
-@lru_cache(maxsize=1)
-def _hull(nodes: tuple[Point, ...], tol: Tolerance | None) -> ConvexHull:
-    """The hull of the last arc searched: callers sweep many angles over
-    one arc, and the hull is immutable.  ``convex_hull`` derives the
-    default tolerance for None, so only a cache miss pays for it."""
-    return convex_hull(nodes, tol)
+def _hull(arc: PolygonalArc, tol: Tolerance | None) -> ConvexHull:
+    """The hull of the last arc searched, kept by identity: callers sweep
+    many angles over one arc.  ``convex_hull`` derives the default
+    tolerance for None, so only a cache miss pays for it."""
+    global _last_hull
+    last, last_tol, hull = _last_hull
+    if last is not arc or last_tol != tol:
+        hull = convex_hull(arc.nodes, tol)
+        _last_hull = (arc, tol, hull)
+    return hull
 
 
 def _dedupe(configs: list[OraclePair], tol: Tolerance) -> list[OraclePair]:

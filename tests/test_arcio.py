@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from arcsupport import arcio
+from arcsupport.arcgen import generate_arc, random_star_polygon
 from arcsupport.arcio import (
     PolygonalArc,
     ValidationReport,
@@ -27,6 +28,7 @@ from arcsupport.errors import InvalidArcError, ParseError
 from arcsupport.geom import (DEFAULT_EPS_ANGLE, DEFAULT_EPS_REL, Line, Point,
                              Tolerance, dist, lines_intersection, orient,
                              segments_intersect)
+from arcsupport.solver import analyze_arc, solve_closed
 
 
 def _arc_json(arc):
@@ -290,6 +292,16 @@ class TestSegmentArcDetection:
         assert is_segment_arc(arc)
 
 
+# closed arcs whose violation, or its absence, sits where the last node
+# wraps round to node 0
+WRAP_BACKTRACK_FIRST = PolygonalArc(((0, 0), (2, 0), (1, 1), (1, 0)),
+                                    closed=True)
+WRAP_BACKTRACK_LAST = PolygonalArc(((0, 0), (2, 2), (0, 2), (0, 3)),
+                                   closed=True)
+WRAP_DUPLICATE = PolygonalArc(((0, 0), (1, 0), (1, 1), (0, 0)), closed=True)
+WRAP_ARROWHEAD = PolygonalArc(((0, 0), (4, 1), (2, 0), (4, -1)), closed=True)
+
+
 class TestValidateSimple:
     def test_pentagon_ok(self, pentagon_arc):
         report = validate_simple(pentagon_arc)
@@ -343,6 +355,25 @@ class TestValidateSimple:
         # Segments 0 and n-1 share the first node; that contact is legal.
         arc = PolygonalArc(((0, 0), (2, 0), (1, 2)), closed=True)
         assert validate_simple(arc).ok
+        # the arrowhead's segments 0 and 3 also have overlapping boxes
+        assert validate_simple(WRAP_ARROWHEAD).ok
+
+    # junction 0 folds segment 0 back along the wrap segment 3; junction
+    # n-1 folds the wrap segment back along segment 2
+    @pytest.mark.parametrize("arc, fold", [
+        (WRAP_BACKTRACK_FIRST, Violation(
+            "backtrack", (3, 0), "segment 0 folds back along segment 3")),
+        (WRAP_BACKTRACK_LAST, Violation(
+            "backtrack", (2, 3), "segment 3 folds back along segment 2")),
+    ], ids=["junction_0", "junction_n-1"])
+    def test_closed_backtrack_at_the_wrap(self, arc, fold):
+        report = validate_simple(arc)
+        assert [v for v in report.violations if v.kind == "backtrack"] == [fold]
+
+    def test_closed_duplicate_across_the_wrap(self):
+        report = validate_simple(WRAP_DUPLICATE)
+        assert report.violations == (
+            Violation("duplicate_node", (3, 0), "nodes 3 and 0 coincide"),)
 
 
 class TestCandidatePrefilter:
@@ -450,6 +481,10 @@ class TestBatchedValidation:
 
     @settings(max_examples=200, deadline=None)
     @example(arc=NEAR_TIE)
+    @example(arc=WRAP_BACKTRACK_FIRST)
+    @example(arc=WRAP_BACKTRACK_LAST)
+    @example(arc=WRAP_DUPLICATE)
+    @example(arc=WRAP_ARROWHEAD)
     @given(arc=jittered_grid_arcs())
     def test_matches_scalar_reference(self, arc):
         # at 1e-150 the filter's band is subnormal, so the scalar test
@@ -467,8 +502,10 @@ class TestBatchedValidation:
 
     def test_near_tie_goes_to_the_scalar_test(self, monkeypatch):
         # the turn of (0.5, 2.1e-9) about segment 0: |cross| = 2.1e-9 and
-        # band = eps_len * max(1, ~0.5)
-        eps = NEAR_TIE.tolerance().eps_len
+        # band = eps_len * max(1, ~0.5); a fresh arc object, so that no
+        # report stored by an earlier call is returned unscanned
+        arc = PolygonalArc(NEAR_TIE.nodes)
+        eps = arc.tolerance().eps_len
         assert eps < 2.1e-9 <= 2 * eps
         seen = []
 
@@ -477,8 +514,25 @@ class TestBatchedValidation:
             return segments_intersect(s1, s2, tol)
 
         monkeypatch.setattr(arcio, "segments_intersect", spy)
-        assert validate_simple(NEAR_TIE).ok
-        assert seen == [(NEAR_TIE.segment(0), NEAR_TIE.segment(3))]
+        assert validate_simple(arc).ok
+        assert seen == [(arc.segment(0), arc.segment(3))]
+
+    def test_only_unclear_junctions_go_to_the_scalar_test(self, monkeypatch):
+        # the wrap junctions 0 and n-1 of a closed arc are filtered like
+        # the others: a right-angle turn is clear, a fold is not
+        seen = []
+
+        def spy(a, b, c, tol):
+            seen.append(b)
+            return orient(a, b, c, tol)
+
+        monkeypatch.setattr(arcio, "orient", spy)
+        square = PolygonalArc(((0, 0), (1, 0), (1, 1), (0, 1)), closed=True)
+        assert validate_simple(square).ok
+        assert seen == []
+        folded = PolygonalArc(WRAP_BACKTRACK_FIRST.nodes, closed=True)
+        assert not validate_simple(folded).ok
+        assert seen == [folded.nodes[0]]
 
     def test_star_fans(self):
         nodes = _star_fan(120, random.Random(3))
@@ -492,6 +546,57 @@ class TestBatchedValidation:
         assert not report.ok
         assert {v.kind for v in report.violations} == {"segments_cross"}
         assert report == _scalar_report(crossed, crossed.tolerance())
+
+
+class TestValidationCache:
+    """validate_simple keeps the report of the last arc object it scanned,
+    with the tolerance it scanned at."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        seen = []
+        scan = arcio._scan_simple
+
+        def spy(arc, tol):
+            seen.append(arc)
+            return scan(arc, tol)
+
+        monkeypatch.setattr(arcio, "_scan_simple", spy)
+        return seen
+
+    def test_generated_arc_is_scanned_once(self, scans):
+        arc = generate_arc(20, 5, "uncross")
+        analyze_arc(arc)
+        assert [a for a in scans if a is arc] == [arc]
+
+    def test_other_tolerance_scans_again(self, scans):
+        arc = PolygonalArc(((0, 0), (1, 0), (1, 1)))
+        tol = arc.tolerance()
+        validate_simple(arc)
+        validate_simple(arc, Tolerance(tol.eps_len))    # equal: stored
+        assert scans == [arc]
+        validate_simple(arc, Tolerance(2 * tol.eps_len))
+        assert scans == [arc, arc]
+
+    def test_equal_arc_object_scans_again(self, scans):
+        arc = PolygonalArc(((0, 0), (1, 0), (1, 1)))
+        twin = PolygonalArc(arc.nodes)
+        assert twin == arc and twin is not arc
+        validate_simple(arc)
+        validate_simple(twin)
+        assert len(scans) == 2 and scans[1] is twin
+
+    def test_stored_report_equals_a_fresh_scan(self, scans):
+        arc = PolygonalArc(((0, 0), (2, 2), (2, 0), (0, 2)))
+        report = validate_simple(arc)
+        assert validate_simple(arc) is report and scans == [arc]
+        assert not report.ok
+        assert report == arcio._scan_simple(arc, arc.tolerance())
+
+    def test_closed_solve_scans_the_star_polygon_once(self, scans):
+        arc = random_star_polygon(12, 4)
+        solve_closed(arc)
+        assert [a for a in scans if a is arc] == [arc]
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from test_hull import jittered_grid_nodes
 
+from arcsupport import oracle
 from arcsupport.arcgen import STRATEGIES, generate_arc
 from arcsupport.arcio import PolygonalArc, validate_simple
 from arcsupport.errors import (DegenerateHullError, InvalidArcError,
@@ -18,7 +19,6 @@ from arcsupport.geom import Line, Tolerance, angle_dist_mod180
 from arcsupport.hull import convex_hull, support_contact
 from arcsupport.oracle import (
     OraclePair,
-    _hull,
     brute_force_configs,
     brute_force_pairs,
     compare_with_solver,
@@ -267,11 +267,32 @@ class TestHullCache:
 
         monkeypatch.setattr("arcsupport.oracle.convex_hull", counting)
         monkeypatch.setattr(PolygonalArc, "tolerance", counting_tolerance)
-        _hull.cache_clear()
+        monkeypatch.setattr(oracle, "_last_hull", (None, None, None))
         for phi in (0.0, 10.0, 30.0, 45.0, 90.0, 135.0):
             brute_force_pairs(arc, phi)
         assert len(calls) == 1
         assert len(derived) == 1
+
+    def test_cache_keys_on_the_arc_object_and_the_tolerance(self,
+                                                            monkeypatch):
+        arc = generate_arc(1000, 3, "zigzag")
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return convex_hull(*args, **kwargs)
+
+        monkeypatch.setattr("arcsupport.oracle.convex_hull", counting)
+        tol = arc.tolerance()
+        brute_force_pairs(arc, 30.0, tol)
+        brute_force_pairs(arc, 60.0, tol)
+        assert len(calls) == 1
+        brute_force_pairs(arc, 60.0, Tolerance(2 * tol.eps_len))
+        assert len(calls) == 2
+        # an equal arc is another object: the key is identity, not the nodes
+        brute_force_pairs(PolygonalArc(arc.nodes), 60.0,
+                          Tolerance(2 * tol.eps_len))
+        assert len(calls) == 3
 
 
 # SHA-256 over every per-angle output on the criterion-4 arcs: the
