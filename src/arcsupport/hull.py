@@ -100,22 +100,16 @@ class SupportContact(NamedTuple):
     node_ids: tuple[int, ...]
 
 
-def support_contact(hull: ConvexHull, dir_deg: float,
-                    side: str) -> SupportContact:
-    """Support line of ``hull`` with direction ``dir_deg``.
-
-    ``side`` names the side of the directed line the hull lies on: 'left'
-    anchors the line so every hull point sits at non-negative leftward
-    offset, 'right' the opposite.  When an incident hull edge runs parallel
-    to the line within the angle tolerance the contact is that whole edge
-    (two vertices); otherwise it is the single extreme vertex.  A bisection
-    of ``unwrapped`` finds the extreme vertex, and the parallel test reads
-    the turns to its two neighbouring entries of that table: an edge joins
-    when its turn mod 180 is within ``eps_angle`` of 0.  The edge-or-vertex
-    decision is purely angular so that it transitions at exactly the same
-    prescribed angles as the strip-diagram queries, regardless of how
-    short the grazed edge is.  A non-finite direction raises ValueError.
-    """
+def support_vertices(hull: ConvexHull, dir_deg: float,
+                     side: str) -> list[int]:
+    """Hull indices of the vertices that ``support_contact``'s line
+    touches, the extreme vertex first.  A bisection of ``unwrapped`` finds
+    the extreme vertex, and the parallel test reads the turns to its two
+    neighbouring entries of that table: an edge joins when its turn mod
+    180 is within ``eps_angle`` of 0.  The test is purely angular so that
+    it transitions at exactly the same prescribed angles as the
+    strip-diagram queries, regardless of how short the grazed edge is.
+    A non-finite direction raises ValueError."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
     if not math.isfinite(dir_deg):
@@ -135,16 +129,30 @@ def support_contact(hull: ConvexHull, dir_deg: float,
     before = target - (table[pos - 1] if pos else table[-1] - 360.0)
     after = (table[pos] if pos < k else first + 360.0) - target
     eps = hull.tol.eps_angle
-    joins_before = before <= eps or before >= 180.0 - eps
-    joins_after = after <= eps or after >= 180.0 - eps
-    if not (joins_before or joins_after):
-        x, y = hull.points[extreme]
-        return SupportContact(Line(x, y, dir_deg), (hull.node_ids[extreme],))
     ids = [extreme]
-    if joins_before:
+    if before <= eps or before >= 180.0 - eps:
         ids.append((extreme - 1) % k)
-    if joins_after:
+    if after <= eps or after >= 180.0 - eps:
         ids.append((extreme + 1) % k)
+    return ids
+
+
+def support_contact(hull: ConvexHull, dir_deg: float,
+                    side: str) -> SupportContact:
+    """Support line of ``hull`` with direction ``dir_deg``.
+
+    ``side`` names the side of the directed line the hull lies on: 'left'
+    anchors the line so every hull point sits at non-negative leftward
+    offset, 'right' the opposite.  When an incident hull edge runs parallel
+    to the line within the angle tolerance the contact is that whole edge
+    (two vertices); otherwise it is the single extreme vertex.  The test is
+    staged: ``support_vertices`` finds the vertices, and this orders them
+    along the line and anchors the line at the first.
+    """
+    ids = support_vertices(hull, dir_deg, side)
+    if len(ids) == 1:
+        x, y = hull.points[ids[0]]
+        return SupportContact(Line(x, y, dir_deg), (hull.node_ids[ids[0]],))
     u = unit_vector(dir_deg)
     ids.sort(key=lambda i: (hull.points[i].x * u.x
                             + hull.points[i].y * u.y, i))

@@ -1,15 +1,16 @@
 """Independent brute-force reference for support-line pairs.
 
 Instead of the guide-path machinery, this module tries the hull edges as
-the two-contact line m: for a prescribed angle it builds both rotated
-candidate directions, takes the far-side support line n for each, and
-keeps the configuration whenever n touches the arc at a node strictly
-between m's contact nodes.  Contacts are hull vertices, so the search
-skips the edges whose two nodes bracket no other hull vertex in arc
-order: they yield no configuration at any angle; the bracketing edges are
-worked out once per hull.  Distinct configurations can describe one
-unordered pair of lines (exactly at strip-boundary angles), so the
-deduplicated pair list is reported alongside the raw finds.
+the two-contact line m.  For a prescribed angle it takes both rotated
+candidate directions and, in two stages, the far-side support line n of
+each: first the hull vertices n touches, then, only when one of them is a
+node strictly between m's contact nodes, n itself and the configuration.
+Contacts are hull vertices, so the search skips the edges whose two nodes
+bracket no other hull vertex in arc order: they yield no configuration at
+any angle; the bracketing edges are worked out once per hull.  Distinct
+configurations can describe one unordered pair of lines (exactly at
+strip-boundary angles), so the deduplicated pair list is reported
+alongside the raw finds.
 The search shares only the geometry and hull modules, and the hull itself,
 with the solver; it never reads the guide path, locales or strip diagram.
 """
@@ -22,7 +23,8 @@ from .arcio import PolygonalArc
 from .errors import UnsupportedArcError
 from .geom import (DIRECTION_AGREE_DEG, Line, Tolerance, lines_equal,
                    same_line_pair)
-from .hull import ConvexHull, convex_hull, support_contact
+from .hull import (ConvexHull, convex_hull, support_contact,
+                   support_vertices)
 from .solver import analyze_arc, solve_at_angle
 
 
@@ -52,15 +54,17 @@ def brute_force_configs(hull: ConvexHull, phi_deg: float) -> list[OraclePair]:
     if not 0.0 <= phi_deg < 180.0:
         raise ValueError(f"angle must lie in [0, 180), got {phi_deg}")
     found: list[OraclePair] = []
+    node_ids = hull.node_ids
     for m, node_a, node_b, lo, hi in _bracketing_edges(hull):
         for d in ((m.dir_deg,) if phi_deg == 0.0
                   else (m.dir_deg + phi_deg, m.dir_deg - phi_deg)):
-            contact = support_contact(hull, d, "right")
-            between = [c for c in contact.node_ids if lo < c < hi]
+            between = [c for i in support_vertices(hull, d, "right")
+                       if lo < (c := node_ids[i]) < hi]
             if not between:
                 continue
-            found.append(OraclePair(m=m, n=contact.line, u=node_a,
-                                    v=min(between), w=node_b))
+            n = support_contact(hull, d, "right").line
+            found.append(OraclePair(m=m, n=n, u=node_a, v=min(between),
+                                    w=node_b))
     return found
 
 
@@ -149,14 +153,19 @@ def compare_with_solver(arc: PolygonalArc, phi_deg: float,
 
     unmatched = list(deduped)
     for pair in solved.pairs:
-        hit = next((other for other in unmatched
-                    if same_line_pair(pair.m, pair.n, other.m, other.n,
-                                      *match)), None)
-        if hit is None:
+        # same_line_pair written out; a same-role hit on configs[0] is
+        # also the first role-preserving find
+        for hit in unmatched:
+            same_roles = (lines_equal(pair.m, hit.m, *match)
+                          and lines_equal(pair.n, hit.n, *match))
+            if same_roles or (lines_equal(pair.m, hit.n, *match)
+                              and lines_equal(pair.n, hit.m, *match)):
+                break
+        else:
             return fail(f"solver pair has no brute-force match at {phi_deg}")
         unmatched.remove(hit)
 
-        role_hit = next(
+        role_hit = hit if same_roles and hit is configs[0] else next(
             (c for c in configs
              if lines_equal(pair.m, c.m, *match)
              and lines_equal(pair.n, c.n, *match)), None)

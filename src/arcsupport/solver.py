@@ -12,6 +12,7 @@ parallel pair is defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arcio import PolygonalArc, validate_simple
 from .errors import InvalidArcError, UnsupportedArcError, ensure
@@ -37,6 +38,25 @@ class Analysis:
     decomposition: LocaleDecomposition
     table: TiltTable
     diagram: SchematicDiagram
+
+    @cached_property
+    def bases(self) -> tuple[tuple, ...]:
+        """Per locale, what ``realize_solution`` reads at every angle:
+        (index, base line m from pu, pu, node_u, node_w, m's unit vector
+        mu, base length along mu, cap nodes, contact side)."""
+        hull, sigma = self.hull, self.guide.sigma
+        bases = []
+        for locale in self.decomposition.locales:
+            hu, hw = locale.base
+            pu, pw = hull.points[hu], hull.points[hw]
+            m = Line(pu.x, pu.y, hull.edge_dir(hu, hw))
+            mu = unit_vector(m.dir_deg)
+            bases.append((
+                locale.index, m, pu, hull.node_ids[hu], hull.node_ids[hw], mu,
+                (pw.x - pu.x) * mu.x + (pw.y - pu.y) * mu.y,
+                frozenset(hull.node_ids[h] for h in locale.cap),
+                "right" if sigma * locale.cap_sign > 0 else "left"))
+        return tuple(bases)
 
 
 @dataclass(frozen=True)
@@ -116,25 +136,18 @@ def realize_solution(analysis: Analysis,
                      abstract: AbstractSolution) -> SupportPairSolution:
     """Turn a diagram solution into concrete lines and contact nodes."""
     guide = analysis.guide
-    hull = analysis.hull
-    sigma = guide.sigma
-    locale = analysis.decomposition.locales[abstract.locale_index - 1]
-    hu, hw = locale.base
-    pu, pw = hull.points[hu], hull.points[hw]
-    node_u, node_w = hull.node_ids[hu], hull.node_ids[hw]
+    index, m, pu, node_u, node_w, mu, length, cap_nodes, side = \
+        analysis.bases[abstract.locale_index - 1]
 
-    m = Line(pu.x, pu.y, hull.edge_dir(hu, hw))
-
-    n_dir = normalize_angle(guide.axis_deg + sigma * abstract.contact_angle)
-    side = "right" if sigma * locale.cap_sign > 0 else "left"
-    contact = support_contact(hull, n_dir, side)
+    n_dir = normalize_angle(guide.axis_deg + guide.sigma
+                            * abstract.contact_angle)
+    contact = support_contact(analysis.hull, n_dir, side)
 
     candidates = [c for c in contact.node_ids if node_u < c < node_w]
     ensure(len(candidates) > 0,
            "no contact of the rotating line lies strictly between the "
            "base contacts")
     node_v = min(candidates)
-    cap_nodes = {hull.node_ids[h] for h in locale.cap}
     ensure(node_v in cap_nodes, "chosen contact is outside the locale's cap")
 
     gap = abs(normalize_angle(contact.line.dir_deg - m.dir_deg))
@@ -145,9 +158,7 @@ def realize_solution(analysis: Analysis,
     if apex is None:
         apex_side = "none"
     else:
-        mu = unit_vector(m.dir_deg)
         along = (apex.x - pu.x) * mu.x + (apex.y - pu.y) * mu.y
-        length = (pw.x - pu.x) * mu.x + (pw.y - pu.y) * mu.y
         eps = analysis.tol.eps_len
         # The rotating line keeps both base contacts on one side, so it
         # can only cross the base line beyond one end of the contact
@@ -163,7 +174,7 @@ def realize_solution(analysis: Analysis,
         else:
             apex_side = "right"
     return SupportPairSolution(m=m, n=contact.line, u=node_u, v=node_v,
-                               w=node_w, locale=locale.index, apex=apex,
+                               w=node_w, locale=index, apex=apex,
                                apex_side=apex_side,
                                ordinate=abstract.ordinate)
 

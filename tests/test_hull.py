@@ -15,7 +15,8 @@ from arcsupport.errors import DegenerateHullError, InvalidArcError
 from arcsupport.geom import (Line, Point, Tolerance, angle_dist_mod180,
                              bbox_diagonal, direction_deg, line_offset,
                              orient, unit_vector)
-from arcsupport.hull import SupportContact, convex_hull, support_contact
+from arcsupport.hull import (SupportContact, convex_hull, support_contact,
+                             support_vertices)
 from arcsupport.oracle import compare_with_solver
 from arcsupport.solver import analyze_arc
 
@@ -373,6 +374,8 @@ class TestSupportContact:
         hull = convex_hull((Point(0, 0), Point(1, 0), Point(0, 1)))
         with pytest.raises(ValueError):
             support_contact(hull, 0.0, "top")
+        with pytest.raises(ValueError):
+            support_vertices(hull, 0.0, "top")
 
     def test_hull_on_claimed_side_random(self):
         rng = random.Random(23)
@@ -448,6 +451,8 @@ class TestEdgeDirectionTable:
         for side in ("left", "right"):
             with pytest.raises(ValueError):
                 support_contact(hull, bad, side)
+            with pytest.raises(ValueError):
+                support_vertices(hull, bad, side)
 
     @settings(max_examples=300, deadline=None)
     @given(jittered_grid_nodes())
@@ -487,3 +492,52 @@ class TestEdgeDirectionTable:
                 assert set(got.node_ids) & _exact_extremes(hull, d, side)
                 anchor = Point(got.line.px, got.line.py)
                 assert abs(line_offset(ref.line, anchor)) <= slack
+
+
+def _assert_vertices_match_contact(hull, d):
+    for side in ("left", "right"):
+        ids = support_vertices(hull, d, side)
+        assert len(set(ids)) == len(ids)
+        assert ({hull.node_ids[i] for i in ids}
+                == set(support_contact(hull, d, side).node_ids))
+
+
+class TestSupportVertices:
+    """support_vertices is the first stage of support_contact: the same
+    vertices, before the line is built."""
+
+    def test_edge_directions(self):
+        rng = random.Random(37)
+        for trial in range(40):
+            hull = convex_hull(random_convex_polygon(rng.randint(3, 15),
+                                                     5000 + trial))
+            for d in _edge_queries(hull):
+                _assert_vertices_match_contact(hull, d)
+
+    def test_random_directions(self):
+        rng = random.Random(41)
+        for trial in range(40):
+            hull = convex_hull(random_convex_polygon(rng.randint(3, 15),
+                                                     7000 + trial))
+            for _ in range(20):
+                _assert_vertices_match_contact(hull,
+                                               rng.uniform(-540.0, 540.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(jittered_grid_nodes())
+    def test_jittered_grids(self, nodes):
+        try:
+            hull = convex_hull(nodes)
+        except DegenerateHullError:
+            return
+        for d in list(_edge_queries(hull)) + [float(d)
+                                              for d in range(-180, 180, 15)]:
+            _assert_vertices_match_contact(hull, d)
+
+    def test_square(self):
+        # hull indices, the extreme vertex first
+        square = convex_hull((Point(0, 0), Point(1, 0), Point(1, 1),
+                              Point(0, 1)))
+        assert support_vertices(square, 45.0, "left") == [1]
+        assert support_vertices(square, 0.0, "left") == [0, 1]
+        assert support_vertices(square, 90.0, "right") == [3, 0]

@@ -244,6 +244,94 @@ class TestAgreement:
         assert report.ok, report.message
 
 
+def _shifted(line, dy):
+    return Line(line.px, line.py + dy, line.dir_deg)
+
+
+def _swapped(config):
+    return dataclasses.replace(config, m=config.n, n=config.m)
+
+
+class TestFailureMessages:
+    """Each verdict of compare_with_solver on crafted raw configurations
+    for the pentagon at 30 degrees, whose two solver pairs the oracle
+    finds as configs a and b, in that order."""
+
+    @pytest.fixture
+    def judge(self, pentagon_arc, monkeypatch):
+        analysis = analyze_arc(pentagon_arc)
+        a, b = brute_force_configs(analysis.hull, 30.0)
+
+        def judge(make):
+            monkeypatch.setattr(oracle, "brute_force_configs",
+                                lambda hull, phi: make(a, b))
+            return compare_with_solver(pentagon_arc, 30.0,
+                                       analysis=analysis)
+        return judge
+
+    @pytest.mark.parametrize("make", [
+        lambda a, b: [a, b],
+        # m's contacts are an unordered pair
+        lambda a, b: [dataclasses.replace(a, u=a.w, w=a.u), b],
+        # the unordered match is the swapped config, the role-preserving
+        # find the later one, whose nodes are the ones checked
+        lambda a, b: [_swapped(a), a, b],
+        lambda a, b: [dataclasses.replace(_swapped(a), v=99), a, b],
+        # only the first role-preserving config is read
+        lambda a, b: [a, dataclasses.replace(a, v=99), b],
+        lambda a, b: [a, b, dataclasses.replace(b, v=99)],
+    ])
+    def test_agreement(self, judge, make):
+        report = judge(make)
+        assert report.ok, report.message
+        assert report.message == ""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda a, b: [], "pair counts differ"),
+        (lambda a, b: [a], "pair counts differ"),
+        (lambda a, b: [a, b, dataclasses.replace(a, n=_shifted(a.n, 1.0))],
+         "pair counts differ"),
+        (lambda a, b: [dataclasses.replace(a, n=_shifted(a.n, 1.0)), b],
+         "solver pair has no brute-force match at 30.0"),
+        (lambda a, b: [a, dataclasses.replace(b, m=_shifted(b.m, 1.0))],
+         "solver pair has no brute-force match at 30.0"),
+        (lambda a, b: [_swapped(a), _swapped(b)],
+         "no role-preserving brute-force find at 30.0"),
+        (lambda a, b: [a, _swapped(b)],
+         "no role-preserving brute-force find at 30.0"),
+        # the pairs are judged in turn, each through all its checks
+        (lambda a, b: [_swapped(a), dataclasses.replace(b, n=_shifted(
+            b.n, 1.0))], "no role-preserving brute-force find at 30.0"),
+        (lambda a, b: [dataclasses.replace(a, u=7), b],
+         "contact nodes of m differ at angle 30.0"),
+        (lambda a, b: [a, dataclasses.replace(b, w=a.u)],
+         "contact nodes of m differ at angle 30.0"),
+        (lambda a, b: [dataclasses.replace(a, u=7, v=99), b],
+         "contact nodes of m differ at angle 30.0"),
+        (lambda a, b: [dataclasses.replace(a, v=99), b],
+         "contact node of n differs at angle 30.0"),
+        (lambda a, b: [a, dataclasses.replace(b, v=a.v)],
+         "contact node of n differs at angle 30.0"),
+        # a later config with the right nodes does not rescue the first
+        (lambda a, b: [dataclasses.replace(a, v=99), a, b],
+         "contact node of n differs at angle 30.0"),
+        (lambda a, b: [a, dataclasses.replace(b, u=7), b],
+         "contact nodes of m differ at angle 30.0"),
+    ])
+    def test_failure(self, judge, make, message):
+        report = judge(make)
+        assert not report.ok
+        assert report.message == message
+        assert (report.phi, report.case, report.solver_count) == (30.0, "B",
+                                                                  2)
+
+    def test_failure_reports_the_deduplicated_count(self, judge):
+        report = judge(lambda a, b: [a, _swapped(a), a])
+        assert dataclasses.asdict(report) == {
+            "phi": 30.0, "case": "B", "solver_count": 2, "oracle_count": 1,
+            "ok": False, "message": "pair counts differ"}
+
+
 class TestHullCache:
     def test_angle_sweep_builds_one_hull(self, monkeypatch):
         # each call derives a fresh Tolerance; the cache must key on its

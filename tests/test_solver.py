@@ -8,17 +8,26 @@ angle) using inline arithmetic only.
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
 import pytest
+from hypothesis import given, settings
+from test_hull import jittered_grid_nodes
 
 from arcsupport import arcio, solver
 from arcsupport.arcgen import generate_arc
 from arcsupport.arcio import PolygonalArc
 from arcsupport.errors import (DegenerateHullError, InvalidArcError,
-                               UnsupportedArcError)
-from arcsupport.geom import Point
+                               StructuralViolationError, UnsupportedArcError,
+                               ensure)
+from arcsupport.geom import (DIRECTION_AGREE_DEG, Line, Point, Tolerance,
+                             lines_intersection, normalize_angle,
+                             unit_vector)
+from arcsupport.hull import support_contact
+from arcsupport.schematic import query_angle
 from arcsupport.solver import (
     analyze_arc,
+    realize_solution,
     solve_at_angle,
     solve_closed,
     solve_parallel,
@@ -347,3 +356,123 @@ class TestFuzzedDefinition:
                 for pair in result.pairs:
                     _check_pair_definition(arc, pair, phi,
                                            analysis.tol.eps_len * 10)
+
+
+def _reference_realize(analysis, abstract):
+    """realize_solution as it read before the per-locale constants moved
+    into Analysis.bases: every constant worked out on every call."""
+    guide = analysis.guide
+    hull = analysis.hull
+    sigma = guide.sigma
+    locale = analysis.decomposition.locales[abstract.locale_index - 1]
+    hu, hw = locale.base
+    pu, pw = hull.points[hu], hull.points[hw]
+    node_u, node_w = hull.node_ids[hu], hull.node_ids[hw]
+
+    m = Line(pu.x, pu.y, hull.edge_dir(hu, hw))
+
+    n_dir = normalize_angle(guide.axis_deg + sigma * abstract.contact_angle)
+    side = "right" if sigma * locale.cap_sign > 0 else "left"
+    contact = support_contact(hull, n_dir, side)
+
+    candidates = [c for c in contact.node_ids if node_u < c < node_w]
+    ensure(len(candidates) > 0,
+           "no contact of the rotating line lies strictly between the "
+           "base contacts")
+    node_v = min(candidates)
+    cap_nodes = {hull.node_ids[h] for h in locale.cap}
+    ensure(node_v in cap_nodes, "chosen contact is outside the locale's cap")
+
+    gap = abs(normalize_angle(contact.line.dir_deg - m.dir_deg))
+    ensure(abs(gap - abs(abstract.ordinate)) <= DIRECTION_AGREE_DEG,
+           "realized lines do not meet at the prescribed angle")
+
+    apex = lines_intersection(m, contact.line)
+    if apex is None:
+        apex_side = "none"
+    else:
+        mu = unit_vector(m.dir_deg)
+        along = (apex.x - pu.x) * mu.x + (apex.y - pu.y) * mu.y
+        length = (pw.x - pu.x) * mu.x + (pw.y - pu.y) * mu.y
+        eps = analysis.tol.eps_len
+        ensure(along <= eps or along >= length - eps,
+               "apex falls strictly between the base contacts")
+        mid = 0.5 * length
+        if abs(along - mid) <= eps:
+            apex_side = "left" if abstract.ordinate > 0 else "right"
+        elif along < mid:
+            apex_side = "left"
+        else:
+            apex_side = "right"
+    return solver.SupportPairSolution(
+        m=m, n=contact.line, u=node_u, v=node_v, w=node_w,
+        locale=locale.index, apex=apex, apex_side=apex_side,
+        ordinate=abstract.ordinate)
+
+
+def _outcome(realize, analysis, abstract):
+    """The solution, with the bits of its apex, or the violation."""
+    try:
+        pair = realize(analysis, abstract)
+    except StructuralViolationError as exc:
+        return str(exc)
+    apex = None if pair.apex is None else tuple(map(float.hex, pair.apex))
+    return pair, apex
+
+
+def _sweep_outcomes(analysis):
+    """Both realizations of every solution at the sweep's 182 angles."""
+    table = analysis.table
+    for phi in ([float(g) for g in range(180)]
+                + [table.phi_left, -table.phi_right]):
+        for abstract in query_angle(analysis.diagram, phi).solutions:
+            yield (_outcome(realize_solution, analysis, abstract),
+                   _outcome(_reference_realize, analysis, abstract))
+
+
+class TestLocaleBases:
+    """realize_solution reads each locale's constants from Analysis.bases
+    and must give what working them out on every call gave, bit for bit."""
+
+    def test_star_fan(self, star_fan_700):
+        outcomes = list(_sweep_outcomes(analyze_arc(star_fan_700)))
+        assert len(outcomes) >= 182
+        for got, ref in outcomes:
+            assert got == ref
+
+    @settings(max_examples=150, deadline=None)
+    @given(jittered_grid_nodes())
+    def test_jittered_grid_arcs(self, nodes):
+        try:
+            analysis = analyze_arc(PolygonalArc(nodes))
+        except (InvalidArcError, DegenerateHullError):
+            return
+        for got, ref in _sweep_outcomes(analysis):
+            assert got == ref
+
+    def test_generated_arcs(self):
+        for n in range(5, 51, 5):
+            for strategy in ("zigzag", "uncross"):
+                analysis = analyze_arc(generate_arc(n, 900 + n, strategy))
+                for got, ref in _sweep_outcomes(analysis):
+                    assert got == ref
+
+    def test_each_analysis_has_its_own(self):
+        # the larger tolerance drops node 2 from the hull, so one hull
+        # index names another node in each analysis
+        arc = PolygonalArc([(0, 0), (1, 1), (2, 1.001), (2, -1), (3, 1),
+                            (4, 0)])
+        fine = analyze_arc(arc)
+        coarse = analyze_arc(arc, Tolerance(0.01))
+        assert fine.hull.node_ids != coarse.hull.node_ids
+        gots = {id(fine): [], id(coarse): []}
+        # the two analyses take turns, angle by angle
+        for outcomes in zip_longest(_sweep_outcomes(fine),
+                                    _sweep_outcomes(coarse)):
+            for analysis, outcome in zip((fine, coarse), outcomes):
+                if outcome is not None:
+                    got, ref = outcome
+                    assert got == ref
+                    gots[id(analysis)].append(got)
+        assert gots[id(fine)] != gots[id(coarse)]
+        assert fine.bases != coarse.bases
