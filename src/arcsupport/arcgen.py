@@ -6,10 +6,12 @@ integers alone.  Strategies:
 
 * ``uncross``: i.i.d. uniform nodes whose path is repeatedly 2-opt
   reversed until no two segments properly cross.  Each reversal strictly
-  shortens the path, so the loop terminates.  Each step finds the first
-  crossing with one vectorised pass over all segment pairs: a
-  (2, 2, n, n) float array of start and end offsets and a few n x n ones,
-  about 64 n^2 bytes at its peak, so n is capped at ``UNCROSS_MAX_NODES``.
+  shortens the path, so the loop terminates.  A run builds once an
+  (n - 1) x n float matrix of the turn of every node against every
+  segment's line; each step reverses its columns i+1..j, recomputes rows
+  i..j and finds the first crossing with a few n x n passes over it.
+  That peaks at about 25 n^2 bytes (tracemalloc, n = 300 and 1000), and
+  n is capped at ``UNCROSS_MAX_NODES``.
 * ``zigzag``: strictly increasing x with alternating-sign y, which is
   simple by construction and tends to produce many locales.
 """
@@ -47,37 +49,56 @@ def _upper(m: int) -> np.ndarray:
     return upper
 
 
-def _first_proper_crossing(pts: np.ndarray) -> tuple[int, int] | None:
+def _sides(pts: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """Turn of every node of the open path ``pts`` against the line of each
+    segment in ``rows``: entry [r, k] is d_i x (p_k - a_i) for segment
+    i = rows[r] from a_i along d_i.  An entry depends only on its own
+    segment and its own node, so it never changes while both keep their
+    coordinates."""
+    a = pts[:-1][rows]
+    d = pts[1:][rows] - a
+    rx = pts[:, 0] - a[:, 0, None]
+    ry = pts[:, 1] - a[:, 1, None]
+    ry *= d[:, 0, None]             # in place: two (m, n) planes at most
+    rx *= d[:, 1, None]
+    ry -= rx
+    return ry
+
+
+def _first_crossing(side: np.ndarray) -> tuple[int, int] | None:
     """Lexicographically first pair of non-adjacent properly crossing
-    segments of the open path ``pts``, or None."""
-    m = len(pts) - 1
-    if m < 3:
-        return None
-    a = pts[:-1]
-    d = pts[1:] - a
-
-    # rel[0, :, i, j] = a_j - a_i and rel[1, :, i, j] = (a_j - a_i) + d_j,
-    # as x and y planes; cross[0] and cross[1] are d_i x rel, and segment j
-    # straddles the line of segment i when their signs differ
-    rel = np.empty((2, 2, m, m))
-    np.subtract(a.T[:, None], a.T[:, :, None], out=rel[0])
-    np.add(rel[0], d.T[:, None], out=rel[1])
-    cross = d[:, 0, None] * rel[:, 1] - d[:, 1, None] * rel[:, 0]
-
-    straddle = (cross[0] * cross[1]) < 0
+    segments, from the (m, m + 1) matrix of ``_sides``: segment j straddles
+    the line of segment i when nodes j and j + 1 turn opposite ways."""
+    m = len(side)
+    straddle = (side[:, :-1] * side[:, 1:]) < 0
     proper = straddle & straddle.T & _upper(m)
     h = int(proper.argmax())        # row-major: the first (i, j)
     return divmod(h, m) if proper.flat[h] else None
 
 
+def _first_proper_crossing(pts: np.ndarray) -> tuple[int, int] | None:
+    """Lexicographically first pair of non-adjacent properly crossing
+    segments of the open path ``pts``, or None."""
+    return _first_crossing(_sides(pts)) if len(pts) > 3 else None
+
+
+def _reverse(pts: np.ndarray, side: np.ndarray, i: int, j: int) -> None:
+    """Reverse nodes i+1..j of ``pts`` in place, and bring ``side`` up to
+    date with it: the reversal permutes the columns of every segment it
+    leaves alone, and segments i..j are new or reversed."""
+    pts[i + 1:j + 1] = pts[j:i:-1]
+    side[:, i + 1:j + 1] = side[:, j:i:-1]
+    side[i:j + 1] = _sides(pts, slice(i, j + 1))
+
+
 def _uncross(rng: np.random.Generator, nodes: int) -> np.ndarray | None:
     pts = rng.random((nodes, 2))
+    side = _sides(pts)
     for _ in range(10 * nodes * nodes):
-        hit = _first_proper_crossing(pts)
+        hit = _first_crossing(side)
         if hit is None:
             return pts
-        i, j = hit
-        pts[i + 1:j + 1] = pts[i + 1:j + 1][::-1]
+        _reverse(pts, side, *hit)
     return None
 
 

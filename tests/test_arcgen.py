@@ -13,7 +13,10 @@ from arcsupport.arcgen import (
     RNG_ALGORITHM,
     STRATEGIES,
     UNCROSS_MAX_NODES,
+    _first_crossing,
     _first_proper_crossing,
+    _reverse,
+    _sides,
     generate_arc,
     random_convex_polygon,
     random_star_polygon,
@@ -77,7 +80,7 @@ class TestGenerateArc:
 
     def test_uncross_node_cap(self, monkeypatch):
         # a generation that starts fails at once instead of allocating
-        # the crossing search's arrays, about 64 n^2 bytes at their peak
+        # the crossing search's arrays, about 25 n^2 bytes at their peak
         def no_rng(*args):
             raise AssertionError("generation started")
 
@@ -140,6 +143,20 @@ class TestFirstProperCrossing:
         pts = rng.integers(0, 4, (int(rng.integers(4, 31)), 2)).astype(float)
         assert _first_proper_crossing(pts) == _reference_crossing(pts)
 
+    @pytest.mark.parametrize("n, seed", [(n, s) for n in (60, 200)
+                                         for s in range(3)])
+    def test_kept_matrix_equals_fresh_pass_on_random_paths(self, n, seed):
+        pts = np.random.default_rng(seed).random((n, 2))
+        assert _uncross_checking_every_step(pts) > 0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_kept_matrix_equals_fresh_pass_on_grid_paths(self, seed):
+        # exact zero turns and tied products, where an entry computed
+        # another way would show first
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, 4, (int(rng.integers(4, 31)), 2)).astype(float)
+        _uncross_checking_every_step(pts)
+
     def test_generated_arcs_have_none(self):
         for n in (4, 9, 30):
             pts = np.array(generate_arc(n, seed=n).nodes)
@@ -154,9 +171,22 @@ def _straddle_product(p: list, i: int, j: int) -> float:
     ax, ay = p[i]
     dx, dy = p[i + 1][0] - ax, p[i + 1][1] - ay
     sx, sy = p[j][0] - ax, p[j][1] - ay
-    ex = sx + (p[j + 1][0] - p[j][0])
-    ey = sy + (p[j + 1][1] - p[j][1])
+    ex, ey = p[j + 1][0] - ax, p[j + 1][1] - ay
     return (dx * sy - dy * sx) * (dx * ey - dy * ex)
+
+
+def _uncross_checking_every_step(pts: np.ndarray) -> int:
+    """Run the generator's 2-opt loop on ``pts`` and check the kept side
+    matrix against a fresh pass after every reversal; the step count."""
+    side = _sides(pts)
+    for step in range(10 * len(pts) ** 2):
+        hit = _first_crossing(side)
+        assert hit == _first_proper_crossing(pts)
+        if hit is None:
+            return step
+        _reverse(pts, side, *hit)
+        assert np.array_equal(side, _sides(pts))
+    raise AssertionError("the 2-opt loop did not end")
 
 
 def _all_proper_crossings(pts: np.ndarray) -> list[tuple[int, int]]:
@@ -184,11 +214,27 @@ def test_generator_output_digest():
     arcs += [generate_arc(100, 1, "uncross"), generate_arc(200, 1, "uncross")]
     arcs += [generate_arc(n, n, "zigzag") for n in (3, 10, 50, 1000)]
     arcs += [random_star_polygon(n, n) for n in (3, 10, 50, 500)]
+    assert _digest(arcs) == GENERATOR_DIGEST
+
+
+# the same digest over larger uncross arcs, each of them hundreds of
+# reversals on the kept side matrix
+UNCROSS_LARGE_DIGEST = \
+    "53632927ca4754269881c3f6d079722251f66bef452e3780ac363a423517b332"
+
+
+def test_large_uncross_output_digest():
+    arcs = [generate_arc(n, seed, "uncross")
+            for n, seed in ((300, 1), (400, 1), (400, 2))]
+    assert _digest(arcs) == UNCROSS_LARGE_DIGEST
+
+
+def _digest(arcs: list) -> str:
     h = hashlib.sha256()
     for arc in arcs:
         h.update(struct.pack(f"<?q{2 * len(arc)}d", arc.closed, len(arc),
                              *(c for p in arc.nodes for c in p)))
-    assert h.hexdigest() == GENERATOR_DIGEST
+    return h.hexdigest()
 
 
 class TestRandomConvexPolygon:
