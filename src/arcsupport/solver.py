@@ -121,7 +121,8 @@ def simple_hull(arc: PolygonalArc, tol: Tolerance) -> ConvexHull:
 def analyze_arc(arc: PolygonalArc, tol: Tolerance | None = None) -> Analysis:
     if arc.closed:
         raise UnsupportedArcError(
-            "full analysis requires an open arc; use solve_closed instead")
+            "full analysis requires an open arc; for a closed arc's parallel "
+            "pair, run 'arcsupport solve --phi 0' or call solve_closed()")
     tol = tol or arc.tolerance()
     hull = simple_hull(arc, tol)
     guide = build_guide_path(hull)

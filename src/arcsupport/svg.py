@@ -9,6 +9,8 @@ input twice yields byte-identical files.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .arcio import PolygonalArc
 from .geom import Line, Point, bbox, unit_vector
 from .guidepath import GuidePath
@@ -19,15 +21,19 @@ from .solver import Analysis, SolutionSet
 PAD_FRACTION = 0.05
 
 
-def _fmt(v: float) -> str:
-    # ".6f" rounds the exact binary value half-even, as round(v, 6) does;
-    # only a negative value that rounds to zero needs its sign dropped
-    s = f"{v:.6f}"
-    return "0.000000" if s == "-0.000000" else s
+def _fmt(template: str, *values: float) -> str:
+    """template % values, with every number a "%.6f" placeholder.
+
+    "%.6f" rounds the exact binary value half-even, as round(v, 6) does,
+    and in SVG text a '-' before "0.000000" can only be the sign of a
+    zero, so one replace drops it.
+    """
+    return (template % values).replace("-0.000000", "0.000000")
 
 
-def _pt(x: float, y: float) -> str:
-    return f"{_fmt(x)},{_fmt(-y)}"
+def _flip(points: Iterable[tuple[float, float]]) -> list[float]:
+    """Flat x, -y coordinates of (x, y) points: SVG grows downward."""
+    return [v for x, y in points for v in (x, -y)]
 
 
 def clip_line_to_box(line: Line, xmin: float, ymin: float,
@@ -59,43 +65,27 @@ def clip_line_to_box(line: Line, xmin: float, ymin: float,
 def _header(xmin: float, ymin: float, xmax: float, ymax: float,
             style: str) -> str:
     # y is negated at emit time, so the viewBox flips too
-    vb = (f"{_fmt(xmin)} {_fmt(-ymax)} "
-          f"{_fmt(xmax - xmin)} {_fmt(ymax - ymin)}")
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'viewBox="{vb}">\n<style>\n{style}</style>\n')
+    return _fmt('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+                'viewBox="%.6f %.6f %.6f %.6f">\n<style>\n',
+                xmin, -ymax, xmax - xmin, ymax - ymin) + style + "</style>\n"
 
 
-def _polyline(points: list[tuple[float, float]], cls: str) -> str:
-    pts = " ".join(_pt(x, y) for x, y in points)
-    return f'<polyline class="{cls}" points="{pts}"/>\n'
+def _poly(xy: list[float], cls: str, tag: str = "polyline") -> str:
+    """A polyline or polygon through the flat SVG coordinates xy."""
+    pts = " ".join(["%.6f,%.6f"] * (len(xy) // 2))
+    return _fmt(f'<{tag} class="{cls}" points="{pts}"/>\n', *xy)
 
 
-def _polygon(points: list[tuple[float, float]], cls: str) -> str:
-    pts = " ".join(_pt(x, y) for x, y in points)
-    return f'<polygon class="{cls}" points="{pts}"/>\n'
-
-
-def _circle(x: float, y: float, r: float, cls: str) -> str:
-    return (f'<circle class="{cls}" cx="{_fmt(x)}" cy="{_fmt(-y)}" '
-            f'r="{_fmt(r)}"/>\n')
-
-
-def _arc_and_nodes(nodes: tuple[Point, ...], r: float) -> str:
-    """The arc polyline and a dot of radius r at each node, as _polyline
-    and _circle write them, from one "%.6f" format over every coordinate.
-    "%.6f" converts as _fmt's f"{v:.6f}" does, and in this text a '-' can
-    only be a number's sign, so one replace drops the sign of a zero."""
-    xy = [v for x, y in nodes for v in (x, -y)]
-    dot = f'<circle class="node" cx="%.6f" cy="%.6f" r="{_fmt(r)}"/>\n'
-    template = ('<polyline class="arc" points="'
-                + " ".join(["%.6f,%.6f"] * len(nodes)) + '"/>\n'
-                + dot * len(nodes))
-    return (template % tuple(xy + xy)).replace("-0.000000", "0.000000")
+def _circles(xy: list[float], r: float, cls: str) -> str:
+    """A dot of radius r at each point of the flat SVG coordinates xy."""
+    r_text = _fmt("%.6f", r)
+    dot = f'<circle class="{cls}" cx="%.6f" cy="%.6f" r="{r_text}"/>\n'
+    return _fmt(dot * (len(xy) // 2), *xy)
 
 
 def _segment(a: Point, b: Point, cls: str) -> str:
-    return (f'<line class="{cls}" x1="{_fmt(a.x)}" y1="{_fmt(-a.y)}" '
-            f'x2="{_fmt(b.x)}" y2="{_fmt(-b.y)}"/>\n')
+    return _fmt(f'<line class="{cls}" x1="%.6f" y1="%.6f" '
+                f'x2="%.6f" y2="%.6f"/>\n', a.x, -a.y, b.x, -b.y)
 
 
 def render_scene(arc: PolygonalArc, hull: ConvexHull | None = None,
@@ -108,9 +98,9 @@ def render_scene(arc: PolygonalArc, hull: ConvexHull | None = None,
     pad = PAD_FRACTION * diag
     xmin, ymin, xmax, ymax = xmin - pad, ymin - pad, xmax + pad, ymax + pad
 
-    w1 = _fmt(0.006 * diag)
-    w2 = _fmt(0.003 * diag)
-    dash = f"{_fmt(0.02 * diag)} {_fmt(0.012 * diag)}"
+    w1 = _fmt("%.6f", 0.006 * diag)
+    w2 = _fmt("%.6f", 0.003 * diag)
+    dash = _fmt("%.6f %.6f", 0.02 * diag, 0.012 * diag)
     r_node = 0.008 * diag
     r_mark = 0.014 * diag
     style = (
@@ -129,15 +119,16 @@ def render_scene(arc: PolygonalArc, hull: ConvexHull | None = None,
 
     parts = [_header(xmin, ymin, xmax, ymax, style)]
     if hull is not None:
-        parts.append(_polygon([(p.x, p.y) for p in hull.points], "hull"))
+        parts.append(_poly(_flip(hull.points), "hull", "polygon"))
     if guide is not None and hull is not None:
         head = hull.points[guide.head]
         tail = hull.points[guide.tail]
         parts.append(_segment(head, tail, "axis"))
-        parts.append(_polyline(
-            [(hull.points[h].x, hull.points[h].y) for h in guide.visit],
-            "guide"))
-    parts.append(_arc_and_nodes(arc.nodes, r_node))
+        parts.append(_poly(_flip(hull.points[h] for h in guide.visit),
+                           "guide"))
+    xy = _flip(arc.nodes)
+    parts.append(_poly(xy, "arc"))
+    parts.append(_circles(xy, r_node, "node"))
     if solution is not None:
         for pair in solution.pairs:
             for line, cls in ((pair.m, "m-line"), (pair.n, "n-line")):
@@ -146,11 +137,10 @@ def render_scene(arc: PolygonalArc, hull: ConvexHull | None = None,
                     parts.append(_segment(seg[0], seg[1], cls))
             for node, cls in ((pair.u, "contact-m"), (pair.w, "contact-m"),
                               (pair.v, "contact-n")):
-                p = arc.nodes[node]
-                parts.append(_circle(p.x, p.y, r_mark, cls))
+                parts.append(_circles(_flip([arc.nodes[node]]), r_mark, cls))
             if pair.apex is not None and (xmin <= pair.apex.x <= xmax
                                           and ymin <= pair.apex.y <= ymax):
-                parts.append(_circle(pair.apex.x, pair.apex.y, r_mark, "apex"))
+                parts.append(_circles(_flip([pair.apex]), r_mark, "apex"))
     parts.append("</svg>\n")
     return "".join(parts)
 
@@ -173,9 +163,9 @@ def render_schematic(diagram: SchematicDiagram,
     xmin, ymin = 0.0 - pad, ymin_d - pad
     xmax, ymax = width + pad, ymax_d + pad
 
-    w2 = _fmt(0.003 * diag)
-    w1 = _fmt(0.005 * diag)
-    dash = f"{_fmt(0.015 * diag)} {_fmt(0.01 * diag)}"
+    w2 = _fmt("%.6f", 0.003 * diag)
+    w1 = _fmt("%.6f", 0.005 * diag)
+    dash = _fmt("%.6f %.6f", 0.015 * diag, 0.01 * diag)
     r_mark = 0.012 * diag
     style = (
         f".strip-odd{{fill:#eef3fa;stroke:none}}\n"
@@ -195,9 +185,9 @@ def render_schematic(diagram: SchematicDiagram,
     parts = [_header(xmin, ymin, xmax, ymax, style)]
     for strip in diagram.strips:
         cls = "strip-odd" if strip.index % 2 == 1 else "strip-even"
-        parts.append(_polygon([(strip.x_left, ymin_d), (strip.x_right, ymin_d),
-                               (strip.x_right, ymax_d), (strip.x_left, ymax_d)],
-                              cls))
+        x0, x1 = strip.x_left, strip.x_right
+        parts.append(_poly(_flip([(x0, ymin_d), (x1, ymin_d), (x1, ymax_d),
+                                  (x0, ymax_d)]), cls, "polygon"))
     edges = [0.0] + [s.x_right for s in diagram.strips]
     for x in edges:
         parts.append(_segment(Point(x, ymin_d), Point(x, ymax_d), "strip-edge"))
@@ -205,17 +195,17 @@ def render_schematic(diagram: SchematicDiagram,
 
     upper = [(x, diagram.upper_value(x)) for x in edges]
     lower = [(x, diagram.lower_value(x)) for x in edges]
-    parts.append(_polyline(upper, "upper-profile"))
-    parts.append(_polyline(lower, "lower-profile"))
-    parts.append(_polyline([(0.0, table.phi_left), (width, table.phi_right)],
-                           "delta-profile"))
-    parts.append(_circle(table.phi_left, 0.0, r_mark, "crossing"))
+    parts.append(_poly(_flip(upper), "upper-profile"))
+    parts.append(_poly(_flip(lower), "lower-profile"))
+    parts.append(_poly(_flip([(0.0, table.phi_left),
+                              (width, table.phi_right)]), "delta-profile"))
+    parts.append(_circles(_flip([(table.phi_left, 0.0)]), r_mark, "crossing"))
 
     if query is not None:
         for sol in query.solutions:
             parts.append(_segment(Point(sol.abscissa, ymin_d),
                                   Point(sol.abscissa, ymax_d), "query-rule"))
-            parts.append(_circle(sol.abscissa, sol.ordinate, r_mark,
-                                 "query-point"))
+            parts.append(_circles(_flip([(sol.abscissa, sol.ordinate)]),
+                                  r_mark, "query-point"))
     parts.append("</svg>\n")
     return "".join(parts)

@@ -12,6 +12,7 @@ import json
 import math
 import shlex
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,6 +27,7 @@ from arcsupport.oracle import AgreementReport
 PENTAGON = [[0, 0], [1, 1], [2, -1], [3, 1], [4, 0]]
 SQUARE_CLOSED = [[0, 1], [0, 0], [1, 0], [1, 1]]
 BOWTIE_OPEN = [[0, 0], [2, 2], [2, 0], [0, 2]]
+CLOSED_JSON = Path(__file__).parent / "data/readme/inputs/closed.json"
 
 
 # integers beyond the float range; 5000 digits also exceed int()'s limit
@@ -258,6 +260,24 @@ def test_json_file_with_csv_stdout(command, pentagon_file, tmp_path, capsys):
                           pentagon_file]) == 0
     assert capsys.readouterr().out == csv_stdout
     assert out.read_bytes() == json_stdout.encode()
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze"], ["oracle", "--phi", "30"],
+    ["render", "--what", "schematic", "--svg", "sq"]],
+    ids=["analyze", "oracle", "render-schematic"])
+def test_closed_arc_names_both_routes(command, tmp_path, monkeypatch, capsys):
+    """A closed arc has only the parallel pair: the one error line names
+    the command that solves it and the library function."""
+    monkeypatch.chdir(tmp_path)
+    assert run([*command, str(CLOSED_JSON)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: full analysis requires an open arc; for a closed arc's "
+        "parallel pair, run 'arcsupport solve --phi 0' or call "
+        "solve_closed()\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------------ oracle

@@ -42,6 +42,8 @@ CASES = {
     "oracle": ["oracle", "pent.json", "--phi", "30"],
     "render_schematic": ["render", "pent.json", "--what", "schematic",
                          "--svg", "pent"],
+    "render_scene": ["render", "pent.json", "--what", "scene",
+                     "--svg", "pent"],
     "fuzz": ["fuzz", "--count", "30", "--seed", "1", "--nodes", "5-20",
              "--phi-grid", "15"],
     "analyze_collinear": ["analyze", "collinear.json"],

@@ -16,7 +16,8 @@ from arcsupport.arcio import PolygonalArc
 from arcsupport.geom import Line, Point
 from arcsupport.locales import TiltTable
 from arcsupport.schematic import build_schematic, query_angle
-from arcsupport.solver import analyze_arc, solve_at_angle
+from arcsupport.solver import (analyze_arc, simple_hull, solve_at_angle,
+                               solve_closed_hull)
 from arcsupport.svg import (
     _fmt,
     clip_line_to_box,
@@ -98,16 +99,16 @@ class TestNumberFormat:
                   for w in (v, math.nextafter(v, math.inf),
                             math.nextafter(v, -math.inf))]
         for v in values:
-            assert _fmt(v) == _round_fmt(v), v
+            assert _fmt("%.6f", v) == _round_fmt(v), v
 
     def test_random_values_match_round(self):
         rng = random.Random(15)
         for _ in range(20000):
             v = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-9.0, 12.0)
-            assert _fmt(v) == _round_fmt(v), v
+            assert _fmt("%.6f", v) == _round_fmt(v), v
         for _ in range(5000):   # odd multiples of 2**-7: exact ties
             v = (2 * rng.randrange(-10**9, 10**9) + 1) / 128
-            assert _fmt(v) == _round_fmt(v), v
+            assert _fmt("%.6f", v) == _round_fmt(v), v
 
 
 class TestSceneContent:
@@ -150,29 +151,67 @@ class TestSceneContent:
         assert svg.count('class="node"') == len(pentagon_arc)
 
 
-def _per_number_arc_and_nodes(nodes, r):
-    """The arc polyline and node dots written one number at a time, as
-    _polyline and _circle write them."""
-    pts = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in nodes)
-    dots = "".join(f'<circle class="node" cx="{_fmt(x)}" cy="{_fmt(-y)}" '
-                   f'r="{_fmt(r)}"/>\n' for x, y in nodes)
-    return f'<polyline class="arc" points="{pts}"/>\n' + dots
+def _num(v):
+    """One number as the writer must print it: six decimals, no sign on
+    a zero."""
+    s = f"{v:.6f}"
+    return "0.000000" if s == "-0.000000" else s
+
+
+def _per_number_fmt(template, *values):
+    pieces = template.split("%.6f")
+    assert len(pieces) == len(values) + 1
+    return pieces[0] + "".join(_num(v) + p for v, p in zip(values, pieces[1:]))
+
+
+def _per_number_header(xmin, ymin, xmax, ymax, style):
+    vb = f"{_num(xmin)} {_num(-ymax)} {_num(xmax - xmin)} {_num(ymax - ymin)}"
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'viewBox="{vb}">\n<style>\n{style}</style>\n')
+
+
+def _per_number_poly(xy, cls, tag="polyline"):
+    pts = " ".join(f"{_num(x)},{_num(y)}" for x, y in zip(xy[::2], xy[1::2]))
+    return f'<{tag} class="{cls}" points="{pts}"/>\n'
+
+
+def _per_number_circles(xy, r, cls):
+    return "".join(f'<circle class="{cls}" cx="{_num(x)}" cy="{_num(y)}" '
+                   f'r="{_num(r)}"/>\n' for x, y in zip(xy[::2], xy[1::2]))
+
+
+def _per_number_segment(a, b, cls):
+    return (f'<line class="{cls}" x1="{_num(a.x)}" y1="{_num(-a.y)}" '
+            f'x2="{_num(b.x)}" y2="{_num(-b.y)}"/>\n')
+
+
+PER_NUMBER = {"_fmt": _per_number_fmt, "_header": _per_number_header,
+              "_poly": _per_number_poly, "_circles": _per_number_circles,
+              "_segment": _per_number_segment}
+
+# +-0, +-4e-7 (which prints as -0.000000 before the sign is dropped),
+# subnormals and +-1e15, beside any finite value in that range
+COORD = st.one_of(
+    st.sampled_from([0.0, -0.0, 4e-7, -4e-7, 5e-7, -5e-7, 5e-324, -5e-324,
+                     1e-310, -1e-310, 1e15, -1e15, 1e15 + 0.5]),
+    st.floats(-1e15, 1e15))
 
 
 class TestSceneWriter:
-    """render_scene's one-format arc and node writer against the
-    per-number one."""
+    """Every element the one-template writer emits against a reference
+    that prints one number at a time."""
 
     @staticmethod
     def _both(monkeypatch, render):
         fast = render()
         with monkeypatch.context() as m:
-            m.setattr(svg, "_arc_and_nodes", _per_number_arc_and_nodes)
+            for name, ref in PER_NUMBER.items():
+                m.setattr(svg, name, ref)
             slow = render()
+        assert "-0.000000" not in fast
         return fast, slow
 
     @pytest.mark.parametrize("nodes", [
-        # y of 0.0 and +-4e-7 give -0.000000 before the sign is dropped
         [(0.0, 0.0), (1.0, 4e-7), (2.0, -4e-7), (-4e-7, 1.0), (4e-7, -0.0),
          (-0.0, 2.0)],
         [(1e15, 1e15), (1e15 + 0.5, -1e15 + 0.125), (-1e15, 9.99e14),
@@ -184,7 +223,27 @@ class TestSceneWriter:
         arc = PolygonalArc(nodes)
         fast, slow = self._both(monkeypatch, lambda: render_scene(arc))
         assert fast == slow
-        assert "-0.000000" not in fast
+
+    @pytest.mark.parametrize("phi", [None, 0.0, 30.0, "left"])
+    def test_pentagon_scene(self, monkeypatch, pentagon_arc, phi):
+        analysis = analyze_arc(pentagon_arc)
+        if phi == "left":   # apexes sit on head and tail: apex dots drawn
+            phi = analysis.table.phi_left
+        solution = None if phi is None else solve_at_angle(analysis, phi)
+        fast, slow = self._both(
+            monkeypatch, lambda: render_scene_for(analysis, solution))
+        assert fast == slow
+
+    def test_closed_scene(self, monkeypatch):
+        arc = PolygonalArc([(0, 0), (3, 0), (3, 2), (1.5, 3), (0, 2)],
+                           closed=True)
+        hull = simple_hull(arc, arc.tolerance())
+        solution = solve_closed_hull(hull)
+        for sol in (None, solution):
+            fast, slow = self._both(
+                monkeypatch, lambda: render_scene(arc, hull, None, sol))
+            assert fast == slow
+            assert 'class="hull"' in fast and 'class="guide"' not in fast
 
     @pytest.mark.parametrize("which", ["zigzag 3000", "fan 700"])
     def test_big_scenes(self, monkeypatch, star_fan_700, which):
@@ -197,14 +256,44 @@ class TestSceneWriter:
         assert fast == slow
         assert fast.count('class="node"') == len(arc)
 
+    @pytest.mark.parametrize("phi", [None, 0.0, 40.0, 150.0])
+    def test_schematic(self, monkeypatch, reference_tilts, phi):
+        diagram = build_schematic(TiltTable.from_tilts(reference_tilts))
+        query = None if phi is None else query_angle(diagram, phi)
+        fast, slow = self._both(
+            monkeypatch, lambda: render_schematic(diagram, query))
+        assert fast == slow
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_generated_schematics(self, monkeypatch, seed):
+        diagram = analyze_arc(generate_arc(12, seed, "zigzag")).diagram
+        for query in (None, query_angle(diagram, 20.0)):
+            fast, slow = self._both(
+                monkeypatch, lambda: render_schematic(diagram, query))
+            assert fast == slow
+
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.floats(-1e16, 1e16), st.floats(-1e-5, 1e-5)),
-                    min_size=2, max_size=30))
-    def test_drawn_coordinates(self, nodes):
-        arc = PolygonalArc(nodes)
-        r = 0.008 * 3.5
-        assert (svg._arc_and_nodes(arc.nodes, r)
-                == _per_number_arc_and_nodes(arc.nodes, r))
+    @given(st.lists(st.tuples(COORD, COORD), min_size=2, max_size=30),
+           st.floats(1e-12, 1e15))
+    def test_drawn_coordinates(self, nodes, r):
+        xy = [v for x, y in nodes for v in (x, -y)]
+        a, b = Point(*nodes[0]), Point(*nodes[-1])
+        (x0, y0), (x1, y1) = nodes[0], nodes[-1]
+        drawn = {
+            "polyline": (svg._poly(xy, "arc"), _per_number_poly(xy, "arc")),
+            "polygon": (svg._poly(xy, "hull", "polygon"),
+                        _per_number_poly(xy, "hull", "polygon")),
+            "circles": (svg._circles(xy, r, "node"),
+                        _per_number_circles(xy, r, "node")),
+            "line": (svg._segment(a, b, "axis"),
+                     _per_number_segment(a, b, "axis")),
+            "header": (svg._header(x0, y0, x1, y1, ".arc{}\n"),
+                       _per_number_header(x0, y0, x1, y1, ".arc{}\n")),
+            "width": (_fmt("%.6f %.6f", x0, y1), f"{_num(x0)} {_num(y1)}"),
+        }
+        for kind, (fast, slow) in drawn.items():
+            assert fast == slow, kind
+            assert "-0.000000" not in fast, kind
 
 
 class TestSchematicContent:
