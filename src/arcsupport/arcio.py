@@ -133,6 +133,8 @@ def _parse_json(text: str) -> PolygonalArc:
 
 
 def _parse_csv(text: str) -> PolygonalArc:
+    """One ``x,y`` node per line; the first line may instead be a header
+    of exactly two fields, neither of them a number."""
     points = []
     header_allowed = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -145,7 +147,8 @@ def _parse_csv(text: str) -> PolygonalArc:
                 raise ValueError
             x, y = float(parts[0]), float(parts[1])
         except ValueError:
-            if header_allowed:
+            if (header_allowed and len(parts) == 2
+                    and not any(map(_is_number, parts))):
                 header_allowed = False
                 continue
             raise ParseError(f"expected two numeric fields, got {line!r}",
@@ -158,6 +161,14 @@ def _parse_csv(text: str) -> PolygonalArc:
         return PolygonalArc(points, closed=False)
     except InvalidArcError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
 
 
 def load_arc(path: str) -> PolygonalArc:

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: validate, analyze, solve, oracle, render, fuzz.  Exit codes:
-0 success, 2 usage error, 3 invalid or unsupported arc, 4 internal
-structural violation, 5 solver/brute-force disagreement.
+0 success, 2 usage error, 3 invalid or unsupported arc or out of memory,
+4 internal structural violation, 5 solver/brute-force disagreement.
 """
 
 from __future__ import annotations
@@ -81,14 +81,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         analysis = analyze_arc(arc, tol)
         solution = solve_at_angle(analysis, args.phi)
 
+    # files first: a failed write leaves stdout empty
     text = json.dumps(solution.to_json_dict(), indent=2)
     if args.json:
         _write(args.json, text + "\n")
-    if args.format == "csv":
-        print(solution_csv(solution), end="")
-    else:
-        print(text)
-
     if args.svg:
         if analysis is None:
             _write(f"{args.svg}.scene.svg",
@@ -99,6 +95,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             query = query_angle(analysis.diagram, args.phi)
             _write(f"{args.svg}.schematic.svg",
                    render_schematic(analysis.diagram, query))
+    if args.format == "csv":
+        print(solution_csv(solution), end="")
+    else:
+        print(text)
     return EXIT_OK
 
 
@@ -287,6 +287,9 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_STRUCTURAL
     except (ArcSupportError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID_ARC
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INVALID_ARC
 
 

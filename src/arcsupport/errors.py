@@ -31,8 +31,8 @@ class DegenerateHullError(ArcSupportError, ValueError):
 
 class UnsupportedArcError(ArcSupportError, ValueError):
     """Valid input outside this solver's domain: a closed arc passed to
-    ``analyze_arc`` or ``brute_force_pairs``, an open arc passed to
-    ``solve_closed``, or a closed arc solved at φ ≠ 0."""
+    ``analyze_arc``, an open arc passed to ``solve_closed``, or a closed
+    arc solved at φ ≠ 0."""
 
 
 class TooLargeError(ArcSupportError, ValueError):

@@ -12,7 +12,8 @@ configurations can describe one unordered pair of lines (exactly at
 strip-boundary angles), so the deduplicated pair list is reported
 alongside the raw finds.
 The search shares only the geometry and hull modules, and the hull itself,
-with the solver; it never reads the guide path, locales or strip diagram.
+with the solver: of an ``Analysis`` it reads ``hull`` and ``tol`` and never
+the guide path, locales or strip diagram.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arcio import PolygonalArc
-from .errors import UnsupportedArcError
 from .geom import (DIRECTION_AGREE_DEG, Line, Tolerance, lines_equal,
                    same_line_pair)
-from .hull import (ConvexHull, convex_hull, support_contact,
+# unused here, but bench/test_bench.py checks the tracer wraps it here too
+from .hull import (ConvexHull, convex_hull, support_contact,  # noqa: F401
                    support_vertices)
-from .solver import analyze_arc, solve_at_angle
+from .solver import Analysis, analyze_arc, solve_at_angle
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,6 @@ def brute_force_configs(hull: ConvexHull, phi_deg: float) -> list[OraclePair]:
 
 
 _last_brackets: tuple = (None, ())
-_last_hull: tuple = (None, None, None)      # (arc, tol, its hull)
 
 
 def _bracketing_edges(hull: ConvexHull) -> tuple:
@@ -89,25 +89,9 @@ def _bracketing_edges(hull: ConvexHull) -> tuple:
     return edges
 
 
-def brute_force_pairs(arc: PolygonalArc, phi_deg: float,
-                      tol: Tolerance | None = None) -> list[OraclePair]:
+def brute_force_pairs(analysis: Analysis, phi_deg: float) -> list[OraclePair]:
     """Deduplicated unordered support-line pairs realizing ``phi_deg``."""
-    if arc.closed:
-        raise UnsupportedArcError("the brute-force search needs an open arc")
-    hull = _hull(arc, tol)
-    return _dedupe(brute_force_configs(hull, phi_deg), hull.tol)
-
-
-def _hull(arc: PolygonalArc, tol: Tolerance | None) -> ConvexHull:
-    """The hull of the last arc searched, kept by identity: callers sweep
-    many angles over one arc.  ``convex_hull`` derives the default
-    tolerance for None, so only a cache miss pays for it."""
-    global _last_hull
-    last, last_tol, hull = _last_hull
-    if last is not arc or last_tol != tol:
-        hull = convex_hull(arc.nodes, tol)
-        _last_hull = (arc, tol, hull)
-    return hull
+    return _dedupe(brute_force_configs(analysis.hull, phi_deg), analysis.tol)
 
 
 def _dedupe(configs: list[OraclePair], tol: Tolerance) -> list[OraclePair]:

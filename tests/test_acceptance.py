@@ -198,7 +198,7 @@ def test_criterion_3_parallel_uniqueness(capfd):
             assert pair.locale is not None
             assert 1 <= pair.locale <= analysis.table.count
 
-            oracle = brute_force_pairs(arc, 0.0, analysis.tol)
+            oracle = brute_force_pairs(analysis, 0.0)
             assert len(oracle) == 1
             other = oracle[0]
             assert {other.u, other.w} == {pair.u, pair.w}
@@ -246,8 +246,7 @@ def test_criterion_4_angle_counting(capfd):
                     f"seed {200_000 + i} phi {phi!r}")
                 assert (len(solution.pairs)
                         == EXPECTED_COUNT_BY_CASE[solution.case])
-                oracle_count = len(
-                    brute_force_pairs(arc, phi, analysis.tol))
+                oracle_count = len(brute_force_pairs(analysis, phi))
                 assert oracle_count == len(solution.pairs), (
                     f"seed {200_000 + i} phi {phi!r}: solver "
                     f"{len(solution.pairs)} vs oracle {oracle_count}")
@@ -357,7 +356,7 @@ def _assert_single_locale_with_oracle(arc: PolygonalArc) -> None:
         solution = solve_at_angle(analysis, phi)
         assert (len(solution.pairs)
                 == EXPECTED_COUNT_BY_CASE[solution.case])
-        oracle_count = len(brute_force_pairs(arc, phi, analysis.tol))
+        oracle_count = len(brute_force_pairs(analysis, phi))
         assert oracle_count == len(solution.pairs), (arc.nodes[:2], phi)
         for pair in solution.pairs:
             _assert_pair_definition(arc, pair, phi, analysis.tol.eps_len)

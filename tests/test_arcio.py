@@ -240,6 +240,14 @@ class TestCsvParsing:
         with pytest.raises(ParseError):
             parse_arc("x,y\na,b\n0,0\n1,1\n", fmt="csv")
 
+    @pytest.mark.parametrize("first", ["0;0", "1,2,3", "5 5", "x,5"])
+    def test_malformed_first_line_is_not_a_header(self, first):
+        # a header is two fields, neither a number; any other bad first
+        # line is an error, not a silently dropped node
+        with pytest.raises(ParseError,
+                           match="^line 1: expected two numeric fields"):
+            parse_arc(f"{first}\n1,1\n2,0\n", fmt="csv")
+
     def test_wrong_field_count(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_arc("0,0\n1,2,3\n", fmt="csv")

@@ -181,6 +181,18 @@ class TestSolve:
         assert 'class="m-line"' in scene
         assert 'class="query-rule"' in schematic
 
+    @pytest.mark.parametrize("flag", ["--svg", "--json"])
+    def test_failed_write_leaves_stdout_empty(self, pentagon_file, tmp_path,
+                                              capsys, flag):
+        target = tmp_path / "missing" / "out"
+        assert run(["solve", "--phi", "30", flag, str(target),
+                    pentagon_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "missing").exists()
+
     def test_phi_out_of_range_exits_2(self, pentagon_file, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["solve", "--phi", "180", pentagon_file])
@@ -649,9 +661,25 @@ class TestErrorHandling:
 
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
-        path.write_text("0,0\n1,1\nbroken\n")
-        assert run(["validate", str(path)]) == 3
-        assert "line 3" in capsys.readouterr().err
+        # a bad first line is not a header when it is not two fields
+        for text, line in (("0,0\n1,1\nbroken\n", 3),
+                           ("0;0\n0,0\n1,1\n2,-1\n3,1\n4,0\n", 1)):
+            path.write_text(text)
+            assert run(["validate", str(path)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: line {line}: ")
+
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("arcsupport.arcgen._zigzag", exhausted)
+        assert run(["fuzz", "--count", "1", "--nodes", "100000000",
+                    "--strategy", "zigzag"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
 
     def test_no_arguments_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,15 @@ def _all_edges_configs(hull, phi_deg):
     return found
 
 
+def _forbid_hulls(monkeypatch):
+    """Make every module that can build a hull raise instead."""
+    def no_hull(*args, **kwargs):
+        raise AssertionError("a hull was built")
+
+    for module in ("hull", "solver", "oracle"):
+        monkeypatch.setattr(f"arcsupport.{module}.convex_hull", no_hull)
+
+
 class TestBruteForceCounts:
     @pytest.mark.parametrize("phi, expected", [
         (0.0, 1),
@@ -60,27 +70,29 @@ class TestBruteForceCounts:
         (100.0, 0),
     ])
     def test_pentagon(self, pentagon_arc, phi, expected):
-        assert len(brute_force_pairs(pentagon_arc, phi)) == expected
+        analysis = analyze_arc(pentagon_arc)
+        assert len(brute_force_pairs(analysis, phi)) == expected
 
     def test_parallel_pair_values(self, pentagon_arc):
-        (pair,) = brute_force_pairs(pentagon_arc, 0.0)
+        (pair,) = brute_force_pairs(analyze_arc(pentagon_arc), 0.0)
         assert {pair.u, pair.w} == {1, 3}
         assert pair.v == 2
 
     def test_square(self, square_arc):
-        assert len(brute_force_pairs(square_arc, 0.0)) == 1
-        assert len(brute_force_pairs(square_arc, 90.0)) == 2
-        assert len(brute_force_pairs(square_arc, 120.0)) == 0
+        analysis = analyze_arc(square_arc)
+        assert len(brute_force_pairs(analysis, 0.0)) == 1
+        assert len(brute_force_pairs(analysis, 90.0)) == 2
+        assert len(brute_force_pairs(analysis, 120.0)) == 0
 
     def test_coincidence_angle_dedupes(self, pentagon_arc):
         configs = brute_force_configs(convex_hull(pentagon_arc.nodes), DEG_ATAN_1_2)
-        pairs = brute_force_pairs(pentagon_arc, DEG_ATAN_1_2)
+        pairs = brute_force_pairs(analyze_arc(pentagon_arc), DEG_ATAN_1_2)
         assert len(configs) == 4      # each pair found in both roles
         assert len(pairs) == 2
 
     def test_generic_angle_no_duplicates(self, pentagon_arc):
         configs = brute_force_configs(convex_hull(pentagon_arc.nodes), 30.0)
-        pairs = brute_force_pairs(pentagon_arc, 30.0)
+        pairs = brute_force_pairs(analyze_arc(pentagon_arc), 30.0)
         assert len(configs) == len(pairs) == 2
 
 
@@ -127,15 +139,18 @@ class TestEdgeSkip:
 
 class TestBruteForceValidity:
     def test_rejects_closed(self):
+        # a closed arc cannot reach the oracle: brute_force_pairs takes an
+        # Analysis, and only an open arc has one
         arc = PolygonalArc(((0, 0), (1, 0), (0, 1)), closed=True)
         with pytest.raises(UnsupportedArcError):
-            brute_force_pairs(arc, 0.0)
+            analyze_arc(arc)
 
     def test_rejects_out_of_range_angle(self, pentagon_arc):
+        analysis = analyze_arc(pentagon_arc)
         with pytest.raises(ValueError):
-            brute_force_pairs(pentagon_arc, 180.0)
+            brute_force_pairs(analysis, 180.0)
         with pytest.raises(ValueError):
-            brute_force_pairs(pentagon_arc, -1.0)
+            brute_force_pairs(analysis, -1.0)
 
     def test_betweenness_holds(self, pentagon_arc):
         for phi in (0.0, 15.0, 30.0, 45.0, 60.0):
@@ -195,11 +210,7 @@ class TestAgreement:
 
     def test_given_analysis_builds_no_hull(self, pentagon_arc, monkeypatch):
         analysis = analyze_arc(pentagon_arc)
-
-        def no_hull(*args, **kwargs):
-            raise AssertionError("the oracle rebuilt the hull")
-
-        monkeypatch.setattr("arcsupport.oracle.convex_hull", no_hull)
+        _forbid_hulls(monkeypatch)
         for phi in (0.0, 30.0, 100.0):
             report = compare_with_solver(pentagon_arc, phi, analysis=analysis)
             assert report.ok, report.message
@@ -332,55 +343,14 @@ class TestFailureMessages:
             "ok": False, "message": "pair counts differ"}
 
 
-class TestHullCache:
-    def test_angle_sweep_builds_one_hull(self, monkeypatch):
-        # each call derives a fresh Tolerance; the cache must key on its
-        # value, not its identity, or every angle rebuilds the hull
-        arc = generate_arc(30, 7, "zigzag")
-        assert arc.tolerance() is not arc.tolerance()
-        assert hash(arc.tolerance()) == hash(arc.tolerance())
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return convex_hull(*args, **kwargs)
-
-        # the default tolerance is derived on a cache miss only
-        tolerance = PolygonalArc.tolerance
-        derived = []
-
-        def counting_tolerance(self, *args, **kwargs):
-            derived.append(self)
-            return tolerance(self, *args, **kwargs)
-
-        monkeypatch.setattr("arcsupport.oracle.convex_hull", counting)
-        monkeypatch.setattr(PolygonalArc, "tolerance", counting_tolerance)
-        monkeypatch.setattr(oracle, "_last_hull", (None, None, None))
-        for phi in (0.0, 10.0, 30.0, 45.0, 90.0, 135.0):
-            brute_force_pairs(arc, phi)
-        assert len(calls) == 1
-        assert len(derived) == 1
-
-    def test_cache_keys_on_the_arc_object_and_the_tolerance(self,
-                                                            monkeypatch):
-        arc = generate_arc(1000, 3, "zigzag")
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return convex_hull(*args, **kwargs)
-
-        monkeypatch.setattr("arcsupport.oracle.convex_hull", counting)
-        tol = arc.tolerance()
-        brute_force_pairs(arc, 30.0, tol)
-        brute_force_pairs(arc, 60.0, tol)
-        assert len(calls) == 1
-        brute_force_pairs(arc, 60.0, Tolerance(2 * tol.eps_len))
-        assert len(calls) == 2
-        # an equal arc is another object: the key is identity, not the nodes
-        brute_force_pairs(PolygonalArc(arc.nodes), 60.0,
-                          Tolerance(2 * tol.eps_len))
-        assert len(calls) == 3
+def test_pairs_read_only_the_given_hull_and_tolerance(monkeypatch):
+    analysis = analyze_arc(generate_arc(30, 7, "zigzag"))
+    stand_in = SimpleNamespace(hull=analysis.hull, tol=analysis.tol)
+    _forbid_hulls(monkeypatch)
+    for phi in (0.0, 10.0, 30.0, 45.0, 90.0, 135.0):
+        pairs = brute_force_pairs(analysis, phi)
+        assert len(pairs) == len(solve_at_angle(analysis, phi).pairs)
+        assert brute_force_pairs(stand_in, phi) == pairs
 
 
 # SHA-256 over every per-angle output on the criterion-4 arcs: the
