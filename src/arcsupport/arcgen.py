@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arcio import PolygonalArc, validate_simple
-from .errors import DegenerateHullError, GenerationError, InvalidArcError
+from .errors import DegenerateHullError, GenerationError
 from .geom import Point
 from .hull import convex_hull
 
@@ -128,10 +128,7 @@ def generate_arc(nodes: int, seed: int,
         raw = _uncross(rng, nodes) if strategy == "uncross" else _zigzag(rng, nodes)
         if raw is None:
             continue
-        try:
-            arc = PolygonalArc(raw.tolist())
-        except InvalidArcError:
-            continue
+        arc = PolygonalArc(raw.tolist())
         if validate_simple(arc).ok:
             return arc
     raise GenerationError(
@@ -187,10 +184,7 @@ def random_star_polygon(nodes: int, seed: int) -> PolygonalArc:
         rad = np.hypot(pts[:, 1] - center[1], pts[:, 0] - center[0])
         order = np.lexsort((rad, ang))
         ring = pts[order]
-        try:
-            arc = PolygonalArc(ring.tolist(), closed=True)
-        except InvalidArcError:
-            continue
+        arc = PolygonalArc(ring.tolist(), closed=True)
         if validate_simple(arc).ok:
             return arc
     raise GenerationError(

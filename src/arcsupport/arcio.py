@@ -174,7 +174,7 @@ def _is_number(field: str) -> bool:
 def load_arc(path: str) -> PolygonalArc:
     """Read an arc file: CSV when the name ends in .csv, else JSON."""
     fmt = "csv" if path.lower().endswith(".csv") else "json"
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_arc(fh.read(), fmt)
 
 

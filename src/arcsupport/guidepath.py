@@ -32,6 +32,7 @@ class GuidePath:
     hull: ConvexHull
     visit: tuple[int, ...]      # hull indices in visit order
     sigma: int                  # +1: upper side is left of the axis
+    sides: tuple[int, ...]      # per hull index: +1 upper, -1 lower, 0 on axis
     axis_deg: float             # direction head -> tail
     links: tuple[Link, ...]
     axis_on_boundary: bool
@@ -48,19 +49,6 @@ class GuidePath:
     def rank(self) -> dict[int, int]:
         """Visit position of each hull index."""
         return {h: r for r, h in enumerate(self.visit)}
-
-    @cached_property
-    def sides(self) -> tuple[int, ...]:
-        """``side_of`` of each hull index, one tolerant orient per vertex."""
-        points, tol = self.hull.points, self.hull.tol
-        a, b = points[self.head], points[self.tail]
-        sides = [self.sigma * orient(a, b, p, tol) for p in points]
-        sides[self.head] = sides[self.tail] = 0
-        return tuple(sides)
-
-    def side_of(self, hull_index: int) -> int:
-        """+1 for the upper side, -1 for the lower, 0 for head and tail."""
-        return self.sides[hull_index]
 
 
 def classify_links(hull: ConvexHull, visit: tuple[int, ...]) -> tuple[Link, ...]:
@@ -83,14 +71,16 @@ def build_guide_path(hull: ConvexHull) -> GuidePath:
     visit = tuple(sorted(range(k), key=lambda h: hull.node_ids[h]))
     head, tail = visit[0], visit[-1]
     a, b = hull.points[head], hull.points[tail]
-    sigma = orient(a, b, hull.points[visit[1]], hull.tol)
+    # one tolerant orient per vertex; head and tail repeat a point, so 0
+    turns = [orient(a, b, p, hull.tol) for p in hull.points]
+    sigma = turns[visit[1]]
     ensure(sigma != 0,
            "second visited hull vertex lies on the axis")
-    guide = GuidePath(hull=hull, visit=visit, sigma=sigma,
+    side = tuple(sigma * t for t in turns)
+    guide = GuidePath(hull=hull, visit=visit, sigma=sigma, sides=side,
                       axis_deg=direction_deg(a, b),
                       links=classify_links(hull, visit),
                       axis_on_boundary=(tail - head) % k in (1, k - 1))
-    side = guide.sides
 
     ensure(guide.links[0].kind == "edge",
            "the link out of the first visit is not a hull edge")

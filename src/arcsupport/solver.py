@@ -42,8 +42,8 @@ class Analysis:
     @cached_property
     def bases(self) -> tuple[tuple, ...]:
         """Per locale, what ``realize_solution`` reads at every angle:
-        (index, base line m from pu, pu, node_u, node_w, m's unit vector
-        mu, base length along mu, cap nodes, contact side)."""
+        (base line m from the base's earlier end, node_u, node_w, m's unit
+        vector mu, base length along mu, contact side)."""
         hull, sigma = self.hull, self.guide.sigma
         bases = []
         for locale in self.decomposition.locales:
@@ -52,9 +52,8 @@ class Analysis:
             m = Line(pu.x, pu.y, hull.edge_dir(hu, hw))
             mu = unit_vector(m.dir_deg)
             bases.append((
-                locale.index, m, pu, hull.node_ids[hu], hull.node_ids[hw], mu,
+                m, hull.node_ids[hu], hull.node_ids[hw], mu,
                 (pw.x - pu.x) * mu.x + (pw.y - pu.y) * mu.y,
-                frozenset(hull.node_ids[h] for h in locale.cap),
                 "right" if sigma * locale.cap_sign > 0 else "left"))
         return tuple(bases)
 
@@ -137,7 +136,7 @@ def realize_solution(analysis: Analysis,
                      abstract: AbstractSolution) -> SupportPairSolution:
     """Turn a diagram solution into concrete lines and contact nodes."""
     guide = analysis.guide
-    index, m, pu, node_u, node_w, mu, length, cap_nodes, side = \
+    m, node_u, node_w, mu, length, side = \
         analysis.bases[abstract.locale_index - 1]
 
     n_dir = normalize_angle(guide.axis_deg + guide.sigma
@@ -149,7 +148,6 @@ def realize_solution(analysis: Analysis,
            "no contact of the rotating line lies strictly between the "
            "base contacts")
     node_v = min(candidates)
-    ensure(node_v in cap_nodes, "chosen contact is outside the locale's cap")
 
     gap = abs(normalize_angle(contact.line.dir_deg - m.dir_deg))
     ensure(abs(gap - abs(abstract.ordinate)) <= DIRECTION_AGREE_DEG,
@@ -159,7 +157,7 @@ def realize_solution(analysis: Analysis,
     if apex is None:
         apex_side = "none"
     else:
-        along = (apex.x - pu.x) * mu.x + (apex.y - pu.y) * mu.y
+        along = (apex.x - m.px) * mu.x + (apex.y - m.py) * mu.y
         eps = analysis.tol.eps_len
         # The rotating line keeps both base contacts on one side, so it
         # can only cross the base line beyond one end of the contact
@@ -175,8 +173,8 @@ def realize_solution(analysis: Analysis,
         else:
             apex_side = "right"
     return SupportPairSolution(m=m, n=contact.line, u=node_u, v=node_v,
-                               w=node_w, locale=index, apex=apex,
-                               apex_side=apex_side,
+                               w=node_w, locale=abstract.locale_index,
+                               apex=apex, apex_side=apex_side,
                                ordinate=abstract.ordinate)
 
 
@@ -196,9 +194,7 @@ def solve_at_angle(analysis: Analysis, phi_deg: float) -> SolutionSet:
 def solve_parallel(analysis: Analysis) -> SolutionSet:
     """The unique pair of parallel support lines with a contact strictly
     between two contacts of the other line."""
-    result = solve_at_angle(analysis, 0.0)
-    ensure(len(result.pairs) == 1, "parallel case must yield exactly one pair")
-    return result
+    return solve_at_angle(analysis, 0.0)
 
 
 def solve_closed(arc: PolygonalArc,

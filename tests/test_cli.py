@@ -28,6 +28,7 @@ PENTAGON = [[0, 0], [1, 1], [2, -1], [3, 1], [4, 0]]
 SQUARE_CLOSED = [[0, 1], [0, 0], [1, 0], [1, 1]]
 BOWTIE_OPEN = [[0, 0], [2, 2], [2, 0], [0, 2]]
 CLOSED_JSON = Path(__file__).parent / "data/readme/inputs/closed.json"
+PENTAGON_JSON = Path(__file__).parent / "data/readme/inputs/pent.json"
 
 
 # integers beyond the float range; 5000 digits also exceed int()'s limit
@@ -118,6 +119,21 @@ class TestAnalyze:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert first[2] == ""  # no span at the leading tilt
+
+    @pytest.mark.parametrize("name, text", [
+        ("pent.json", PENTAGON_JSON.read_text(encoding="utf-8")),
+        ("pent.csv", "0,0\n1,1\n2,-1\n3,1\n4,0\n")],     # no header
+        ids=["json", "headerless-csv"])
+    def test_leading_bom_is_ignored(self, tmp_path, capsys, name, text):
+        outcomes = []
+        for prefix in ("", "\ufeff"):
+            path = tmp_path / (prefix and "bom-") / name
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(prefix + text, encoding="utf-8")
+            code = run(["analyze", str(path)])
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[0][0] == 0
+        assert outcomes[1] == outcomes[0]
 
     def test_collinear_arc_exits_3(self, tmp_path, capsys):
         path = _write_arc(tmp_path, [[0, 0], [1, 0], [2, 0], [3, 0]])

@@ -55,7 +55,7 @@ class TestPentagonGuidePath:
     def test_sides(self, pentagon_arc):
         guide = build_guide_path(convex_hull(pentagon_arc.nodes))
         # visit (0, 4, 1, 3, 2): nodes 1 and 3 above the axis, node 2 below
-        assert [guide.side_of(h) for h in guide.visit] == [0, 1, -1, 1, 0]
+        assert [guide.sides[h] for h in guide.visit] == [0, 1, -1, 1, 0]
 
     def test_rank(self, pentagon_arc):
         guide = build_guide_path(convex_hull(pentagon_arc.nodes))
@@ -65,7 +65,8 @@ class TestPentagonGuidePath:
 class TestSides:
     def test_one_orient_per_hull_vertex(self, monkeypatch, star_fan_700):
         # the checks in build_guide_path and decompose_locales read each
-        # side several times; every one of them comes from the sides table
+        # side several times; sigma and every one of them come from the
+        # sides table
         calls = []
 
         def counting(*args, **kwargs):
@@ -77,16 +78,16 @@ class TestSides:
         analysis = analyze_arc(star_fan_700)
         k = len(analysis.hull)
         assert k > 300
-        assert 0 < len(calls) <= k + 2
+        assert len(calls) == k
 
     def test_sides_match_orient(self, star_fan_700):
         guide = analyze_arc(star_fan_700).guide
         points, tol = guide.hull.points, guide.hull.tol
         head, tail = points[guide.head], points[guide.tail]
         for h in guide.visit[1:-1]:
-            assert guide.side_of(h) == guide.sigma * orient(head, tail,
-                                                            points[h], tol)
-        assert guide.side_of(guide.head) == guide.side_of(guide.tail) == 0
+            assert guide.sides[h] == guide.sigma * orient(head, tail,
+                                                          points[h], tol)
+        assert guide.sides[guide.head] == guide.sides[guide.tail] == 0
 
 
 class TestAxisOnBoundary:
@@ -218,5 +219,5 @@ class TestFuzzedGuidePaths:
             assert guide.links[0].kind == "edge"
             for link in guide.links:
                 if link.kind == "crossing":
-                    assert (guide.side_of(link.start)
-                            * guide.side_of(link.end) < 0)
+                    assert (guide.sides[link.start]
+                            * guide.sides[link.end] < 0)

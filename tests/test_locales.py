@@ -218,6 +218,11 @@ class TestBasesAreTheUnwalkedEdges:
                  if frozenset((i, (i + 1) % k)) not in walked]
         bases.sort(key=lambda b: rank[b[0]])
         assert [loc.base for loc in decomp.locales] == bases
+        # what the construction guarantees without a check of its own
+        crossings = sum(1 for l in guide.links if l.kind == "crossing")
+        assert len(bases) == crossings + 1
+        assert bases[0][0] == guide.head
+        assert guide.sides[guide.head] == guide.sides[guide.tail] == 0
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_generated_arcs(self, strategy):

@@ -380,8 +380,8 @@ def _reference_realize(analysis, abstract):
            "no contact of the rotating line lies strictly between the "
            "base contacts")
     node_v = min(candidates)
-    cap_nodes = {hull.node_ids[h] for h in locale.cap}
-    ensure(node_v in cap_nodes, "chosen contact is outside the locale's cap")
+    # every candidate lies strictly between node_u and node_w: a cap node
+    assert set(candidates) <= {hull.node_ids[h] for h in locale.cap}
 
     gap = abs(normalize_angle(contact.line.dir_deg - m.dir_deg))
     ensure(abs(gap - abs(abstract.ordinate)) <= DIRECTION_AGREE_DEG,
@@ -422,6 +422,7 @@ def _outcome(realize, analysis, abstract):
 
 def _sweep_outcomes(analysis):
     """Both realizations of every solution at the sweep's 182 angles."""
+    assert len(solve_at_angle(analysis, 0.0).pairs) == 1
     table = analysis.table
     for phi in ([float(g) for g in range(180)]
                 + [table.phi_left, -table.phi_right]):
