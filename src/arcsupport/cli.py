@@ -8,7 +8,6 @@ Subcommands: validate, analyze, solve, oracle, render, fuzz.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -18,6 +17,7 @@ from .arcgen import RNG_ALGORITHM, STRATEGIES, generate_arc
 from .arcio import load_arc, validate_simple
 from .errors import (ArcSupportError, StructuralViolationError,
                      UnsupportedArcError)
+from .geom import angle_problem
 from .oracle import compare_with_solver
 from .report import AnalysisReport, solution_csv, tilt_table_csv
 from .schematic import query_angle
@@ -106,7 +106,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     arc = load_arc(args.input)
     analysis = analyze_arc(arc, arc.tolerance(args.eps))
     report = compare_with_solver(arc, args.phi, analysis=analysis)
-    print(json.dumps(dataclasses.asdict(report), indent=2))
+    print(json.dumps(report._asdict(), indent=2))
     return EXIT_OK if report.ok else EXIT_DISAGREEMENT
 
 
@@ -164,8 +164,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         phi = None
         try:
             analysis = analyze_arc(arc)
-            for phi in [0.0] + grid + [analysis.table.phi_left,
-                                       -analysis.table.phi_right]:
+            # an aspect angle inside the angle band of 0 is no angle to ask
+            thresholds = [t for t in (analysis.table.phi_left,
+                                      -analysis.table.phi_right)
+                          if angle_problem(t) is None]
+            for phi in [0.0] + grid + thresholds:
                 result = compare_with_solver(arc, phi, analysis=analysis)
                 checks += 1
                 if not result.ok:
@@ -206,10 +209,21 @@ def _number(convert: Callable[[str], float], rule: str,
     return parse
 
 
+def _phi(text: str) -> float:
+    """argparse type of --phi: an angle that ``geom.angle_problem`` and so
+    every per-angle function accepts."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if (problem := angle_problem(value)) is not None:
+        raise argparse.ArgumentTypeError(f"{problem}, got {text!r}")
+    return value
+
+
 # nan fails every comparison, so each predicate also rejects it
 _positive = _number(float, "must be a finite number > 0",
                     lambda v: 0 < v < math.inf)
-_phi = _number(float, "must lie in [0, 180)", lambda v: 0 <= v < 180)
 _phi_step = _number(float,
                     f"must be positive, finite and at least {MIN_PHI_STEP}",
                     lambda v: MIN_PHI_STEP <= v < math.inf)
@@ -245,7 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[arc_input, stdout_format],
                        help="support-line pairs at a prescribed angle")
     p.add_argument("--phi", type=_phi, required=True,
-                   help="prescribed angle in degrees, 0 <= phi < 180")
+                   help="prescribed angle in degrees: 0, or "
+                        "1e-07 <= phi < 180")
     p.add_argument("--json", metavar="PATH",
                    help="also write the solution to this file")
     p.add_argument("--svg", metavar="STEM",

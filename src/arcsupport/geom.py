@@ -35,6 +35,17 @@ class Line(NamedTuple):
     dir_deg: float
 
 
+def angle_problem(phi_deg: float) -> str | None:
+    """Why ``phi_deg`` is not a prescribed angle, or None.  A positive angle
+    below DEFAULT_EPS_ANGLE lies in the angle band of 0, which cannot tell
+    the pairs at +phi and -phi apart."""
+    if not 0.0 <= phi_deg < 180.0:
+        return "must lie in [0, 180)"
+    if 0.0 < phi_deg < DEFAULT_EPS_ANGLE:
+        return f"must be 0 or at least {DEFAULT_EPS_ANGLE:g}"
+    return None
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """eps_len in plane units, finite and > 0; eps_angle in degrees, fixed."""

@@ -18,19 +18,18 @@ the guide path, locales or strip diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arcio import PolygonalArc
-from .geom import (DIRECTION_AGREE_DEG, Line, Tolerance, lines_equal,
-                   same_line_pair)
+from .geom import (DIRECTION_AGREE_DEG, Line, Tolerance, angle_problem,
+                   lines_equal, same_line_pair)
 # unused here, but bench/test_bench.py checks the tracer wraps it here too
 from .hull import (ConvexHull, convex_hull, support_contact,  # noqa: F401
                    support_vertices)
 from .solver import Analysis, analyze_arc, solve_at_angle
 
 
-@dataclass(frozen=True)
-class OraclePair:
+class OraclePair(NamedTuple):
     m: Line
     n: Line
     u: int
@@ -38,8 +37,7 @@ class OraclePair:
     w: int
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     phi: float
     case: str
     solver_count: int
@@ -52,8 +50,8 @@ def brute_force_configs(hull: ConvexHull, phi_deg: float) -> list[OraclePair]:
     """Every raw (m, n) configuration realizing ``phi_deg`` on the hull of
     an open arc, before merging duplicates; u and w follow the hull's
     counterclockwise edge orientation."""
-    if not 0.0 <= phi_deg < 180.0:
-        raise ValueError(f"angle must lie in [0, 180), got {phi_deg}")
+    if (problem := angle_problem(phi_deg)) is not None:
+        raise ValueError(f"angle {problem}, got {phi_deg}")
     found: list[OraclePair] = []
     node_ids = hull.node_ids
     for m, node_a, node_b, lo, hi in _bracketing_edges(hull):
@@ -64,8 +62,7 @@ def brute_force_configs(hull: ConvexHull, phi_deg: float) -> list[OraclePair]:
             if not between:
                 continue
             n = support_contact(hull, d, "right").line
-            found.append(OraclePair(m=m, n=n, u=node_a, v=min(between),
-                                    w=node_b))
+            found.append(OraclePair(m, n, node_a, min(between), node_b))
     return found
 
 
@@ -123,14 +120,12 @@ def compare_with_solver(arc: PolygonalArc, phi_deg: float,
         raise ValueError("analysis was made for a different arc or tolerance")
     solved = solve_at_angle(analysis, phi_deg)
     configs = brute_force_configs(analysis.hull, phi_deg)
-    match = (analysis.tol.eps_len, DIRECTION_AGREE_DEG)
+    eps, agree = analysis.tol.eps_len, DIRECTION_AGREE_DEG
     deduped = _dedupe(configs, analysis.tol)
 
     def fail(message: str) -> AgreementReport:
-        return AgreementReport(phi=phi_deg, case=solved.case,
-                               solver_count=len(solved.pairs),
-                               oracle_count=len(deduped),
-                               ok=False, message=message)
+        return AgreementReport(phi_deg, solved.case, len(solved.pairs),
+                               len(deduped), False, message)
 
     if len(solved.pairs) != len(deduped):
         return fail("pair counts differ")
@@ -140,10 +135,10 @@ def compare_with_solver(arc: PolygonalArc, phi_deg: float,
         # same_line_pair written out; a same-role hit on configs[0] is
         # also the first role-preserving find
         for hit in unmatched:
-            same_roles = (lines_equal(pair.m, hit.m, *match)
-                          and lines_equal(pair.n, hit.n, *match))
-            if same_roles or (lines_equal(pair.m, hit.n, *match)
-                              and lines_equal(pair.n, hit.m, *match)):
+            same_roles = (lines_equal(pair.m, hit.m, eps, agree)
+                          and lines_equal(pair.n, hit.n, eps, agree))
+            if same_roles or (lines_equal(pair.m, hit.n, eps, agree)
+                              and lines_equal(pair.n, hit.m, eps, agree)):
                 break
         else:
             return fail(f"solver pair has no brute-force match at {phi_deg}")
@@ -151,8 +146,8 @@ def compare_with_solver(arc: PolygonalArc, phi_deg: float,
 
         role_hit = hit if same_roles and hit is configs[0] else next(
             (c for c in configs
-             if lines_equal(pair.m, c.m, *match)
-             and lines_equal(pair.n, c.n, *match)), None)
+             if lines_equal(pair.m, c.m, eps, agree)
+             and lines_equal(pair.n, c.n, eps, agree)), None)
         if role_hit is None:
             return fail(f"no role-preserving brute-force find at {phi_deg}")
         if {pair.u, pair.w} != {role_hit.u, role_hit.w}:
@@ -160,6 +155,5 @@ def compare_with_solver(arc: PolygonalArc, phi_deg: float,
         if pair.v != role_hit.v:
             return fail(f"contact node of n differs at angle {phi_deg}")
 
-    return AgreementReport(phi=phi_deg, case=solved.case,
-                           solver_count=len(solved.pairs),
-                           oracle_count=len(deduped), ok=True, message="")
+    return AgreementReport(phi_deg, solved.case, len(solved.pairs),
+                           len(deduped), True, "")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .geom import DEFAULT_EPS_ANGLE
+from .geom import DEFAULT_EPS_ANGLE, angle_problem
 from .locales import TiltTable
 
 
@@ -39,8 +39,7 @@ class AbstractSolution(NamedTuple):
     contact_angle: float
 
 
-@dataclass(frozen=True)
-class AngleQuery:
+class AngleQuery(NamedTuple):
     case: str       # 'A', 'B', 'C', or 'D'
     solutions: tuple[AbstractSolution, ...]
 
@@ -104,10 +103,11 @@ def query_angle(diagram: SchematicDiagram, phi_deg: float,
     exactly when it lies between the right and left aspect angles, with an
     ``eps_angle`` slack so prescribed angles at the exact extremes are kept.
     The case follows from the solution count: A at phi = 0, otherwise B, C
-    or D for two, one or no realized gaps.
+    or D for two, one or no realized gaps.  An angle that
+    ``geom.angle_problem`` rejects raises ValueError.
     """
-    if not 0.0 <= phi_deg < 180.0:
-        raise ValueError(f"angle must lie in [0, 180), got {phi_deg}")
+    if (problem := angle_problem(phi_deg)) is not None:
+        raise ValueError(f"angle {problem}, got {phi_deg}")
     table = diagram.table
 
     ordinates = [0.0] if phi_deg == 0.0 else [phi_deg, -phi_deg]
@@ -120,8 +120,7 @@ def query_angle(diagram: SchematicDiagram, phi_deg: float,
         j = strip.index
         tilt_j = table.tilts[j]
         theta = tilt_j + s if j % 2 == 1 else tilt_j - s
-        solutions.append(AbstractSolution(
-            ordinate=s, abscissa=x, locale_index=j, contact_angle=theta))
+        solutions.append(AbstractSolution(s, x, j, theta))
     solutions.sort(key=lambda sol: sol.abscissa)
     case = "A" if phi_deg == 0.0 else {2: "B", 1: "C", 0: "D"}[len(solutions)]
-    return AngleQuery(case=case, solutions=tuple(solutions))
+    return AngleQuery(case, tuple(solutions))

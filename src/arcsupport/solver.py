@@ -172,23 +172,21 @@ def realize_solution(analysis: Analysis,
             apex_side = "left"
         else:
             apex_side = "right"
-    return SupportPairSolution(m=m, n=contact.line, u=node_u, v=node_v,
-                               w=node_w, locale=abstract.locale_index,
-                               apex=apex, apex_side=apex_side,
-                               ordinate=abstract.ordinate)
+    return SupportPairSolution(m, contact.line, node_u, node_v, node_w,
+                               abstract.locale_index, apex, apex_side,
+                               abstract.ordinate)
 
 
 def solve_at_angle(analysis: Analysis, phi_deg: float) -> SolutionSet:
     """All unordered support-line pairs realizing ``phi_deg`` degrees."""
-    query = query_angle(analysis.diagram, phi_deg)
-    pairs = tuple(realize_solution(analysis, sol) for sol in query.solutions)
+    case, solutions = query_angle(analysis.diagram, phi_deg)
+    pairs = tuple([realize_solution(analysis, sol) for sol in solutions])
     if len(pairs) == 2:
         a, b = pairs
         ensure(not same_line_pair(a.m, a.n, b.m, b.n, analysis.tol.eps_len,
                                   analysis.tol.eps_angle),
                "the two solutions collapse to one line pair")
-    return SolutionSet(phi=phi_deg, case=query.case, pairs=pairs,
-                       table=analysis.table)
+    return SolutionSet(phi_deg, case, pairs, analysis.table)
 
 
 def solve_parallel(analysis: Analysis) -> SolutionSet:

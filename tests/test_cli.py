@@ -20,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from arcsupport import cli
 from arcsupport import hull as hull_module
 from arcsupport.arcgen import STRATEGIES, generate_arc
+from arcsupport.arcio import PolygonalArc
 from arcsupport.cli import _build_parser, run
 from arcsupport.errors import StructuralViolationError
 from arcsupport.oracle import AgreementReport
@@ -560,6 +561,48 @@ class TestFuzzFailures:
 
 
 # --------------------------------------------------- flags not honoured
+
+class TestTinyAngles:
+    """A positive --phi inside the angle band of 0 is a usage error."""
+
+    # a jittered grid arc that validates; its aspect angles are 76.16 and
+    # -7.08e-8, and the oracle agrees at every whole degree
+    JITTERED = [[0.9999999968234927, 2.9365686771920116e-09],
+                [1.9999999907237989, 0.9999999964859639],
+                [0.9999999930981929, 9.09777658306995e-09],
+                [4.999999990958143, 4.000000002503641]]
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize("phi", ["1e-320", "1e-9", "5e-8", "9e-8"])
+    def test_exits_2_with_one_error_line(self, capsys, command, phi):
+        with pytest.raises(SystemExit) as exc:
+            run([command, str(PENTAGON_JSON), "--phi", phi])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # one error line after argparse's usage text
+        assert captured.err.count("error:") == 1
+        assert captured.err.splitlines()[-1] == (
+            f"arcsupport {command}: error: argument --phi: "
+            f"must be 0 or at least 1e-07, got {phi!r}")
+
+    @pytest.mark.parametrize("phi", ["1e-7", "1.5e-7"])
+    def test_band_edge_solves_and_agrees(self, capsys, phi):
+        assert run(["solve", str(PENTAGON_JSON), "--phi", phi]) == 0
+        solved = json.loads(capsys.readouterr().out)
+        assert solved["case"] == "B" and len(solved["pairs"]) == 2
+        assert run(["oracle", str(PENTAGON_JSON), "--phi", phi]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+
+    def test_fuzz_skips_an_aspect_angle_inside_the_band(self, capsys,
+                                                        monkeypatch):
+        arc = PolygonalArc(self.JITTERED)
+        monkeypatch.setattr(cli, "generate_arc", lambda *args: arc)
+        assert run(["fuzz", "--count", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        # 0 and the left aspect angle only
+        assert payload["checks"] == 2 and payload["ok"] is True
+
 
 class TestUnhonouredFlags:
     """Each subcommand rejects the shared flags it would ignore."""

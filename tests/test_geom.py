@@ -19,6 +19,7 @@ from arcsupport.geom import (
     Point,
     Tolerance,
     angle_dist_mod180,
+    angle_problem,
     bbox,
     bbox_diagonal,
     direction_deg,
@@ -68,6 +69,23 @@ class TestNormalizeAngle:
     def test_congruent_mod_360(self, a):
         n = normalize_angle(a)
         assert math.remainder(a - n, 360.0) == pytest.approx(0.0, abs=1e-6)
+
+
+class TestAngleProblem:
+    @pytest.mark.parametrize("phi", [0.0, -0.0, DEFAULT_EPS_ANGLE, 1.5e-7,
+                                     30.0, math.nextafter(180.0, 0.0)])
+    def test_prescribed_angles(self, phi):
+        assert angle_problem(phi) is None
+
+    @pytest.mark.parametrize("phi", [-1.0, -1e-320, 180.0, math.inf,
+                                     math.nan])
+    def test_out_of_range(self, phi):
+        assert angle_problem(phi) == "must lie in [0, 180)"
+
+    @pytest.mark.parametrize("phi", [5e-324, 1e-320, 1e-9, 5e-8, 9e-8,
+                                     math.nextafter(DEFAULT_EPS_ANGLE, 0.0)])
+    def test_inside_the_band_of_zero(self, phi):
+        assert angle_problem(phi) == "must be 0 or at least 1e-07"
 
 
 class TestAngleComparisons:

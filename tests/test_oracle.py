@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
+import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -16,9 +17,11 @@ from arcsupport.arcgen import STRATEGIES, generate_arc
 from arcsupport.arcio import PolygonalArc, validate_simple
 from arcsupport.errors import (DegenerateHullError, InvalidArcError,
                                UnsupportedArcError)
-from arcsupport.geom import Line, Tolerance, angle_dist_mod180
+from arcsupport.geom import (Line, Tolerance, angle_dist_mod180,
+                             angle_problem)
 from arcsupport.hull import convex_hull, support_contact
 from arcsupport.oracle import (
+    AgreementReport,
     OraclePair,
     brute_force_configs,
     brute_force_pairs,
@@ -109,7 +112,7 @@ class TestEdgeSkip:
             for threshold in (table.phi_left, -table.phi_right):
                 phis += [threshold, threshold - 1e-6, threshold + 1e-6]
             for phi in phis:
-                if 0.0 <= phi < 180.0:
+                if angle_problem(phi) is None:
                     assert (brute_force_configs(analysis.hull, phi)
                             == _all_edges_configs(analysis.hull, phi)), (
                         n, phi)
@@ -132,7 +135,7 @@ class TestEdgeSkip:
                 gap = angle_dist_mod180(a, b)
                 phis += [gap, gap + 1e-6, 180.0 - gap, 180.0 - gap - 1e-6]
         for phi in phis:
-            if 0.0 <= phi < 180.0:
+            if angle_problem(phi) is None:
                 assert (brute_force_configs(hull, phi)
                         == _all_edges_configs(hull, phi)), phi
 
@@ -196,7 +199,7 @@ class TestAgreement:
                     analysis.table.phi_left,
                     -analysis.table.phi_right]
             for phi in phis:
-                if not 0.0 <= phi < 180.0:
+                if angle_problem(phi) is not None:
                     continue
                 report = compare_with_solver(arc, phi, analysis=analysis)
                 assert report.ok, (i, phi, report.message)
@@ -260,7 +263,7 @@ def _shifted(line, dy):
 
 
 def _swapped(config):
-    return dataclasses.replace(config, m=config.n, n=config.m)
+    return config._replace(m=config.n, n=config.m)
 
 
 class TestFailureMessages:
@@ -283,14 +286,14 @@ class TestFailureMessages:
     @pytest.mark.parametrize("make", [
         lambda a, b: [a, b],
         # m's contacts are an unordered pair
-        lambda a, b: [dataclasses.replace(a, u=a.w, w=a.u), b],
+        lambda a, b: [a._replace(u=a.w, w=a.u), b],
         # the unordered match is the swapped config, the role-preserving
         # find the later one, whose nodes are the ones checked
         lambda a, b: [_swapped(a), a, b],
-        lambda a, b: [dataclasses.replace(_swapped(a), v=99), a, b],
+        lambda a, b: [_swapped(a)._replace(v=99), a, b],
         # only the first role-preserving config is read
-        lambda a, b: [a, dataclasses.replace(a, v=99), b],
-        lambda a, b: [a, b, dataclasses.replace(b, v=99)],
+        lambda a, b: [a, a._replace(v=99), b],
+        lambda a, b: [a, b, b._replace(v=99)],
     ])
     def test_agreement(self, judge, make):
         report = judge(make)
@@ -300,33 +303,33 @@ class TestFailureMessages:
     @pytest.mark.parametrize("make, message", [
         (lambda a, b: [], "pair counts differ"),
         (lambda a, b: [a], "pair counts differ"),
-        (lambda a, b: [a, b, dataclasses.replace(a, n=_shifted(a.n, 1.0))],
+        (lambda a, b: [a, b, a._replace(n=_shifted(a.n, 1.0))],
          "pair counts differ"),
-        (lambda a, b: [dataclasses.replace(a, n=_shifted(a.n, 1.0)), b],
+        (lambda a, b: [a._replace(n=_shifted(a.n, 1.0)), b],
          "solver pair has no brute-force match at 30.0"),
-        (lambda a, b: [a, dataclasses.replace(b, m=_shifted(b.m, 1.0))],
+        (lambda a, b: [a, b._replace(m=_shifted(b.m, 1.0))],
          "solver pair has no brute-force match at 30.0"),
         (lambda a, b: [_swapped(a), _swapped(b)],
          "no role-preserving brute-force find at 30.0"),
         (lambda a, b: [a, _swapped(b)],
          "no role-preserving brute-force find at 30.0"),
         # the pairs are judged in turn, each through all its checks
-        (lambda a, b: [_swapped(a), dataclasses.replace(b, n=_shifted(
-            b.n, 1.0))], "no role-preserving brute-force find at 30.0"),
-        (lambda a, b: [dataclasses.replace(a, u=7), b],
+        (lambda a, b: [_swapped(a), b._replace(n=_shifted(b.n, 1.0))],
+         "no role-preserving brute-force find at 30.0"),
+        (lambda a, b: [a._replace(u=7), b],
          "contact nodes of m differ at angle 30.0"),
-        (lambda a, b: [a, dataclasses.replace(b, w=a.u)],
+        (lambda a, b: [a, b._replace(w=a.u)],
          "contact nodes of m differ at angle 30.0"),
-        (lambda a, b: [dataclasses.replace(a, u=7, v=99), b],
+        (lambda a, b: [a._replace(u=7, v=99), b],
          "contact nodes of m differ at angle 30.0"),
-        (lambda a, b: [dataclasses.replace(a, v=99), b],
+        (lambda a, b: [a._replace(v=99), b],
          "contact node of n differs at angle 30.0"),
-        (lambda a, b: [a, dataclasses.replace(b, v=a.v)],
+        (lambda a, b: [a, b._replace(v=a.v)],
          "contact node of n differs at angle 30.0"),
         # a later config with the right nodes does not rescue the first
-        (lambda a, b: [dataclasses.replace(a, v=99), a, b],
+        (lambda a, b: [a._replace(v=99), a, b],
          "contact node of n differs at angle 30.0"),
-        (lambda a, b: [a, dataclasses.replace(b, u=7), b],
+        (lambda a, b: [a, b._replace(u=7), b],
          "contact nodes of m differ at angle 30.0"),
     ])
     def test_failure(self, judge, make, message):
@@ -338,7 +341,7 @@ class TestFailureMessages:
 
     def test_failure_reports_the_deduplicated_count(self, judge):
         report = judge(lambda a, b: [a, _swapped(a), a])
-        assert dataclasses.asdict(report) == {
+        assert report._asdict() == {
             "phi": 30.0, "case": "B", "solver_count": 2, "oracle_count": 1,
             "ok": False, "message": "pair counts differ"}
 
@@ -372,6 +375,57 @@ def test_per_angle_output_digest():
             solved = solve_at_angle(analysis, phi)
             configs = brute_force_configs(analysis.hull, phi)
             apexes = [(p.apex, p.apex_side) for p in solved.pairs]
-            h.update(repr((dataclasses.asdict(report), solved.to_json_dict(),
+            h.update(repr((report._asdict(), solved.to_json_dict(),
                            configs, apexes)).encode())
     assert h.hexdigest() == PER_ANGLE_DIGEST
+
+
+class TestRecords:
+    """Oracle results are immutable NamedTuples."""
+
+    def test_oracle_pair(self, pentagon_arc):
+        hull = convex_hull(pentagon_arc.nodes)
+        config = brute_force_configs(hull, 30.0)[0]
+        assert OraclePair(*config) == config
+        assert OraclePair(m=config.m, n=config.n, u=config.u, v=config.v,
+                          w=config.w) == config
+        assert config._replace(v=99) == (config.m, config.n, config.u, 99,
+                                         config.w)
+        with pytest.raises(AttributeError):
+            config.v = 99
+
+    def test_agreement_report(self, pentagon_arc):
+        report = compare_with_solver(pentagon_arc, 30.0)
+        assert AgreementReport(*report) == report
+        assert AgreementReport(phi=30.0, case="B", solver_count=2,
+                               oracle_count=2, ok=True, message="") == report
+        failed = report._replace(ok=False, message="pair counts differ")
+        assert (failed.ok, failed.message, failed.phi) == (
+            False, "pair counts differ", 30.0)
+        with pytest.raises(AttributeError):
+            report.ok = False
+
+    def test_report_fields_in_cli_order(self, pentagon_arc):
+        golden = Path(__file__).parent / "data/readme/oracle/stdout"
+        report = compare_with_solver(pentagon_arc, 30.0)
+        assert list(report._asdict()) == list(json.loads(golden.read_text()))
+        assert json.dumps(report._asdict(), indent=2) + "\n" == \
+            golden.read_text()
+
+
+class TestTinyAngles:
+    """The oracle refuses the angles the solver refuses."""
+
+    @pytest.mark.parametrize("phi", [1e-320, 1e-9, 5e-8, 9e-8])
+    def test_refused(self, pentagon_arc, phi):
+        analysis = analyze_arc(pentagon_arc)
+        with pytest.raises(ValueError, match="must be 0 or at least 1e-07"):
+            brute_force_configs(analysis.hull, phi)
+        with pytest.raises(ValueError, match="must be 0 or at least 1e-07"):
+            compare_with_solver(pentagon_arc, phi, analysis=analysis)
+
+    @pytest.mark.parametrize("phi", [1e-7, 1.5e-7])
+    def test_band_edge_agrees(self, pentagon_arc, phi):
+        report = compare_with_solver(pentagon_arc, phi)
+        assert report.ok, report.message
+        assert (report.case, report.solver_count) == ("B", 2)

@@ -7,6 +7,7 @@ angle) using inline arithmetic only.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from itertools import zip_longest
 
@@ -21,11 +22,13 @@ from arcsupport.errors import (DegenerateHullError, InvalidArcError,
                                StructuralViolationError, UnsupportedArcError,
                                ensure)
 from arcsupport.geom import (DIRECTION_AGREE_DEG, Line, Point, Tolerance,
-                             lines_intersection, normalize_angle,
-                             unit_vector)
+                             angle_problem, lines_intersection,
+                             normalize_angle, unit_vector)
 from arcsupport.hull import support_contact
-from arcsupport.schematic import query_angle
+from arcsupport.schematic import AngleQuery, query_angle
 from arcsupport.solver import (
+    SolutionSet,
+    SupportPairSolution,
     analyze_arc,
     realize_solution,
     solve_at_angle,
@@ -421,11 +424,13 @@ def _outcome(realize, analysis, abstract):
 
 
 def _sweep_outcomes(analysis):
-    """Both realizations of every solution at the sweep's 182 angles."""
+    """Both realizations of every solution at the sweep's 182 angles; an
+    aspect angle inside the angle band of 0 is not asked."""
     assert len(solve_at_angle(analysis, 0.0).pairs) == 1
     table = analysis.table
     for phi in ([float(g) for g in range(180)]
-                + [table.phi_left, -table.phi_right]):
+                + [t for t in (table.phi_left, -table.phi_right)
+                   if angle_problem(t) is None]):
         for abstract in query_angle(analysis.diagram, phi).solutions:
             yield (_outcome(realize_solution, analysis, abstract),
                    _outcome(_reference_realize, analysis, abstract))
@@ -477,3 +482,59 @@ class TestLocaleBases:
                     gots[id(analysis)].append(got)
         assert gots[id(fine)] != gots[id(coarse)]
         assert fine.bases != coarse.bases
+
+
+class TestRecords:
+    """Per-angle results are immutable values that compare equal however
+    they were built."""
+
+    def test_angle_query(self, pentagon_arc):
+        query = query_angle(analyze_arc(pentagon_arc).diagram, 30.0)
+        assert isinstance(query, tuple)
+        assert AngleQuery(*query) == query
+        assert AngleQuery(case=query.case, solutions=query.solutions) == query
+        assert query._replace(case="D") == AngleQuery("D", query.solutions)
+        with pytest.raises(AttributeError):
+            query.case = "D"
+
+    def test_pair_and_solution_set(self, pentagon_arc):
+        solved = solve_at_angle(analyze_arc(pentagon_arc), 30.0)
+        pair = solved.pairs[0]
+        values = {f.name: getattr(pair, f.name)
+                  for f in dataclasses.fields(pair)}
+        assert SupportPairSolution(*values.values()) == pair
+        assert SupportPairSolution(**values) == pair
+        assert dataclasses.replace(pair, v=pair.w).v == pair.w
+        assert SolutionSet(solved.phi, solved.case, solved.pairs,
+                           solved.table) == solved
+        assert dataclasses.replace(solved, pairs=()).pairs == ()
+        with pytest.raises(AttributeError):
+            pair.v = pair.w
+        with pytest.raises(AttributeError):
+            solved.case = "D"
+
+
+# below the angle band of 0, and just at and above its edge
+TINY_ANGLES = (1e-320, 1e-9, 5e-8, 9e-8)
+BAND_EDGE_ANGLES = (1e-7, 1.5e-7)
+
+
+class TestTinyAngles:
+    """A positive angle inside the angle band of 0 cannot be told from 0:
+    its +phi and -phi pairs collapse to one.  Such an angle is refused
+    before anything is solved."""
+
+    @pytest.mark.parametrize("phi", TINY_ANGLES)
+    def test_refused(self, pentagon_arc, phi):
+        analysis = analyze_arc(pentagon_arc)
+        with pytest.raises(ValueError, match="must be 0 or at least 1e-07"):
+            query_angle(analysis.diagram, phi)
+        with pytest.raises(ValueError, match="must be 0 or at least 1e-07"):
+            solve_at_angle(analysis, phi)
+
+    @pytest.mark.parametrize("phi", BAND_EDGE_ANGLES)
+    def test_band_edge_has_two_pairs(self, pentagon_arc, phi):
+        solved = solve_at_angle(analyze_arc(pentagon_arc), phi)
+        assert solved.case == "B" and len(solved.pairs) == 2
+        for pair in solved.pairs:
+            _check_pair_definition(pentagon_arc, pair, phi, 1e-9)
