@@ -229,6 +229,21 @@ def test_large_uncross_output_digest():
     assert _digest(arcs) == UNCROSS_LARGE_DIGEST
 
 
+# the same digest over the polygons of the acceptance criteria's seeds:
+# convex corners (criteria 5 and 7) and star polygons (criterion 8)
+POLYGON_DIGEST = \
+    "07f9504d4d544912547f8b56913095831adb2208f6cf141f0bdbe500f7b4a20f"
+
+
+def test_polygon_generator_output_digest():
+    convex = [random_convex_polygon(n, 1_234 + n) for n in range(3, 9)]
+    convex += [random_convex_polygon(3 + i % 10, 400_000 + i)
+               for i in range(500)]
+    arcs = [arcio.PolygonalArc(poly, closed=True) for poly in convex]
+    arcs += [random_star_polygon(4 + i % 17, 500_000 + i) for i in range(1000)]
+    assert _digest(arcs) == POLYGON_DIGEST
+
+
 def _digest(arcs: list) -> str:
     h = hashlib.sha256()
     for arc in arcs:
