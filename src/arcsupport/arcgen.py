@@ -1,4 +1,4 @@
-"""Seeded random generation of simple arcs and polygons for fuzzing.
+"""Seeded random generation of simple arcs for fuzzing.
 
 All randomness flows through numpy's PCG64 generator seeded with a
 (seed, attempt) sequence, so every artifact is reproducible from the two
@@ -23,14 +23,11 @@ from functools import lru_cache
 import numpy as np
 
 from .arcio import PolygonalArc, validate_simple
-from .errors import DegenerateHullError, GenerationError
-from .geom import Point
-from .hull import convex_hull
+from .errors import GenerationError
 
 RNG_ALGORITHM = "pcg64"
 STRATEGIES = ("uncross", "zigzag")
-ATTEMPTS = 20               # seeds tried per open arc or star polygon
-CONVEX_ATTEMPTS = 50        # seeds tried per convex polygon
+ATTEMPTS = 20               # seeds tried per open arc
 UNCROSS_MAX_NODES = 1000    # nodes of the largest uncross arc
 
 
@@ -74,12 +71,6 @@ def _first_crossing(side: np.ndarray) -> tuple[int, int] | None:
     proper = straddle & straddle.T & _upper(m)
     h = int(proper.argmax())        # row-major: the first (i, j)
     return divmod(h, m) if proper.flat[h] else None
-
-
-def _first_proper_crossing(pts: np.ndarray) -> tuple[int, int] | None:
-    """Lexicographically first pair of non-adjacent properly crossing
-    segments of the open path ``pts``, or None."""
-    return _first_crossing(_sides(pts)) if len(pts) > 3 else None
 
 
 def _reverse(pts: np.ndarray, side: np.ndarray, i: int, j: int) -> None:
@@ -134,59 +125,3 @@ def generate_arc(nodes: int, seed: int,
     raise GenerationError(
         f"no simple arc with {nodes} nodes after {ATTEMPTS} attempts "
         f"(seed {seed}, strategy {strategy})")
-
-
-def random_convex_polygon(nodes: int, seed: int) -> tuple[Point, ...]:
-    """Strictly convex polygon with exactly ``nodes`` vertices, in
-    counterclockwise order starting at the lowest-leftmost vertex."""
-    if nodes < 3:
-        raise ValueError("a polygon needs at least 3 vertices")
-    for attempt in range(CONVEX_ATTEMPTS):
-        rng = _rng(seed, attempt)
-        xs = np.sort(rng.random(nodes))
-        ys = np.sort(rng.random(nodes))
-
-        def edge_vectors(vals: np.ndarray) -> np.ndarray:
-            mask = rng.random(nodes - 2) < 0.5
-            mid = vals[1:-1]
-            up = np.concatenate(([vals[0]], mid[mask], [vals[-1]]))
-            down = np.concatenate(([vals[0]], mid[~mask], [vals[-1]]))
-            return np.concatenate((np.diff(up), -np.diff(down)))
-
-        dx = edge_vectors(xs)
-        dy = edge_vectors(ys)
-        rng.shuffle(dy)
-        order = np.argsort(np.arctan2(dy, dx), kind="stable")
-        vx, vy = dx[order], dy[order]
-        px = np.concatenate(([0.0], np.cumsum(vx)[:-1]))
-        py = np.concatenate(([0.0], np.cumsum(vy)[:-1]))
-        poly = tuple(Point(float(x), float(y)) for x, y in zip(px, py))
-        try:
-            hull = convex_hull(poly)
-        except DegenerateHullError:
-            continue
-        if len(hull) == nodes:
-            return hull.points
-    raise GenerationError(
-        f"no strictly convex {nodes}-gon after {CONVEX_ATTEMPTS} attempts")
-
-
-def random_star_polygon(nodes: int, seed: int) -> PolygonalArc:
-    """Simple closed arc built by angle-sorting random points around
-    their centroid."""
-    if nodes < 3:
-        raise ValueError("a closed arc needs at least 3 nodes")
-    for attempt in range(ATTEMPTS):
-        rng = _rng(seed, attempt)
-        pts = rng.random((nodes, 2))
-        center = pts.mean(axis=0)
-        ang = np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0])
-        rad = np.hypot(pts[:, 1] - center[1], pts[:, 0] - center[0])
-        order = np.lexsort((rad, ang))
-        ring = pts[order]
-        arc = PolygonalArc(ring.tolist(), closed=True)
-        if validate_simple(arc).ok:
-            return arc
-    raise GenerationError(
-        f"no simple closed arc with {nodes} nodes after {ATTEMPTS} attempts "
-        f"(seed {seed})")

@@ -127,11 +127,12 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _parse_nodes(spec: str) -> tuple[int, int]:
-    if "-" in spec:
-        lo_text, hi_text = spec.split("-", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(spec)
+    lo_text, dash, hi_text = spec.partition("-")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if dash else lo
+    except ValueError:
+        lo = hi = 0                 # refused below
     if lo < 3 or hi < lo:
         raise argparse.ArgumentTypeError(
             f"bad node count or range {spec!r}")

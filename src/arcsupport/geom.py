@@ -71,12 +71,6 @@ def normalize_angle(a: float) -> float:
     return r
 
 
-def angle_dist_mod180(a: float, b: float) -> float:
-    """Distance between two line directions, orientation ignored; in [0, 90]."""
-    d = abs(normalize_angle(a - b))
-    return min(d, 180.0 - d)
-
-
 def direction_deg(a: Point, b: Point) -> float:
     """Direction of the vector a -> b in degrees."""
     dx, dy = b[0] - a[0], b[1] - a[1]
@@ -152,16 +146,10 @@ def segments_intersect(s1: Segment, s2: Segment,
     return False
 
 
-def line_offset(line: Line, p: Point) -> float:
-    """Signed perpendicular offset of p from the line; positive on its left."""
-    ux, uy = unit_vector(line.dir_deg)
-    return ux * (p[1] - line.py) - uy * (p[0] - line.px)
-
-
 def lines_equal(l1: Line, l2: Line, eps_len: float, eps_angle: float) -> bool:
     """Same undirected line: parallel within eps_angle, coincident within
-    eps_len.  ``angle_dist_mod180`` and ``line_offset`` are written out
-    (fmod is exact), as the oracle calls this per candidate and angle."""
+    eps_len.  The angle gap and the offset are written out inline (fmod
+    is exact), as the oracle calls this per candidate and angle."""
     d = abs(math.fmod(l1.dir_deg - l2.dir_deg, 180.0))
     if min(d, 180.0 - d) > eps_angle:
         return False

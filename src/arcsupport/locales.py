@@ -150,8 +150,3 @@ class TiltTable:
 
 def tilt_table(decomp: LocaleDecomposition) -> TiltTable:
     return TiltTable.from_tilts(compute_tilts(decomp))
-
-
-def aspect_angles(table: TiltTable) -> tuple[float, float]:
-    """(left, right) aspect angles in degrees; left > 0 > right."""
-    return (table.phi_left, table.phi_right)

@@ -89,12 +89,6 @@ def build_schematic(table: TiltTable) -> SchematicDiagram:
     return SchematicDiagram(table=table, strips=tuple(strips))
 
 
-def crossing_point(diagram: SchematicDiagram) -> tuple[float, int]:
-    """(position, strip index) where the profile gap vanishes."""
-    x = diagram.table.phi_left
-    return (x, diagram.strip_at(x).index)
-
-
 def query_angle(diagram: SchematicDiagram, phi_deg: float,
                 eps_angle: float = DEFAULT_EPS_ANGLE) -> AngleQuery:
     """All support-line pairs whose lines meet at ``phi_deg`` degrees.

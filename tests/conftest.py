@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import math
-import random
-
 import pytest
+from helpers import star_fan
 
 from arcsupport import Point, PolygonalArc
 
@@ -49,11 +47,4 @@ def star_fan_700() -> PolygonalArc:
     """Open 700-node arc whose radius alternates 1 and about 0.05 over
     0.95 of a turn, as the benchmark's star fans do: every outer node is a
     hull vertex, so the hull has about 350 vertices."""
-    n, rng = 700, random.Random(700)
-    step = 0.95 * 2.0 * math.pi / (n - 1)
-    nodes = []
-    for i in range(n):
-        theta = (i + rng.uniform(-0.25, 0.25)) * step
-        r = 1.0 if i % 2 == 0 else 0.05 * rng.uniform(0.9, 1.1)
-        nodes.append((r * math.cos(theta), r * math.sin(theta)))
-    return PolygonalArc(nodes)
+    return PolygonalArc(star_fan(700, 700))

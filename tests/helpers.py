@@ -1,0 +1,115 @@
+"""Functions that only the tests use: seeded polygon and star-fan
+generators, two angle and offset measures, and a reader of the
+schematic's delta profile.  The polygon generators draw from ``arcgen``'s
+own seeded stream, so a polygon depends on its two integers alone."""
+
+from __future__ import annotations
+
+import math
+import random
+import re
+
+import numpy as np
+
+from arcsupport.arcgen import ATTEMPTS, _rng
+from arcsupport.arcio import PolygonalArc, validate_simple
+from arcsupport.errors import DegenerateHullError, GenerationError
+from arcsupport.geom import Line, Point, normalize_angle, unit_vector
+from arcsupport.hull import convex_hull
+
+CONVEX_ATTEMPTS = 50        # seeds tried per convex polygon
+
+
+def angle_dist_mod180(a: float, b: float) -> float:
+    """Distance between two line directions, orientation ignored; in [0, 90]."""
+    d = abs(normalize_angle(a - b))
+    return min(d, 180.0 - d)
+
+
+def line_offset(line: Line, p: Point) -> float:
+    """Signed perpendicular offset of p from the line; positive on its left."""
+    ux, uy = unit_vector(line.dir_deg)
+    return ux * (p[1] - line.py) - uy * (p[0] - line.px)
+
+
+def delta_profile_points(svg_text: str) -> list[Point]:
+    """Points of the schematic's delta-profile polyline, with the
+    renderer's y flip undone so positive angles are positive."""
+    m = re.search(r'<polyline class="delta-profile" points="([^"]+)"', svg_text)
+    assert m is not None
+    pts = []
+    for token in m.group(1).split():
+        xs, ys = token.split(",")
+        pts.append(Point(float(xs), -float(ys)))
+    return pts
+
+
+def star_fan(n: int, seed: int) -> list[tuple[float, float]]:
+    """Nodes of an open arc whose radius alternates 1 and about 0.05 over
+    0.95 of a turn, polar angles jittered by under half a step and so
+    strictly increasing: simple, with dense overlapping boxes, and every
+    outer node a hull vertex."""
+    rng = random.Random(seed)
+    step = 0.95 * 2.0 * math.pi / (n - 1)
+    nodes = []
+    for i in range(n):
+        theta = (i + rng.uniform(-0.25, 0.25)) * step
+        radius = 1.0 if i % 2 == 0 else 0.05 * rng.uniform(0.9, 1.1)
+        nodes.append((radius * math.cos(theta), radius * math.sin(theta)))
+    return nodes
+
+
+def random_convex_polygon(nodes: int, seed: int) -> tuple[Point, ...]:
+    """Strictly convex polygon with exactly ``nodes`` vertices, in
+    counterclockwise order starting at the lowest-leftmost vertex."""
+    if nodes < 3:
+        raise ValueError("a polygon needs at least 3 vertices")
+    for attempt in range(CONVEX_ATTEMPTS):
+        rng = _rng(seed, attempt)
+        xs = np.sort(rng.random(nodes))
+        ys = np.sort(rng.random(nodes))
+
+        def edge_vectors(vals: np.ndarray) -> np.ndarray:
+            mask = rng.random(nodes - 2) < 0.5
+            mid = vals[1:-1]
+            up = np.concatenate(([vals[0]], mid[mask], [vals[-1]]))
+            down = np.concatenate(([vals[0]], mid[~mask], [vals[-1]]))
+            return np.concatenate((np.diff(up), -np.diff(down)))
+
+        dx = edge_vectors(xs)
+        dy = edge_vectors(ys)
+        rng.shuffle(dy)
+        order = np.argsort(np.arctan2(dy, dx), kind="stable")
+        vx, vy = dx[order], dy[order]
+        px = np.concatenate(([0.0], np.cumsum(vx)[:-1]))
+        py = np.concatenate(([0.0], np.cumsum(vy)[:-1]))
+        poly = tuple(Point(float(x), float(y)) for x, y in zip(px, py))
+        try:
+            hull = convex_hull(poly)
+        except DegenerateHullError:
+            continue
+        if len(hull) == nodes:
+            return hull.points
+    raise GenerationError(
+        f"no strictly convex {nodes}-gon after {CONVEX_ATTEMPTS} attempts")
+
+
+def random_star_polygon(nodes: int, seed: int) -> PolygonalArc:
+    """Simple closed arc built by angle-sorting random points around
+    their centroid."""
+    if nodes < 3:
+        raise ValueError("a closed arc needs at least 3 nodes")
+    for attempt in range(ATTEMPTS):
+        rng = _rng(seed, attempt)
+        pts = rng.random((nodes, 2))
+        center = pts.mean(axis=0)
+        ang = np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0])
+        rad = np.hypot(pts[:, 1] - center[1], pts[:, 0] - center[0])
+        order = np.lexsort((rad, ang))
+        ring = pts[order]
+        arc = PolygonalArc(ring.tolist(), closed=True)
+        if validate_simple(arc).ok:
+            return arc
+    raise GenerationError(
+        f"no simple closed arc with {nodes} nodes after {ATTEMPTS} attempts "
+        f"(seed {seed})")

@@ -11,20 +11,20 @@ verdicts.
 from __future__ import annotations
 
 import math
-import re
 import time
 from contextlib import contextmanager
 
 import pytest
+from helpers import (delta_profile_points, random_convex_polygon,
+                     random_star_polygon)
 
 from arcsupport import Point, PolygonalArc
-from arcsupport.arcgen import (STRATEGIES, generate_arc,
-                               random_convex_polygon, random_star_polygon)
+from arcsupport.arcgen import STRATEGIES, generate_arc
 from arcsupport.errors import DegenerateHullError
 from arcsupport.guidepath import enumerate_admissible_paths
-from arcsupport.locales import TiltTable, aspect_angles, compute_spans
+from arcsupport.locales import TiltTable, compute_spans
 from arcsupport.oracle import brute_force_pairs
-from arcsupport.schematic import build_schematic, crossing_point, query_angle
+from arcsupport.schematic import build_schematic, query_angle
 from arcsupport.solver import (analyze_arc, solve_at_angle, solve_closed,
                                solve_parallel)
 from arcsupport.svg import render_scene_for, render_schematic
@@ -129,14 +129,14 @@ def test_criterion_1_reference_tilt_table(capfd):
             assert got == pytest.approx(printed, abs=0.02)
 
         table = TiltTable.from_tilts(REFERENCE_TILTS)
-        left, right = aspect_angles(table)
+        left, right = table.phi_left, table.phi_right
         assert left == pytest.approx(PRINTED_PHI_LEFT, abs=0.01)
         assert abs(right) == pytest.approx(PRINTED_PHI_RIGHT_ABS, abs=0.01)
         assert right < 0 < left
 
         TiltTable.from_tilts(REFERENCE_TILTS)  # warm-up
-        best = min(_timed(lambda: aspect_angles(
-            TiltTable.from_tilts(REFERENCE_TILTS))) for _ in range(7))
+        best = min(_timed(lambda: TiltTable.from_tilts(REFERENCE_TILTS))
+                   for _ in range(7))
         assert best < 1e-3, f"tilt-table run took {best * 1e3:.3f} ms"
 
 
@@ -150,8 +150,8 @@ def test_criterion_2_reference_schematic(capfd):
     with _verdict(capfd, 2, "reference-schematic"):
         diagram = build_schematic(TiltTable.from_tilts(REFERENCE_TILTS))
 
-        x, strip = crossing_point(diagram)
-        assert strip == 3
+        x = diagram.table.phi_left
+        assert diagram.strip_at(x).index == 3
         assert x == pytest.approx(PRINTED_PHI_LEFT, abs=0.01)
 
         q40 = query_angle(diagram, 40.0)
@@ -171,7 +171,7 @@ def test_criterion_2_reference_schematic(capfd):
         assert q150.case == "D"
 
         def run_queries():
-            crossing_point(diagram)
+            diagram.strip_at(diagram.table.phi_left)
             query_angle(diagram, 40.0)
             query_angle(diagram, 135.0)
             query_angle(diagram, 150.0)
@@ -408,20 +408,6 @@ def test_criterion_8_closed_arcs(capfd):
             assert forward or backward
 
 
-def _delta_profile_endpoints(svg_text: str):
-    for line in svg_text.splitlines():
-        if 'class="delta-profile"' in line:
-            match = re.search(r'points="([^"]+)"', line)
-            assert match is not None
-            tokens = match.group(1).split()
-            first = tokens[0].split(",")
-            last = tokens[-1].split(",")
-            # The renderer flips y so positive angles plot upward.
-            return ((float(first[0]), -float(first[1])),
-                    (float(last[0]), -float(last[1])))
-    raise AssertionError("no delta-profile polyline in the schematic")
-
-
 def test_criterion_9_rendering_determinism(capfd):
     with _verdict(capfd, 9, "rendering-determinism"):
         def pentagon_scene() -> str:
@@ -438,7 +424,8 @@ def test_criterion_9_rendering_determinism(capfd):
         schem_a, schem_b = reference_schematic(), reference_schematic()
         assert schem_a.encode() == schem_b.encode()
 
-        (x0, y0), (x1, y1) = _delta_profile_endpoints(schem_a)
+        points = delta_profile_points(schem_a)
+        (x0, y0), (x1, y1) = points[0], points[-1]
         assert x0 == pytest.approx(0.0, abs=1e-6)
         assert y0 == pytest.approx(143.74, abs=0.005)
         assert x1 == pytest.approx(271.57, abs=0.005)

@@ -7,6 +7,7 @@ import struct
 
 import numpy as np
 import pytest
+from helpers import random_convex_polygon, random_star_polygon
 
 from arcsupport import arcgen, arcio
 from arcsupport.arcgen import (
@@ -14,12 +15,9 @@ from arcsupport.arcgen import (
     STRATEGIES,
     UNCROSS_MAX_NODES,
     _first_crossing,
-    _first_proper_crossing,
     _reverse,
     _sides,
     generate_arc,
-    random_convex_polygon,
-    random_star_polygon,
 )
 from arcsupport.arcio import is_segment_arc, validate_simple
 from arcsupport.errors import GenerationError
@@ -101,11 +99,11 @@ class TestGenerateArc:
 class TestFirstProperCrossing:
     def test_finds_crossing(self):
         pts = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0]])
-        assert _first_proper_crossing(pts) == (0, 2)
+        assert _first_crossing(_sides(pts)) == (0, 2)
 
     def test_straight_path_clean(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
-        assert _first_proper_crossing(pts) is None
+        assert _first_crossing(_sides(pts)) is None
 
     def test_lexicographically_first(self):
         # crossings (0, 4), (1, 3) and (1, 4): the first row wins even
@@ -113,7 +111,7 @@ class TestFirstProperCrossing:
         pts = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 4.0],
                         [8.0, 3.0], [12.0, 1.0], [5.0, -2.0]])
         assert _all_proper_crossings(pts) == [(0, 4), (1, 3), (1, 4)]
-        assert _first_proper_crossing(pts) == (0, 4)
+        assert _first_crossing(_sides(pts)) == (0, 4)
 
     @pytest.mark.parametrize("nodes, zero", [
         # segment 4 overlaps segment 0 on [1, 2] and touches segment 1's
@@ -127,13 +125,13 @@ class TestFirstProperCrossing:
         for i, j in zero:
             assert _straddle_product(pts.tolist(), i, j) == 0.0
         assert _all_proper_crossings(pts) == []
-        assert _first_proper_crossing(pts) is None
+        assert _first_crossing(_sides(pts)) is None
 
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_double_loop_on_random_paths(self, seed):
         rng = np.random.default_rng(seed)
         pts = rng.random((int(rng.integers(4, 31)), 2))
-        assert _first_proper_crossing(pts) == _reference_crossing(pts)
+        assert _first_crossing(_sides(pts)) == _reference_crossing(pts)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_double_loop_on_grid_paths(self, seed):
@@ -141,7 +139,7 @@ class TestFirstProperCrossing:
         # shared vertices common
         rng = np.random.default_rng(seed)
         pts = rng.integers(0, 4, (int(rng.integers(4, 31)), 2)).astype(float)
-        assert _first_proper_crossing(pts) == _reference_crossing(pts)
+        assert _first_crossing(_sides(pts)) == _reference_crossing(pts)
 
     @pytest.mark.parametrize("n, seed", [(n, s) for n in (60, 200)
                                          for s in range(3)])
@@ -161,7 +159,7 @@ class TestFirstProperCrossing:
         for n in (4, 9, 30):
             pts = np.array(generate_arc(n, seed=n).nodes)
             assert _reference_crossing(pts) is None
-            assert _first_proper_crossing(pts) is None
+            assert _first_crossing(_sides(pts)) is None
 
 
 def _straddle_product(p: list, i: int, j: int) -> float:
@@ -181,7 +179,7 @@ def _uncross_checking_every_step(pts: np.ndarray) -> int:
     side = _sides(pts)
     for step in range(10 * len(pts) ** 2):
         hit = _first_crossing(side)
-        assert hit == _first_proper_crossing(pts)
+        assert hit == _first_crossing(_sides(pts))
         if hit is None:
             return step
         _reverse(pts, side, *hit)

@@ -9,9 +9,10 @@ import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from helpers import random_star_polygon, star_fan
 
 from arcsupport import arcio
-from arcsupport.arcgen import generate_arc, random_star_polygon
+from arcsupport.arcgen import generate_arc
 from arcsupport.arcio import (
     PolygonalArc,
     ValidationReport,
@@ -465,18 +466,6 @@ def jittered_grid_arcs(draw):
     return PolygonalArc(tuple(nodes), closed=draw(st.booleans()))
 
 
-def _star_fan(n, rng):
-    """Radius alternating 1 and about 0.05 over 0.95 of a turn, with polar
-    angles strictly increasing: simple, with dense overlapping boxes."""
-    step = 0.95 * 2.0 * math.pi / (n - 1)
-    nodes = []
-    for k in range(n):
-        theta = (k + rng.uniform(-0.25, 0.25)) * step
-        radius = 1.0 if k % 2 == 0 else 0.05 * rng.uniform(0.9, 1.1)
-        nodes.append((radius * math.cos(theta), radius * math.sin(theta)))
-    return nodes
-
-
 # Segment 3 ends 2.1e-9 above segment 0, with eps_len = 1e-9 * sqrt(2): the
 # turn's |cross| lies between the band and twice the band, so the float
 # filter cannot rule the pair out and the scalar test must.
@@ -543,7 +532,7 @@ class TestBatchedValidation:
         assert seen == [folded.nodes[0]]
 
     def test_star_fans(self):
-        nodes = _star_fan(120, random.Random(3))
+        nodes = star_fan(120, 3)
         simple = PolygonalArc(tuple(nodes))
         report = validate_simple(simple)
         assert report.ok

@@ -455,13 +455,16 @@ class TestFuzz:
         assert captured.err.startswith("error: uncross arcs have at most")
         assert len(captured.err.splitlines()) == 1
 
-    def test_bad_nodes_usage_error(self, capsys):
+    @pytest.mark.parametrize("value", ["2", "9-4", "x", "-3", "4-", "3-x"])
+    def test_bad_nodes_usage_error(self, capsys, value):
         with pytest.raises(SystemExit) as exc:
-            run(["fuzz", "--nodes", "2"])
+            run(["fuzz", "--nodes", value])
         assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            run(["fuzz", "--nodes", "9-4"])
-        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            "arcsupport fuzz: error: argument --nodes: "
+            f"bad node count or range {value!r}")
 
 
 class TestFuzzFailures:

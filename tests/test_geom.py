@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
+from helpers import angle_dist_mod180, line_offset
 
 from arcsupport.geom import (
     DEFAULT_EPS_ANGLE,
@@ -18,13 +19,11 @@ from arcsupport.geom import (
     Line,
     Point,
     Tolerance,
-    angle_dist_mod180,
     angle_problem,
     bbox,
     bbox_diagonal,
     direction_deg,
     dist,
-    line_offset,
     lines_equal,
     lines_intersection,
     normalize_angle,
@@ -301,8 +300,9 @@ def _bits(p):
 
 
 class TestWrittenOutPredicates:
-    """``lines_equal`` and ``lines_intersection`` inline the angle and
-    offset helpers; they must agree with them bit for bit."""
+    """``lines_equal`` and ``lines_intersection`` inline the test helpers
+    ``angle_dist_mod180`` and ``line_offset``; they must agree with them
+    bit for bit."""
 
     @given(near_line_pairs(), st.floats(min_value=1e-12, max_value=1e6),
            st.sampled_from([DEFAULT_EPS_ANGLE, DIRECTION_AGREE_DEG]))

@@ -8,12 +8,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from helpers import angle_dist_mod180, line_offset, random_convex_polygon
 
-from arcsupport.arcgen import random_convex_polygon
 from arcsupport.arcio import PolygonalArc, validate_simple
 from arcsupport.errors import DegenerateHullError, InvalidArcError
-from arcsupport.geom import (Line, Point, Tolerance, angle_dist_mod180,
-                             bbox_diagonal, direction_deg, line_offset,
+from arcsupport.geom import (Line, Point, bbox_diagonal, direction_deg,
                              orient, unit_vector)
 from arcsupport.hull import (SupportContact, convex_hull, support_contact,
                              support_vertices)

@@ -20,7 +20,6 @@ from arcsupport.guidepath import build_guide_path
 from arcsupport.hull import convex_hull
 from arcsupport.locales import (
     TiltTable,
-    aspect_angles,
     compute_spans,
     compute_tilts,
     decompose_locales,
@@ -73,7 +72,6 @@ class TestPentagonLocales:
                                                 abs=1e-12)
         assert table.delta_total == pytest.approx(
             2 * DEG_ATAN_1_1 + 2 * DEG_ATAN_1_2, abs=1e-12)
-        assert aspect_angles(table) == (table.phi_left, table.phi_right)
 
 
 class TestSingleLocale:

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
+from helpers import angle_dist_mod180
 from test_hull import jittered_grid_nodes
 
 from arcsupport import oracle
@@ -17,8 +18,7 @@ from arcsupport.arcgen import STRATEGIES, generate_arc
 from arcsupport.arcio import PolygonalArc, validate_simple
 from arcsupport.errors import (DegenerateHullError, InvalidArcError,
                                UnsupportedArcError)
-from arcsupport.geom import (Line, Tolerance, angle_dist_mod180,
-                             angle_problem)
+from arcsupport.geom import Line, Tolerance, angle_problem
 from arcsupport.hull import convex_hull, support_contact
 from arcsupport.oracle import (
     AgreementReport,

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
 import re
 from pathlib import Path
 
 import arcsupport
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_star_import_binds_every_public_name():
@@ -20,6 +22,27 @@ def test_every_public_name_resolves():
     assert len(set(arcsupport.__all__)) == len(arcsupport.__all__)
     for name in arcsupport.__all__:
         assert hasattr(arcsupport, name), name
+
+
+def test_every_public_function_has_a_user_outside_the_tests():
+    # a function only tests call belongs in tests/helpers.py, not in the
+    # package's surface; its own module and __init__ do not count
+    package = ROOT / "src" / "arcsupport"
+    texts = {path: path.read_text()
+             for path in [*package.glob("*.py"), *(ROOT / "bench").glob("*.py"),
+                          README]
+             if path.name != "__init__.py"}
+    unused = []
+    for name in arcsupport.__all__:
+        obj = getattr(arcsupport, name)
+        if not inspect.isfunction(obj):
+            continue
+        home = Path(inspect.getfile(obj))
+        pattern = re.compile(rf"\b{name}\b")
+        if not any(pattern.search(text) for path, text in texts.items()
+                   if path != home):
+            unused.append(name)
+    assert unused == []
 
 
 def test_readme_python_blocks_run(capsys):

@@ -3,29 +3,14 @@
 from __future__ import annotations
 
 import json
-import math
-import random
 
 import pytest
+from helpers import star_fan
 
 from arcsupport.arcgen import generate_arc
 from arcsupport.report import AnalysisReport, solution_csv, tilt_table_csv
 from arcsupport.solver import analyze_arc, solve_at_angle, solve_closed
 from arcsupport.arcio import PolygonalArc, parse_arc
-
-
-def _fan_arc(n: int, seed: int) -> PolygonalArc:
-    """Open arc whose radius alternates 1 and about 0.05 over 0.95 of a
-    turn, angles jittered by under half a step: half its nodes are hull
-    vertices."""
-    rng = random.Random(seed)
-    step = 0.95 * 2.0 * math.pi / (n - 1)
-    nodes = []
-    for i in range(n):
-        theta = (i + rng.uniform(-0.25, 0.25)) * step
-        radius = 1.0 if i % 2 == 0 else 0.05 * rng.uniform(0.9, 1.1)
-        nodes.append((radius * math.cos(theta), radius * math.sin(theta)))
-    return PolygonalArc(nodes)
 
 
 @pytest.fixture
@@ -77,7 +62,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("make", [
         lambda: generate_arc(3000, 5, "zigzag"),
-        lambda: _fan_arc(712, 3),
+        lambda: PolygonalArc(star_fan(712, 3)),
         lambda: parse_arc('{"nodes": [[0, 0], [2, -1], [4, 0], [3, 1], [1, 1]]}'),
         lambda: parse_arc('{"nodes": [[-3, 0], [0, -2], [0, 5e-324], [3, -0.0]]}'),
     ], ids=["zigzag", "fan", "integers", "signed-zero-subnormal"])

@@ -15,7 +15,7 @@ from arcsupport.geom import DEFAULT_EPS_ANGLE
 from arcsupport.guidepath import build_guide_path
 from arcsupport.hull import convex_hull
 from arcsupport.locales import TiltTable, decompose_locales, tilt_table
-from arcsupport.schematic import build_schematic, crossing_point, query_angle
+from arcsupport.schematic import build_schematic, query_angle
 from arcsupport.solver import analyze_arc
 
 DEG_ATAN_1_1 = math.degrees(math.atan2(1, 1))
@@ -51,9 +51,9 @@ class TestStripLayout:
 
     def test_crossing(self, pentagon_arc):
         d = _pentagon_diagram(pentagon_arc)
-        x, strip = crossing_point(d)
+        x = d.table.phi_left
         assert x == pytest.approx(DEG_ATAN_1_1 + DEG_ATAN_1_2, abs=1e-12)
-        assert strip == 2
+        assert d.strip_at(x).index == 2
 
 
 class TestProfiles:
@@ -167,9 +167,9 @@ class TestQueryReferenceTable:
             [48.06, 124.38, 173.98, 192.71, 229.82, 271.57], abs=1e-9)
 
     def test_crossing_in_strip_3(self, diagram):
-        x, strip = crossing_point(diagram)
+        x = diagram.table.phi_left
         assert x == pytest.approx(143.74, abs=1e-9)
-        assert strip == 3
+        assert diagram.strip_at(x).index == 3
 
     def test_query_40(self, diagram):
         q = query_angle(diagram, 40.0)

@@ -13,6 +13,7 @@ from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
+from helpers import line_offset, random_star_polygon
 from test_hull import jittered_grid_nodes
 
 from arcsupport import arcio, solver
@@ -44,19 +45,13 @@ DEG_ATAN_1_2 = math.degrees(math.atan2(1, 2))
 PHI_LEFT_PENTAGON = 45.0 + DEG_ATAN_1_2
 
 
-def _offset(line, p) -> float:
-    r = math.radians(line.dir_deg)
-    ux, uy = math.cos(r), math.sin(r)
-    return ux * (p[1] - line.py) - uy * (p[0] - line.px)
-
-
 def _check_pair_definition(arc, pair, phi, eps_len):
     """The defining property, checked from scratch."""
     gap = abs((pair.m.dir_deg - pair.n.dir_deg + 180.0) % 360.0 - 180.0)
     assert gap == pytest.approx(phi, abs=1e-6)
 
     for line, on_line in ((pair.m, (pair.u, pair.w)), (pair.n, (pair.v,))):
-        offsets = [_offset(line, p) for p in arc.nodes]
+        offsets = [line_offset(line, p) for p in arc.nodes]
         assert min(offsets) >= -eps_len or max(offsets) <= eps_len
         for node in on_line:
             assert abs(offsets[node]) <= eps_len
@@ -113,8 +108,8 @@ class TestPentagonAtAngle:
         analysis = analyze_arc(pentagon_arc)
         for pair in solve_at_angle(analysis, 30.0).pairs:
             assert pair.apex is not None
-            assert abs(_offset(pair.m, pair.apex)) <= 1e-9
-            assert abs(_offset(pair.n, pair.apex)) <= 1e-9
+            assert abs(line_offset(pair.m, pair.apex)) <= 1e-9
+            assert abs(line_offset(pair.n, pair.apex)) <= 1e-9
         # First apex lies beyond the head (x < 0), second beyond the tail.
         a, b = solve_at_angle(analysis, 30.0).pairs
         assert a.apex.x < 0.0
@@ -267,7 +262,6 @@ class TestSolveClosed:
             solve_closed(PolygonalArc(PENTAGRAM, closed=True))
 
     def test_fuzzed_star_polygons(self):
-        from arcsupport.arcgen import random_star_polygon
         for i in range(15):
             arc = random_star_polygon(5 + i, seed=600 + i)
             pair = solve_closed(arc).pairs[0]

@@ -9,6 +9,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from helpers import delta_profile_points
 
 from arcsupport import svg
 from arcsupport.arcgen import generate_arc
@@ -27,16 +28,6 @@ from arcsupport.svg import (
 )
 
 NUM = r"(-?\d+\.\d{6})"
-
-
-def _delta_endpoints(svg_text):
-    m = re.search(r'<polyline class="delta-profile" points="([^"]+)"', svg_text)
-    assert m is not None
-    pts = []
-    for token in m.group(1).split():
-        xs, ys = token.split(",")
-        pts.append((float(xs), -float(ys)))    # undo the y negation
-    return pts
 
 
 class TestDeterminism:
@@ -303,7 +294,7 @@ class TestSchematicContent:
 
     def test_delta_profile_endpoints(self, diagram):
         svg = render_schematic(diagram)
-        (x0, y0), (x1, y1) = _delta_endpoints(svg)
+        (x0, y0), (x1, y1) = delta_profile_points(svg)
         assert (x0, y0) == pytest.approx((0.0, 143.74), abs=1e-5)
         assert (x1, y1) == pytest.approx((271.57, -127.83), abs=1e-5)
 
