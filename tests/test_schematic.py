@@ -237,6 +237,12 @@ class TestCaseIsTheSolutionCount:
             q = query_angle(diagram, phi)
             assert q.case == _threshold_case(table, phi), phi
             assert len(q.solutions) == {"A": 1, "B": 2, "C": 1, "D": 0}[q.case]
+            # ascending abscissa, and +phi before -phi when both are realized
+            xs = [sol.abscissa for sol in q.solutions]
+            assert xs == sorted(xs), phi
+            if len(q.solutions) == 2:
+                assert tuple(sol.ordinate for sol in q.solutions) == \
+                    (phi, -phi), phi
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_generated_arcs(self, strategy):
