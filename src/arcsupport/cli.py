@@ -17,7 +17,7 @@ from .arcgen import RNG_ALGORITHM, STRATEGIES, generate_arc
 from .arcio import load_arc, validate_simple
 from .errors import (ArcSupportError, StructuralViolationError,
                      UnsupportedArcError)
-from .geom import angle_problem
+from .geom import DEFAULT_EPS_ANGLE, angle_problem
 from .oracle import compare_with_solver
 from .report import AnalysisReport, solution_csv, tilt_table_csv
 from .schematic import query_angle
@@ -196,39 +196,28 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return EXIT_OK if not failures else EXIT_DISAGREEMENT
 
 
-def _number(convert: Callable[[str], float], rule: str,
-            ok: Callable[[float], bool]) -> Callable[[str], float]:
-    """argparse type: ``convert(text)``; a usage error unless ``ok`` holds."""
+def _number(convert: Callable[[str], float],
+            problem: Callable[[float], str | None]) -> Callable[[str], float]:
+    """argparse type: ``convert(text)``, refused if ``problem`` says why."""
     def parse(text: str) -> float:
         try:
             value = convert(text)
         except ValueError:
             value = math.nan
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        if (reason := problem(value)) is not None:
+            raise argparse.ArgumentTypeError(f"{reason}, got {text!r}")
         return value
     return parse
 
 
-def _phi(text: str) -> float:
-    """argparse type of --phi: an angle that ``geom.angle_problem`` and so
-    every per-angle function accepts."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if (problem := angle_problem(value)) is not None:
-        raise argparse.ArgumentTypeError(f"{problem}, got {text!r}")
-    return value
-
-
-# nan fails every comparison, so each predicate also rejects it
-_positive = _number(float, "must be a finite number > 0",
-                    lambda v: 0 < v < math.inf)
-_phi_step = _number(float,
-                    f"must be positive, finite and at least {MIN_PHI_STEP}",
-                    lambda v: MIN_PHI_STEP <= v < math.inf)
-_natural = _number(int, "must be an integer >= 0", lambda v: v >= 0)
+# a text that does not convert is nan, which fails every comparison
+_positive = _number(float, lambda v: None if 0 < v < math.inf else
+                    "must be a finite number > 0")
+_phi_step = _number(float, lambda v: None if MIN_PHI_STEP <= v < math.inf else
+                    f"must be positive, finite and at least {MIN_PHI_STEP}")
+_natural = _number(int, lambda v: None if v >= 0 else
+                   "must be an integer >= 0")
+_phi = _number(float, angle_problem)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -261,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="support-line pairs at a prescribed angle")
     p.add_argument("--phi", type=_phi, required=True,
                    help="prescribed angle in degrees: 0, or "
-                        "1e-07 <= phi < 180")
+                        f"{DEFAULT_EPS_ANGLE:g} <= phi < 180")
     p.add_argument("--json", metavar="PATH",
                    help="also write the solution to this file")
     p.add_argument("--svg", metavar="STEM",

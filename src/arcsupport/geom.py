@@ -121,12 +121,12 @@ def _on_segment(a: Point, b: Point, p: Point, eps: float) -> bool:
             and min(a[1], b[1]) - eps <= p[1] <= max(a[1], b[1]) + eps)
 
 
-def segments_intersect(s1: Segment, s2: Segment,
-                       tol: Tolerance | None = None) -> bool:
+def segments_intersect(s1: Segment, s2: Segment, tol: Tolerance) -> bool:
     """Whether two segments meet: an interior crossing, an endpoint touch
-    or a collinear overlap."""
+    or a collinear overlap.  ``tol`` sets both the collinearity band of
+    ``orient`` and the slack of an endpoint on the other segment."""
     (p1, p2), (q1, q2) = s1, s2
-    eps = tol.eps_len if tol is not None else 0.0
+    eps = tol.eps_len
     if dist(p1, p2) <= eps or dist(q1, q2) <= eps:
         raise ValueError("degenerate (zero-length) segment")
     o1 = orient(p1, p2, q1, tol)

@@ -110,10 +110,6 @@ class TiltTable:
     phi_right: float
     delta_total: float
 
-    @property
-    def count(self) -> int:
-        return len(self.spans)
-
     def to_dict(self) -> dict:
         return {"tilts": list(self.tilts), "spans": list(self.spans),
                 "phi_left": self.phi_left, "phi_right": self.phi_right,

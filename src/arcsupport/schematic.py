@@ -62,7 +62,7 @@ class SchematicDiagram:
         return self.strips[-1]
 
     def upper_value(self, x: float) -> float:
-        x = min(max(x, 0.0), self.width)
+        """The upper profile at x, which lies in [0, width]."""
         strip = self.strip_at(x)
         j = strip.index
         tilts = self.table.tilts
@@ -71,7 +71,7 @@ class SchematicDiagram:
         return tilts[j]
 
     def lower_value(self, x: float) -> float:
-        x = min(max(x, 0.0), self.width)
+        """The lower profile at x, which lies in [0, width]."""
         strip = self.strip_at(x)
         j = strip.index
         tilts = self.table.tilts
@@ -97,8 +97,9 @@ def query_angle(diagram: SchematicDiagram, phi_deg: float,
     exactly when it lies between the right and left aspect angles, with an
     ``eps_angle`` slack so prescribed angles at the exact extremes are kept.
     The case follows from the solution count: A at phi = 0, otherwise B, C
-    or D for two, one or no realized gaps.  An angle that
-    ``geom.angle_problem`` rejects raises ValueError.
+    or D for two, one or no realized gaps, in ascending abscissa with +phi
+    first: x = phi_left - s, rounded and clamped, never rises as s grows.
+    An angle that ``geom.angle_problem`` rejects raises ValueError.
     """
     if (problem := angle_problem(phi_deg)) is not None:
         raise ValueError(f"angle {problem}, got {phi_deg}")
@@ -115,6 +116,5 @@ def query_angle(diagram: SchematicDiagram, phi_deg: float,
         tilt_j = table.tilts[j]
         theta = tilt_j + s if j % 2 == 1 else tilt_j - s
         solutions.append(AbstractSolution(s, x, j, theta))
-    solutions.sort(key=lambda sol: sol.abscissa)
     case = "A" if phi_deg == 0.0 else {2: "B", 1: "C", 0: "D"}[len(solutions)]
     return AngleQuery(case, tuple(solutions))

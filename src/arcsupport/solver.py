@@ -72,7 +72,6 @@ class SupportPairSolution:
     locale: int | None
     apex: Point | None
     apex_side: str          # 'left', 'right', or 'none'
-    ordinate: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -173,8 +172,7 @@ def realize_solution(analysis: Analysis,
         else:
             apex_side = "right"
     return SupportPairSolution(m, contact.line, node_u, node_v, node_w,
-                               abstract.locale_index, apex, apex_side,
-                               abstract.ordinate)
+                               abstract.locale_index, apex, apex_side)
 
 
 def solve_at_angle(analysis: Analysis, phi_deg: float) -> SolutionSet:
@@ -216,6 +214,5 @@ def solve_closed_hull(hull: ConvexHull) -> SolutionSet:
     contact = support_contact(hull, m.dir_deg, "right")
     pair = SupportPairSolution(
         m=m, n=contact.line, u=hull.node_ids[0], v=contact.node_ids[0],
-        w=hull.node_ids[1], locale=None, apex=None, apex_side="none",
-        ordinate=0.0)
+        w=hull.node_ids[1], locale=None, apex=None, apex_side="none")
     return SolutionSet(phi=0.0, case="A", pairs=(pair,), table=None)

@@ -1,7 +1,8 @@
-"""Functions that only the tests use: seeded polygon and star-fan
-generators, two angle and offset measures, and a reader of the
-schematic's delta profile.  The polygon generators draw from ``arcgen``'s
-own seeded stream, so a polygon depends on its two integers alone."""
+"""Functions and values that only the tests use: seeded polygon and
+star-fan generators, two angle and offset measures, a reader of the
+schematic's delta profile, and the angles around the angle band of 0.  The
+polygon generators draw from ``arcgen``'s own seeded stream, so a polygon
+depends on its two integers alone."""
 
 from __future__ import annotations
 
@@ -14,10 +15,17 @@ import numpy as np
 from arcsupport.arcgen import ATTEMPTS, _rng
 from arcsupport.arcio import PolygonalArc, validate_simple
 from arcsupport.errors import DegenerateHullError, GenerationError
-from arcsupport.geom import Line, Point, normalize_angle, unit_vector
+from arcsupport.geom import (DEFAULT_EPS_ANGLE, Line, Point, normalize_angle,
+                             unit_vector)
 from arcsupport.hull import convex_hull
 
 CONVEX_ATTEMPTS = 50        # seeds tried per convex polygon
+
+# positive angles inside the angle band of 0, which every per-angle function
+# refuses with BAND_REFUSAL, and angles at and just above the band's edge
+TINY_ANGLES = (1e-320, 1e-9, DEFAULT_EPS_ANGLE / 2, 0.9 * DEFAULT_EPS_ANGLE)
+BAND_EDGE_ANGLES = (DEFAULT_EPS_ANGLE, 1.5 * DEFAULT_EPS_ANGLE)
+BAND_REFUSAL = f"must be 0 or at least {DEFAULT_EPS_ANGLE:g}"
 
 
 def angle_dist_mod180(a: float, b: float) -> float:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from helpers import BAND_EDGE_ANGLES, BAND_REFUSAL, TINY_ANGLES
 
 from arcsupport import cli
 from arcsupport import hull as hull_module
@@ -563,6 +564,11 @@ class TestFuzzFailures:
         assert len(payload["failures"]) == 3 * 3 + 1
 
 
+def _typed(phi: float) -> str:
+    """phi as a user would type it: its repr, exponent unpadded."""
+    return repr(phi).replace("e-0", "e-")
+
+
 # --------------------------------------------------- flags not honoured
 
 class TestTinyAngles:
@@ -576,7 +582,7 @@ class TestTinyAngles:
                 [4.999999990958143, 4.000000002503641]]
 
     @pytest.mark.parametrize("command", ["solve", "oracle"])
-    @pytest.mark.parametrize("phi", ["1e-320", "1e-9", "5e-8", "9e-8"])
+    @pytest.mark.parametrize("phi", [_typed(a) for a in TINY_ANGLES])
     def test_exits_2_with_one_error_line(self, capsys, command, phi):
         with pytest.raises(SystemExit) as exc:
             run([command, str(PENTAGON_JSON), "--phi", phi])
@@ -587,9 +593,9 @@ class TestTinyAngles:
         assert captured.err.count("error:") == 1
         assert captured.err.splitlines()[-1] == (
             f"arcsupport {command}: error: argument --phi: "
-            f"must be 0 or at least 1e-07, got {phi!r}")
+            f"{BAND_REFUSAL}, got {phi!r}")
 
-    @pytest.mark.parametrize("phi", ["1e-7", "1.5e-7"])
+    @pytest.mark.parametrize("phi", [_typed(a) for a in BAND_EDGE_ANGLES])
     def test_band_edge_solves_and_agrees(self, capsys, phi):
         assert run(["solve", str(PENTAGON_JSON), "--phi", phi]) == 0
         solved = json.loads(capsys.readouterr().out)

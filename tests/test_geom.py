@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
-from helpers import angle_dist_mod180, line_offset
+from helpers import (BAND_EDGE_ANGLES, BAND_REFUSAL, TINY_ANGLES,
+                     angle_dist_mod180, line_offset)
 
 from arcsupport.geom import (
     DEFAULT_EPS_ANGLE,
@@ -71,8 +72,8 @@ class TestNormalizeAngle:
 
 
 class TestAngleProblem:
-    @pytest.mark.parametrize("phi", [0.0, -0.0, DEFAULT_EPS_ANGLE, 1.5e-7,
-                                     30.0, math.nextafter(180.0, 0.0)])
+    @pytest.mark.parametrize("phi", [0.0, -0.0, *BAND_EDGE_ANGLES, 30.0,
+                                     math.nextafter(180.0, 0.0)])
     def test_prescribed_angles(self, phi):
         assert angle_problem(phi) is None
 
@@ -81,10 +82,10 @@ class TestAngleProblem:
     def test_out_of_range(self, phi):
         assert angle_problem(phi) == "must lie in [0, 180)"
 
-    @pytest.mark.parametrize("phi", [5e-324, 1e-320, 1e-9, 5e-8, 9e-8,
+    @pytest.mark.parametrize("phi", [5e-324, *TINY_ANGLES,
                                      math.nextafter(DEFAULT_EPS_ANGLE, 0.0)])
     def test_inside_the_band_of_zero(self, phi):
-        assert angle_problem(phi) == "must be 0 or at least 1e-07"
+        assert angle_problem(phi) == BAND_REFUSAL
 
 
 class TestAngleComparisons:
@@ -202,32 +203,32 @@ class TestSegmentsIntersect:
     def test_proper_crossing(self):
         s1 = (Point(0, 0), Point(2, 2))
         s2 = (Point(0, 2), Point(2, 0))
-        assert segments_intersect(s1, s2)
+        assert segments_intersect(s1, s2, Tolerance(1e-12))
 
     def test_shared_endpoint_touches(self):
         s1 = (Point(0, 0), Point(1, 1))
         s2 = (Point(1, 1), Point(2, 0))
-        assert segments_intersect(s1, s2)
+        assert segments_intersect(s1, s2, Tolerance(1e-12))
 
     def test_t_touch(self):
         s1 = (Point(0, 0), Point(2, 0))
         s2 = (Point(1, 0), Point(1, 5))
-        assert segments_intersect(s1, s2)
+        assert segments_intersect(s1, s2, Tolerance(1e-12))
 
     def test_disjoint(self):
         s1 = (Point(0, 0), Point(1, 0))
         s2 = (Point(0, 1), Point(1, 1))
-        assert not segments_intersect(s1, s2)
+        assert not segments_intersect(s1, s2, Tolerance(1e-12))
 
     def test_collinear_overlap(self):
         s1 = (Point(0, 0), Point(2, 0))
         s2 = (Point(1, 0), Point(3, 0))
-        assert segments_intersect(s1, s2)
+        assert segments_intersect(s1, s2, Tolerance(1e-12))
 
     def test_collinear_disjoint(self):
         s1 = (Point(0, 0), Point(1, 0))
         s2 = (Point(2, 0), Point(3, 0))
-        assert not segments_intersect(s1, s2)
+        assert not segments_intersect(s1, s2, Tolerance(1e-12))
 
 
 class TestLines:

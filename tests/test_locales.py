@@ -65,7 +65,7 @@ class TestPentagonLocales:
 
     def test_table(self, pentagon_arc):
         table = tilt_table(_decompose(pentagon_arc))
-        assert table.count == 3
+        assert len(table.spans) == 3
         assert table.phi_left == pytest.approx(DEG_ATAN_1_1 + DEG_ATAN_1_2,
                                                abs=1e-12)
         assert table.phi_right == pytest.approx(-(DEG_ATAN_1_1 + DEG_ATAN_1_2),
@@ -180,7 +180,7 @@ class TestReversal:
         assert rev.phi_left == pytest.approx(-fwd.phi_right, abs=1e-9)
         assert rev.phi_right == pytest.approx(-fwd.phi_left, abs=1e-9)
         assert rev.delta_total == pytest.approx(fwd.delta_total, abs=1e-9)
-        assert rev.count == fwd.count
+        assert len(rev.spans) == len(fwd.spans)
 
 
 class TestFuzzedInvariants:

@@ -10,7 +10,8 @@ from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
-from helpers import angle_dist_mod180
+from helpers import (BAND_EDGE_ANGLES, BAND_REFUSAL, TINY_ANGLES,
+                     angle_dist_mod180)
 from test_hull import jittered_grid_nodes
 
 from arcsupport import oracle
@@ -416,15 +417,15 @@ class TestRecords:
 class TestTinyAngles:
     """The oracle refuses the angles the solver refuses."""
 
-    @pytest.mark.parametrize("phi", [1e-320, 1e-9, 5e-8, 9e-8])
+    @pytest.mark.parametrize("phi", TINY_ANGLES)
     def test_refused(self, pentagon_arc, phi):
         analysis = analyze_arc(pentagon_arc)
-        with pytest.raises(ValueError, match="must be 0 or at least 1e-07"):
+        with pytest.raises(ValueError, match=BAND_REFUSAL):
             brute_force_configs(analysis.hull, phi)
-        with pytest.raises(ValueError, match="must be 0 or at least 1e-07"):
+        with pytest.raises(ValueError, match=BAND_REFUSAL):
             compare_with_solver(pentagon_arc, phi, analysis=analysis)
 
-    @pytest.mark.parametrize("phi", [1e-7, 1.5e-7])
+    @pytest.mark.parametrize("phi", BAND_EDGE_ANGLES)
     def test_band_edge_agrees(self, pentagon_arc, phi):
         report = compare_with_solver(pentagon_arc, phi)
         assert report.ok, report.message

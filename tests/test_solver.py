@@ -13,7 +13,8 @@ from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
-from helpers import line_offset, random_star_polygon
+from helpers import (BAND_EDGE_ANGLES, BAND_REFUSAL, TINY_ANGLES,
+                     line_offset, random_star_polygon)
 from test_hull import jittered_grid_nodes
 
 from arcsupport import arcio, solver
@@ -72,7 +73,6 @@ class TestPentagonParallel:
         assert pair.locale == 2
         assert pair.apex is None
         assert pair.apex_side == "none"
-        assert pair.ordinate == 0.0
         _check_pair_definition(pentagon_arc, pair,
                                0.0, analyze_arc(pentagon_arc).tol.eps_len)
 
@@ -90,7 +90,6 @@ class TestPentagonAtAngle:
         assert first.m.dir_deg == pytest.approx(-DEG_ATAN_1_2, abs=1e-12)
         assert first.n.dir_deg == pytest.approx(30.0 - DEG_ATAN_1_2, abs=1e-9)
         assert (first.n.px, first.n.py) == (1.0, 1.0)
-        assert first.ordinate == 30.0
         assert first.apex_side == "left"
 
         assert (second.u, second.v, second.w) == (2, 3, 4)
@@ -98,7 +97,6 @@ class TestPentagonAtAngle:
         assert second.m.dir_deg == pytest.approx(DEG_ATAN_1_2, abs=1e-12)
         assert second.n.dir_deg == pytest.approx(DEG_ATAN_1_2 - 30.0, abs=1e-9)
         assert (second.n.px, second.n.py) == (3.0, 1.0)
-        assert second.ordinate == -30.0
         assert second.apex_side == "right"
 
         for pair, s in ((first, 30.0), (second, 30.0)):
@@ -403,8 +401,7 @@ def _reference_realize(analysis, abstract):
             apex_side = "right"
     return solver.SupportPairSolution(
         m=m, n=contact.line, u=node_u, v=node_v, w=node_w,
-        locale=locale.index, apex=apex, apex_side=apex_side,
-        ordinate=abstract.ordinate)
+        locale=locale.index, apex=apex, apex_side=apex_side)
 
 
 def _outcome(realize, analysis, abstract):
@@ -508,11 +505,6 @@ class TestRecords:
             solved.case = "D"
 
 
-# below the angle band of 0, and just at and above its edge
-TINY_ANGLES = (1e-320, 1e-9, 5e-8, 9e-8)
-BAND_EDGE_ANGLES = (1e-7, 1.5e-7)
-
-
 class TestTinyAngles:
     """A positive angle inside the angle band of 0 cannot be told from 0:
     its +phi and -phi pairs collapse to one.  Such an angle is refused
@@ -521,9 +513,9 @@ class TestTinyAngles:
     @pytest.mark.parametrize("phi", TINY_ANGLES)
     def test_refused(self, pentagon_arc, phi):
         analysis = analyze_arc(pentagon_arc)
-        with pytest.raises(ValueError, match="must be 0 or at least 1e-07"):
+        with pytest.raises(ValueError, match=BAND_REFUSAL):
             query_angle(analysis.diagram, phi)
-        with pytest.raises(ValueError, match="must be 0 or at least 1e-07"):
+        with pytest.raises(ValueError, match=BAND_REFUSAL):
             solve_at_angle(analysis, phi)
 
     @pytest.mark.parametrize("phi", BAND_EDGE_ANGLES)
