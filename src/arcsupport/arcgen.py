@@ -102,8 +102,7 @@ def _zigzag(rng: np.random.Generator, nodes: int) -> np.ndarray:
     return np.column_stack((xs, ys))
 
 
-def generate_arc(nodes: int, seed: int,
-                 strategy: str = "uncross") -> PolygonalArc:
+def generate_arc(nodes: int, seed: int, strategy: str) -> PolygonalArc:
     """A validated simple open arc with ``nodes`` nodes."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; use one of "

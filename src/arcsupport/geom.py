@@ -2,15 +2,15 @@
 
 Points are float pairs, directions are degrees counterclockwise from +x and
 every angle-valued function returns a value normalized into (-180, 180].
-Length comparisons go through a Tolerance, one eps_len checked when built, and
-``arcio.PolygonalArc.tolerance`` alone derives its default; the angle bands
-only absorb float noise, so they are constants.  One policy governs all stages.
+Length comparisons and turn signs go through a Tolerance, one eps_len checked
+when built, and ``arcio.PolygonalArc.tolerance`` alone derives its default; the
+angle bands only absorb float noise, so they are constants.  One policy governs
+all stages, and no predicate here has an exact mode.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, NamedTuple
 
@@ -88,20 +88,11 @@ def dist(a: Point, b: Point) -> float:
     return math.hypot(b[0] - a[0], b[1] - a[1])
 
 
-def orient(a: Point, b: Point, c: Point, tol: Tolerance | None = None) -> int:
-    """Sign of the turn a->b->c: +1 ccw, -1 cw, 0 collinear.
-
-    Without a tolerance the sign is exact, computed in Fractions, so it is the
-    same under any cyclic permutation of the points; a nan coordinate raises
-    ValueError and an infinite one OverflowError. With a tolerance,
-    |cross| <= eps_len * max(|ab|, |ac|) counts as collinear, so the
-    collinearity band scales with the arm lengths; it is measured from a and
-    so can differ between the rotations of a near-collinear triple.
-    """
-    if tol is None:
-        ax, ay, bx, by, cx, cy = map(Fraction, (*a, *b, *c))
-        det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        return (det > 0) - (det < 0)
+def orient(a: Point, b: Point, c: Point, tol: Tolerance) -> int:
+    """Sign of the turn a->b->c: +1 ccw, -1 cw, and 0 (collinear) when
+    |cross| <= eps_len * max(|ab|, |ac|), a band that scales with the arm
+    lengths; it is measured from a and so can differ between the rotations
+    of a near-collinear triple."""
     abx, aby = b[0] - a[0], b[1] - a[1]
     acx, acy = c[0] - a[0], c[1] - a[1]
     cross = abx * acy - aby * acx

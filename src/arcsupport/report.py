@@ -13,9 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .locales import TiltTable
-from .solver import Analysis, SolutionSet
-
-SCHEMA_VERSION = 1
+from .solver import SCHEMA_VERSION, Analysis, SolutionSet
 
 
 @dataclass(frozen=True)
@@ -26,15 +24,10 @@ class AnalysisReport:
     def from_analysis(cls, analysis: Analysis) -> "AnalysisReport":
         return cls(analysis)
 
-    def to_dict(self) -> dict:
-        data = self._dict_without_nodes()
-        data["arc"]["nodes"] = [[p.x, p.y] for p in self.analysis.arc.nodes]
-        return data
-
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2)``, with the node array
-        written directly: nodes are finite floats, which ``json`` writes
-        with ``float.__repr__``."""
+        """The report as ``json.dumps(..., indent=2)`` writes it, with the
+        node array written directly: nodes are finite floats, which ``json``
+        writes with ``float.__repr__``."""
         # only "schema" and "closed" precede the empty node list
         head, tail = json.dumps(self._dict_without_nodes(), indent=2).split(
             '"nodes": []', 1)
@@ -43,7 +36,7 @@ class AnalysisReport:
         return f'{head}"nodes": [\n{nodes}\n    ]{tail}'
 
     def _dict_without_nodes(self) -> dict:
-        """``to_dict()`` with ``arc.nodes`` an empty list in its place."""
+        """The report's fields, with ``arc.nodes`` an empty list."""
         a = self.analysis
         guide = a.guide
         node = a.hull.node_ids

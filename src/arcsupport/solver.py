@@ -26,6 +26,8 @@ from .locales import (LocaleDecomposition, TiltTable, decompose_locales,
 from .schematic import (AbstractSolution, SchematicDiagram, build_schematic,
                         query_angle)
 
+SCHEMA_VERSION = 1          # the "schema" field of the solve and analyze JSON
+
 
 @dataclass(frozen=True)
 class Analysis:
@@ -94,7 +96,7 @@ class SolutionSet:
 
     def to_json_dict(self) -> dict:
         out = {
-            "schema": 1,
+            "schema": SCHEMA_VERSION,
             "phi": self.phi,
             "case": self.case,
             "pairs": [p.to_json_dict() for p in self.pairs],

@@ -1,14 +1,15 @@
 """Functions and values that only the tests use: seeded polygon and
-star-fan generators, two angle and offset measures, a reader of the
-schematic's delta profile, and the angles around the angle band of 0.  The
-polygon generators draw from ``arcgen``'s own seeded stream, so a polygon
-depends on its two integers alone."""
+star-fan generators, an exact orientation sign, two angle and offset
+measures, a reader of the schematic's delta profile, and the angles around
+the angle band of 0.  The polygon generators draw from ``arcgen``'s own
+seeded stream, so a polygon depends on its two integers alone."""
 
 from __future__ import annotations
 
 import math
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 
@@ -32,6 +33,16 @@ def angle_dist_mod180(a: float, b: float) -> float:
     """Distance between two line directions, orientation ignored; in [0, 90]."""
     d = abs(normalize_angle(a - b))
     return min(d, 180.0 - d)
+
+
+def exact_orient(a: Point, b: Point, c: Point) -> int:
+    """Sign of the turn a->b->c: +1 ccw, -1 cw, 0 collinear, computed in
+    Fractions, so it is the same under any cyclic permutation of the points;
+    a nan coordinate raises ValueError and an infinite one OverflowError.
+    The referee for ``geom.orient``, whose sign has a collinearity band."""
+    ax, ay, bx, by, cx, cy = map(Fraction, (*a, *b, *c))
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (det > 0) - (det < 0)
 
 
 def line_offset(line: Line, p: Point) -> float:

@@ -11,27 +11,29 @@ from helpers import random_convex_polygon, random_star_polygon
 
 from arcsupport import arcgen, arcio
 from arcsupport.arcgen import (
+    ATTEMPTS,
     RNG_ALGORITHM,
     STRATEGIES,
     UNCROSS_MAX_NODES,
     _first_crossing,
     _reverse,
+    _rng,
     _sides,
     generate_arc,
 )
-from arcsupport.arcio import is_segment_arc, validate_simple
+from arcsupport.arcio import PolygonalArc, is_segment_arc, validate_simple
 from arcsupport.errors import GenerationError
 
 
 class TestGenerateArc:
     def test_deterministic(self):
-        a = generate_arc(12, seed=42)
-        b = generate_arc(12, seed=42)
+        a = generate_arc(12, seed=42, strategy="uncross")
+        b = generate_arc(12, seed=42, strategy="uncross")
         assert a.nodes == b.nodes
 
     def test_different_seeds_differ(self):
-        a = generate_arc(12, seed=1)
-        b = generate_arc(12, seed=2)
+        a = generate_arc(12, seed=1, strategy="uncross")
+        b = generate_arc(12, seed=2, strategy="uncross")
         assert a.nodes != b.nodes
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -69,12 +71,37 @@ class TestGenerateArc:
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
-            generate_arc(2, seed=0)
+            generate_arc(2, seed=0, strategy="uncross")
 
     def test_zero_attempts_fails(self, monkeypatch):
         monkeypatch.setattr("arcsupport.arcgen.ATTEMPTS", 0)
         with pytest.raises(GenerationError):
-            generate_arc(5, seed=0)
+            generate_arc(5, seed=0, strategy="uncross")
+
+    def test_next_attempt_after_uncross_gives_up(self, monkeypatch):
+        uncross = arcgen._uncross
+        calls = []
+
+        def first_gives_up(rng, nodes):
+            calls.append(nodes)
+            return None if len(calls) == 1 else uncross(rng, nodes)
+
+        monkeypatch.setattr(arcgen, "_uncross", first_gives_up)
+        arc = generate_arc(12, seed=4, strategy="uncross")
+        assert len(calls) == 2
+        assert arc == PolygonalArc(uncross(_rng(4, 1), 12).tolist())
+
+    def test_uncross_giving_up_every_attempt_fails(self, monkeypatch):
+        calls = []
+
+        def gives_up(rng, nodes):
+            calls.append(nodes)
+            return None
+
+        monkeypatch.setattr(arcgen, "_uncross", gives_up)
+        with pytest.raises(GenerationError, match=f"after {ATTEMPTS} attempts"):
+            generate_arc(12, seed=4, strategy="uncross")
+        assert len(calls) == ATTEMPTS
 
     def test_uncross_node_cap(self, monkeypatch):
         # a generation that starts fails at once instead of allocating
@@ -157,7 +184,7 @@ class TestFirstProperCrossing:
 
     def test_generated_arcs_have_none(self):
         for n in (4, 9, 30):
-            pts = np.array(generate_arc(n, seed=n).nodes)
+            pts = np.array(generate_arc(n, seed=n, strategy="uncross").nodes)
             assert _reference_crossing(pts) is None
             assert _first_crossing(_sides(pts)) is None
 

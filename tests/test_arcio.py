@@ -9,7 +9,7 @@ import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from helpers import random_star_polygon, star_fan
+from helpers import exact_orient, random_star_polygon, star_fan
 
 from arcsupport import arcio
 from arcsupport.arcgen import generate_arc
@@ -157,7 +157,7 @@ class TestPolygonalArc:
             for b in arc.nodes:
                 for c in arc.nodes:
                     if len({a, b, c}) == 3:
-                        assert orient(a, b, c, tol) == orient(a, b, c)
+                        assert orient(a, b, c, tol) == exact_orient(a, b, c)
 
     def test_largest_accepted_scale_keeps_the_hull(self):
         # 2 * diagonal**2 is just finite at this scale; the tolerant orient
@@ -170,7 +170,7 @@ class TestPolygonalArc:
             for b in arc.nodes:
                 for c in arc.nodes:
                     if len({a, b, c}) == 3:
-                        assert orient(a, b, c, tol) == orient(a, b, c)
+                        assert orient(a, b, c, tol) == exact_orient(a, b, c)
 
 
 class TestJsonParsing:

@@ -72,6 +72,13 @@ class TestValidate:
             assert isinstance(violation["indices"], list)
             assert isinstance(violation["detail"], str)
 
+    def test_crossing_arc_csv_rows(self, tmp_path, capsys):
+        path = _write_arc(tmp_path, BOWTIE_OPEN)
+        assert run(["validate", "--format", "csv", path]) == 3
+        assert capsys.readouterr().out == (
+            "kind,indices,detail\n"
+            "segments_cross,0 2,segments 0 and 2 intersect\n")
+
     def test_duplicate_node_reported(self, tmp_path, capsys):
         path = _write_arc(tmp_path, [[0, 0], [1, 1], [1, 1], [2, 0]])
         assert run(["validate", path]) == 3
@@ -748,6 +755,21 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: out of memory\n"
+
+    @pytest.mark.parametrize("command, planted", [
+        ("solve", "solve_at_angle"), ("oracle", "compare_with_solver")])
+    def test_structural_violation_exits_4(self, capsys, monkeypatch, command,
+                                          planted):
+        # no valid input raises it, so it is planted in the library call
+        # that the command makes
+        def violated(*args, **kwargs):
+            raise StructuralViolationError("planted")
+
+        monkeypatch.setattr(cli, planted, violated)
+        assert run([command, str(PENTAGON_JSON), "--phi", "30"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "structural violation: planted\n"
 
     def test_no_arguments_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -206,7 +206,7 @@ class TestAgreement:
                 assert report.ok, (i, phi, report.message)
 
     def test_grid_agreement_small(self):
-        arc = generate_arc(12, seed=12345)
+        arc = generate_arc(12, seed=12345, strategy="uncross")
         analysis = analyze_arc(arc)
         for phi10 in range(0, 1800, 75):
             report = compare_with_solver(arc, phi10 / 10.0, analysis=analysis)

@@ -25,7 +25,7 @@ def pentagon_report(pentagon_analysis):
 
 class TestReportContent:
     def test_node_indexed_fields(self, pentagon_report):
-        d = pentagon_report.to_dict()
+        d = json.loads(pentagon_report.to_json())
         guide = d["guide_path"]
         assert d["hull"] == [0, 2, 4, 3, 1]
         assert guide["visit"] == [0, 1, 2, 3, 4]
@@ -44,21 +44,20 @@ class TestReportContent:
         assert len(table["tilts"]) == 5 and len(table["spans"]) == 3
 
     def test_arc_nodes_round(self, pentagon_report, pentagon_arc):
-        arc = pentagon_report.to_dict()["arc"]
+        arc = json.loads(pentagon_report.to_json())["arc"]
         assert arc["nodes"] == [[p.x, p.y] for p in pentagon_arc.nodes]
         assert arc["closed"] is False
 
 
 class TestRoundTrip:
     def test_dict_shape(self, pentagon_report):
-        d = pentagon_report.to_dict()
+        d = json.loads(pentagon_report.to_json())
         assert set(d) == {"schema", "arc", "hull", "guide_path", "locales",
                           "tilt_table"}
         assert d["schema"] == 1
         assert set(d["guide_path"]) == {"visit", "sigma", "axis_deg",
                                         "axis_on_boundary", "links"}
         assert set(d["locales"][0]) == {"index", "base", "cap", "side"}
-        assert json.loads(pentagon_report.to_json()) == d
 
     @pytest.mark.parametrize("make", [
         lambda: generate_arc(3000, 5, "zigzag"),
@@ -67,8 +66,12 @@ class TestRoundTrip:
         lambda: parse_arc('{"nodes": [[-3, 0], [0, -2], [0, 5e-324], [3, -0.0]]}'),
     ], ids=["zigzag", "fan", "integers", "signed-zero-subnormal"])
     def test_json_bytes_match_the_encoder(self, make):
-        report = AnalysisReport.from_analysis(analyze_arc(make()))
-        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+        arc = make()
+        text = AnalysisReport.from_analysis(analyze_arc(arc)).to_json()
+        assert json.dumps(json.loads(text), indent=2) == text
+        # repr tells -0.0 from 0.0, which == does not
+        assert (repr(json.loads(text)["arc"]["nodes"])
+                == repr([list(p) for p in arc.nodes]))
 
 
 class TestCsv:
