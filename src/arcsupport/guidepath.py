@@ -9,7 +9,6 @@ are joined by links that are either hull edges or chords crossing the axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import TooLargeError, ensure
@@ -45,21 +44,6 @@ class GuidePath:
     def tail(self) -> int:
         return self.visit[-1]
 
-    @cached_property
-    def rank(self) -> dict[int, int]:
-        """Visit position of each hull index."""
-        return {h: r for r, h in enumerate(self.visit)}
-
-
-def classify_links(hull: ConvexHull, visit: tuple[int, ...]) -> tuple[Link, ...]:
-    """Label each consecutive visit pair 'edge' (hull-adjacent) or 'crossing'."""
-    k = len(hull)
-    links = []
-    for a, b in zip(visit, visit[1:]):
-        adjacent = (b - a) % k in (1, k - 1)
-        links.append(Link(a, b, "edge" if adjacent else "crossing"))
-    return tuple(links)
-
 
 def build_guide_path(hull: ConvexHull) -> GuidePath:
     """Construct the guide path and verify its structure.
@@ -77,9 +61,11 @@ def build_guide_path(hull: ConvexHull) -> GuidePath:
     ensure(sigma != 0,
            "second visited hull vertex lies on the axis")
     side = tuple(sigma * t for t in turns)
+    links = tuple(Link(i, j, "edge" if (j - i) % k in (1, k - 1)
+                       else "crossing")
+                  for i, j in zip(visit, visit[1:]))
     guide = GuidePath(hull=hull, visit=visit, sigma=sigma, sides=side,
-                      axis_deg=direction_deg(a, b),
-                      links=classify_links(hull, visit),
+                      axis_deg=direction_deg(a, b), links=links,
                       axis_on_boundary=(tail - head) % k in (1, k - 1))
 
     ensure(guide.links[0].kind == "edge",
@@ -103,28 +89,18 @@ def build_guide_path(hull: ConvexHull) -> GuidePath:
     return guide
 
 
-def count_admissible_paths(n: int) -> int:
-    """Number of hull-vertex visit orders whose every prefix leaves the
-    unvisited vertices contiguous on the cycle: n * 2**(n-2)."""
-    if n < 2:
-        raise ValueError("need at least 2 vertices")
-    return n * 2 ** (n - 2)
-
-
 def enumerate_admissible_paths(n: int) -> list[tuple[int, ...]]:
     """All admissible visit orders of an n-cycle (vertices 0..n-1 in
     cyclic order).  Each path starts anywhere and repeatedly takes either
-    end of the remaining contiguous unvisited stretch."""
+    end of the remaining contiguous unvisited stretch, which gives
+    n * 2**(n-2) orders."""
     if n < 2:
         raise ValueError("need at least 2 vertices")
     if n > ENUMERATION_CAP:
         raise TooLargeError(
-            f"enumeration of {count_admissible_paths(n)} paths exceeds cap")
+            f"enumeration of {n * 2 ** (n - 2)} paths exceeds cap")
     paths: list[tuple[int, ...]] = []
     for start in range(n):
-        if n == 2:
-            paths.append((start, (start + 1) % n))
-            continue
         for bits in range(1 << (n - 2)):
             seq = [start]
             lo, hi = 1, n - 1

@@ -46,7 +46,7 @@ class LocaleDecomposition:
 def decompose_locales(guide: GuidePath) -> LocaleDecomposition:
     hull = guide.hull
     k = len(hull)
-    rank = guide.rank
+    rank = {h: r for r, h in enumerate(guide.visit)}
 
     bases = []
     for i in range(k):
@@ -80,28 +80,6 @@ def decompose_locales(guide: GuidePath) -> LocaleDecomposition:
     return LocaleDecomposition(guide=guide, locales=tuple(locales))
 
 
-def compute_tilts(decomp: LocaleDecomposition) -> tuple[float, ...]:
-    """Tilts 0..J+1 in degrees."""
-    guide = decomp.guide
-    hull = guide.hull
-    sigma = guide.sigma
-
-    def tilt_of(a: int, b: int) -> float:
-        raw = hull.edge_dir(a, b) - guide.axis_deg
-        return sigma * normalize_angle(raw) + 0.0   # +0.0 avoids -0.0
-
-    tilts = [tilt_of(guide.head, guide.visit[1])]
-    for loc in decomp.locales:
-        tilts.append(tilt_of(*loc.base))
-    tilts.append(tilt_of(guide.visit[-2], guide.tail))
-    return tuple(tilts)
-
-
-def compute_spans(tilts: tuple[float, ...]) -> tuple[float, ...]:
-    """Span j = tilt(j+1) - tilt(j-1), for j = 1..J."""
-    return tuple(tilts[j + 1] - tilts[j - 1] for j in range(1, len(tilts) - 1))
-
-
 @dataclass(frozen=True)
 class TiltTable:
     tilts: tuple[float, ...]    # length J + 2
@@ -126,7 +104,8 @@ class TiltTable:
         ensure(all(a < b for a, b in zip(odds, odds[1:])),
                "odd tilts are not strictly increasing")
 
-        spans = compute_spans(tilts)
+        spans = tuple(tilts[j + 1] - tilts[j - 1]
+                      for j in range(1, j_count + 1))
         phi_left = tilts[0] - tilts[1]
         if j_count % 2 == 0:
             phi_right = tilts[j_count] - tilts[j_count + 1]
@@ -145,4 +124,18 @@ class TiltTable:
 
 
 def tilt_table(decomp: LocaleDecomposition) -> TiltTable:
-    return TiltTable.from_tilts(compute_tilts(decomp))
+    """The tilt/span table of a decomposition: tilts 0..J+1 in degrees,
+    tilt 0 and J+1 from the first and last guide links, tilt j from base j."""
+    guide = decomp.guide
+    hull = guide.hull
+    sigma = guide.sigma
+
+    def tilt_of(a: int, b: int) -> float:
+        raw = hull.edge_dir(a, b) - guide.axis_deg
+        return sigma * normalize_angle(raw) + 0.0   # +0.0 avoids -0.0
+
+    tilts = [tilt_of(guide.head, guide.visit[1])]
+    for loc in decomp.locales:
+        tilts.append(tilt_of(*loc.base))
+    tilts.append(tilt_of(guide.visit[-2], guide.tail))
+    return TiltTable.from_tilts(tuple(tilts))

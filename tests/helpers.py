@@ -1,8 +1,10 @@
 """Functions and values that only the tests use: seeded polygon and
-star-fan generators, an exact orientation sign, two angle and offset
-measures, a reader of the schematic's delta profile, and the angles around
-the angle band of 0.  The polygon generators draw from ``arcgen``'s own
-seeded stream, so a polygon depends on its two integers alone."""
+star-fan generators, a jittered-grid hypothesis strategy, an exact
+orientation sign, angle and offset measures, the check of a support-line
+pair against its definition, a reader of the schematic's delta profile,
+and the angles around the angle band of 0.  The polygon generators draw
+from ``arcgen``'s own seeded stream, so a polygon depends on its two
+integers alone."""
 
 from __future__ import annotations
 
@@ -12,6 +14,8 @@ import re
 from fractions import Fraction
 
 import numpy as np
+import pytest
+from hypothesis import strategies as st
 
 from arcsupport.arcgen import ATTEMPTS, _rng
 from arcsupport.arcio import PolygonalArc, validate_simple
@@ -49,6 +53,46 @@ def line_offset(line: Line, p: Point) -> float:
     """Signed perpendicular offset of p from the line; positive on its left."""
     ux, uy = unit_vector(line.dir_deg)
     return ux * (p[1] - line.py) - uy * (p[0] - line.px)
+
+
+@st.composite
+def jittered_grid_nodes(draw):
+    """4-9 nodes on a G x G grid (G in 3..6), each coordinate moved by up
+    to J = 10**U(-11, -8)."""
+    g = draw(st.integers(3, 6))
+    jitter = 10.0 ** draw(st.floats(-11.0, -8.0))
+    count = draw(st.integers(4, 9))
+    cell = st.integers(0, g - 1)
+    shift = st.floats(-jitter, jitter)
+    return [(draw(cell) + draw(shift), draw(cell) + draw(shift))
+            for _ in range(count)]
+
+
+def interior_angle(hull, i):
+    """Interior angle in degrees at hull vertex i, from the points."""
+    k = len(hull)
+    a, v, c = (hull.points[(i + d) % k] for d in (-1, 0, 1))
+    ux, uy, wx, wy = v.x - a.x, v.y - a.y, c.x - v.x, c.y - v.y
+    turn = math.degrees(math.atan2(ux * wy - uy * wx, ux * wx + uy * wy))
+    return 180.0 - turn
+
+
+def assert_pair_definition(arc: PolygonalArc, pair, phi: float,
+                           eps_len: float) -> None:
+    """The defining property, checked from scratch: the lines meet at phi,
+    line m touches the arc at nodes u and w and line n at node v, both lines
+    support the whole arc, and on an open arc v lies strictly between u and
+    w."""
+    if not arc.closed:
+        assert 0 <= pair.u < pair.v < pair.w < len(arc.nodes)
+    gap = abs((pair.m.dir_deg - pair.n.dir_deg + 180.0) % 360.0 - 180.0)
+    assert gap == pytest.approx(phi, abs=1e-6)
+
+    for line, on_line in ((pair.m, (pair.u, pair.w)), (pair.n, (pair.v,))):
+        offsets = [line_offset(line, p) for p in arc.nodes]
+        assert min(offsets) >= -eps_len or max(offsets) <= eps_len
+        for node in on_line:
+            assert abs(offsets[node]) <= eps_len
 
 
 def delta_profile_points(svg_text: str) -> list[Point]:

@@ -15,14 +15,14 @@ import time
 from contextlib import contextmanager
 
 import pytest
-from helpers import (delta_profile_points, random_convex_polygon,
-                     random_star_polygon)
+from helpers import (assert_pair_definition, delta_profile_points,
+                     line_offset, random_convex_polygon, random_star_polygon)
 
 from arcsupport import Point, PolygonalArc
 from arcsupport.arcgen import STRATEGIES, generate_arc
 from arcsupport.errors import DegenerateHullError
 from arcsupport.guidepath import enumerate_admissible_paths
-from arcsupport.locales import TiltTable, compute_spans
+from arcsupport.locales import TiltTable
 from arcsupport.oracle import brute_force_pairs
 from arcsupport.schematic import build_schematic, query_angle
 from arcsupport.solver import (analyze_arc, solve_at_angle, solve_closed,
@@ -59,48 +59,23 @@ def _verdict(capfd, number: int, slug: str):
 
 # ------------------------------------------------------- inline geometry kit
 
-def _offset(line, x: float, y: float) -> float:
-    """Signed perpendicular offset of (x, y) from the line (left > 0)."""
-    th = math.radians(line.dir_deg)
-    tx, ty = math.cos(th), math.sin(th)
-    return tx * (y - line.py) - ty * (x - line.px)
-
-
 def _dir_gap_mod180(a: float, b: float) -> float:
     return abs((a - b + 90.0) % 180.0 - 90.0)
 
 
-def _meeting_angle(a: float, b: float) -> float:
-    return abs((a - b + 180.0) % 360.0 - 180.0)
-
-
-def _is_support_line(line, nodes, eps: float) -> bool:
-    offs = [_offset(line, p[0], p[1]) for p in nodes]
-    return min(offs) >= -eps or max(offs) <= eps
-
-
 def _assert_pair_definition(arc: PolygonalArc, pair, phi: float,
                             eps: float) -> None:
-    """The defining property, checked from scratch: line m touches the
-    arc at nodes u and w, line n touches it at node v strictly between
-    them, both lines support the whole arc, and the lines meet at phi."""
-    nodes = arc.nodes
-    assert 0 <= pair.u < pair.v < pair.w < len(nodes)
-    assert abs(_offset(pair.m, *nodes[pair.u])) <= eps
-    assert abs(_offset(pair.m, *nodes[pair.w])) <= eps
-    assert abs(_offset(pair.n, *nodes[pair.v])) <= eps
-    assert _is_support_line(pair.m, nodes, eps)
-    assert _is_support_line(pair.n, nodes, eps)
-    assert _meeting_angle(pair.m.dir_deg, pair.n.dir_deg) == pytest.approx(
-        phi, abs=1e-6)
+    """The defining property (``helpers.assert_pair_definition``), and
+    the apex: none at phi = 0, else a point on both lines."""
+    assert_pair_definition(arc, pair, phi, eps)
     if phi == 0.0:
         assert pair.apex is None
         assert pair.apex_side == "none"
     else:
         assert pair.apex is not None
         assert pair.apex_side in ("left", "right")
-        assert abs(_offset(pair.m, *pair.apex)) <= eps
-        assert abs(_offset(pair.n, *pair.apex)) <= eps
+        assert abs(line_offset(pair.m, pair.apex)) <= eps
+        assert abs(line_offset(pair.n, pair.apex)) <= eps
 
 
 def _diagonal(arc: PolygonalArc) -> float:
@@ -121,12 +96,11 @@ def _cycle_strategy(i: int) -> str:
 
 def test_criterion_1_reference_tilt_table(capfd):
     with _verdict(capfd, 1, "reference-tilt-table"):
-        spans = compute_spans(REFERENCE_TILTS)
-        assert len(spans) == 6
-        for got, printed in zip(spans, PRINTED_SPANS):
+        table = TiltTable.from_tilts(REFERENCE_TILTS)
+        assert len(table.spans) == 6
+        for got, printed in zip(table.spans, PRINTED_SPANS):
             assert got == pytest.approx(printed, abs=0.02)
 
-        table = TiltTable.from_tilts(REFERENCE_TILTS)
         left, right = table.phi_left, table.phi_right
         assert left == pytest.approx(PRINTED_PHI_LEFT, abs=0.01)
         assert abs(right) == pytest.approx(PRINTED_PHI_RIGHT_ABS, abs=0.01)
@@ -204,8 +178,8 @@ def test_criterion_3_parallel_uniqueness(capfd):
             bound = 1e-9 * _diagonal(arc)
             assert _dir_gap_mod180(other.m.dir_deg, pair.m.dir_deg) <= 1e-6
             assert _dir_gap_mod180(other.n.dir_deg, pair.n.dir_deg) <= 1e-6
-            assert abs(_offset(pair.m, other.m.px, other.m.py)) <= bound
-            assert abs(_offset(pair.n, other.n.px, other.n.py)) <= bound
+            assert abs(line_offset(pair.m, (other.m.px, other.m.py))) <= bound
+            assert abs(line_offset(pair.n, (other.n.px, other.n.py))) <= bound
         elapsed = time.monotonic() - start
         assert elapsed <= 300.0, f"{total} arcs took {elapsed:.1f} s"
 
@@ -392,13 +366,10 @@ def test_criterion_8_closed_arcs(capfd):
                        for idx in (pair.u, pair.v, pair.w))
             # Parallel support pair: same direction mod 180, distinct lines.
             assert _dir_gap_mod180(pair.m.dir_deg, pair.n.dir_deg) <= 1e-9
-            assert abs(_offset(pair.m, pair.n.px, pair.n.py)) > eps
-            # Contacts lie on their lines, and both lines support the arc.
-            assert abs(_offset(pair.m, *nodes[pair.u])) <= eps
-            assert abs(_offset(pair.m, *nodes[pair.w])) <= eps
-            assert abs(_offset(pair.n, *nodes[pair.v])) <= eps
-            assert _is_support_line(pair.m, nodes, eps)
-            assert _is_support_line(pair.n, nodes, eps)
+            assert abs(line_offset(pair.m, (pair.n.px, pair.n.py))) > eps
+            # Contacts lie on their lines, both lines support the arc, and
+            # they meet at 0.
+            assert_pair_definition(arc, pair, 0.0, eps)
             # v is strictly inside one of the two cyclic stretches u..w,
             # so some parametrization of the cycle orders them u < v < w.
             forward = (pair.v - pair.u) % count < (pair.w - pair.u) % count

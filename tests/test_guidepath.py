@@ -15,13 +15,9 @@ import pytest
 
 from arcsupport import guidepath
 from arcsupport.arcgen import generate_arc
+from arcsupport.arcio import PolygonalArc
 from arcsupport.errors import TooLargeError
-from arcsupport.guidepath import (
-    build_guide_path,
-    classify_links,
-    count_admissible_paths,
-    enumerate_admissible_paths,
-)
+from arcsupport.guidepath import build_guide_path, enumerate_admissible_paths
 from arcsupport.geom import orient
 from arcsupport.hull import convex_hull
 from arcsupport.solver import analyze_arc
@@ -56,10 +52,6 @@ class TestPentagonGuidePath:
         guide = build_guide_path(convex_hull(pentagon_arc.nodes))
         # visit (0, 4, 1, 3, 2): nodes 1 and 3 above the axis, node 2 below
         assert [guide.sides[h] for h in guide.visit] == [0, 1, -1, 1, 0]
-
-    def test_rank(self, pentagon_arc):
-        guide = build_guide_path(convex_hull(pentagon_arc.nodes))
-        assert guide.rank == {0: 0, 4: 1, 1: 2, 3: 3, 2: 4}
 
 
 class TestSides:
@@ -120,32 +112,33 @@ class TestInteriorStart:
 
 class TestClassifyLinks:
     def test_wraparound_adjacency(self):
-        hull = convex_hull(
-            [(math.cos(2 * math.pi * i / 5), math.sin(2 * math.pi * i / 5))
-             for i in range(5)])
-        links = classify_links(hull, (4, 0, 2))
-        assert links[0].kind == "edge"       # 4 -> 0 wraps around the ring
-        assert links[1].kind == "crossing"   # 0 -> 2 skips vertex 1
+        ring = [(math.cos(2 * math.pi * i / 5), math.sin(2 * math.pi * i / 5))
+                for i in range(5)]
+        arc = PolygonalArc([ring[i] for i in (0, 1, 4, 2, 3)])
+        guide = build_guide_path(convex_hull(arc.nodes))
+        assert guide.links == (
+            (2, 3, "edge"), (3, 1, "crossing"), (1, 4, "crossing"),
+            (4, 0, "edge"))     # 4 -> 0 wraps around the ring, 3 -> 1 skips 2
 
 
 class TestAdmissibleCounts:
     def test_reference_counts(self):
-        assert [count_admissible_paths(n) for n in range(3, 9)] == [
+        assert [len(enumerate_admissible_paths(n)) for n in range(3, 9)] == [
             6, 16, 40, 96, 224, 512]
 
     def test_two_vertices(self):
-        assert count_admissible_paths(2) == 2
+        assert enumerate_admissible_paths(2) == [(0, 1), (1, 0)]
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            count_admissible_paths(1)
+            enumerate_admissible_paths(1)
 
 
 class TestEnumeration:
     def test_matches_count_and_distinct(self):
         for n in range(2, 9):
             paths = enumerate_admissible_paths(n)
-            assert len(paths) == count_admissible_paths(n)
+            assert len(paths) == n * 2 ** (n - 2)
             assert len(set(paths)) == len(paths)
 
     def test_cap(self, monkeypatch):

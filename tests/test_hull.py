@@ -7,8 +7,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
-from helpers import angle_dist_mod180, line_offset, random_convex_polygon
+from hypothesis import example, given, settings
+from helpers import (angle_dist_mod180, interior_angle, jittered_grid_nodes,
+                     line_offset, random_convex_polygon)
 
 from arcsupport.arcio import PolygonalArc, validate_simple
 from arcsupport.errors import DegenerateHullError, InvalidArcError
@@ -134,28 +135,6 @@ def _edge_queries(hull):
     for e in hull.edge_dirs:
         for delta in (0.0, -0.0, 5e-8, -5e-8, 2e-7, -2e-7, 180.0):
             yield e + delta
-
-
-@st.composite
-def jittered_grid_nodes(draw):
-    """4-9 nodes on a G x G grid (G in 3..6), each coordinate moved by up
-    to J = 10**U(-11, -8)."""
-    g = draw(st.integers(3, 6))
-    jitter = 10.0 ** draw(st.floats(-11.0, -8.0))
-    count = draw(st.integers(4, 9))
-    cell = st.integers(0, g - 1)
-    shift = st.floats(-jitter, jitter)
-    return [(draw(cell) + draw(shift), draw(cell) + draw(shift))
-            for _ in range(count)]
-
-
-def interior_angle(hull, i):
-    """Interior angle in degrees at hull vertex i, from the points."""
-    k = len(hull)
-    a, v, c = (hull.points[(i + d) % k] for d in (-1, 0, 1))
-    ux, uy, wx, wy = v.x - a.x, v.y - a.y, c.x - v.x, c.y - v.y
-    turn = math.degrees(math.atan2(ux * wy - uy * wx, ux * wx + uy * wy))
-    return 180.0 - turn
 
 
 class TestConvexHull:

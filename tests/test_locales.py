@@ -10,7 +10,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
-from test_hull import jittered_grid_nodes
+from helpers import interior_angle, jittered_grid_nodes
 
 from arcsupport.arcgen import STRATEGIES, generate_arc
 from arcsupport.arcio import PolygonalArc
@@ -18,13 +18,7 @@ from arcsupport.errors import (DegenerateHullError, InvalidArcError,
                                StructuralViolationError)
 from arcsupport.guidepath import build_guide_path
 from arcsupport.hull import convex_hull
-from arcsupport.locales import (
-    TiltTable,
-    compute_spans,
-    compute_tilts,
-    decompose_locales,
-    tilt_table,
-)
+from arcsupport.locales import TiltTable, decompose_locales, tilt_table
 from arcsupport.solver import analyze_arc
 
 DEG_ATAN_1_1 = math.degrees(math.atan2(1, 1))   # 45
@@ -54,13 +48,11 @@ class TestPentagonLocales:
         assert [loc.index for loc in decomp.locales] == [1, 2, 3]
 
     def test_tilts_and_spans(self, pentagon_arc):
-        decomp = _decompose(pentagon_arc)
-        tilts = compute_tilts(decomp)
-        assert tilts == pytest.approx(
+        table = tilt_table(_decompose(pentagon_arc))
+        assert table.tilts == pytest.approx(
             (DEG_ATAN_1_1, -DEG_ATAN_1_2, 0.0, DEG_ATAN_1_2, -DEG_ATAN_1_1),
             abs=1e-12)
-        spans = compute_spans(tilts)
-        assert spans == pytest.approx(
+        assert table.spans == pytest.approx(
             (-DEG_ATAN_1_1, 2 * DEG_ATAN_1_2, -DEG_ATAN_1_1), abs=1e-12)
 
     def test_table(self, pentagon_arc):
@@ -84,11 +76,10 @@ class TestSingleLocale:
         assert tuple(hull.node_ids[h] for h in loc.cap) == (1, 2)
         assert loc.base_side == "lower"
 
-        tilts = compute_tilts(decomp)
-        assert tilts == pytest.approx((90.0, 0.0, -90.0), abs=1e-12)
-        # The zero tilt must be a clean +0.0 even though sigma is -1.
-        assert math.copysign(1.0, tilts[1]) == 1.0
         table = tilt_table(decomp)
+        assert table.tilts == pytest.approx((90.0, 0.0, -90.0), abs=1e-12)
+        # The zero tilt must be a clean +0.0 even though sigma is -1.
+        assert math.copysign(1.0, table.tilts[1]) == 1.0
         assert table.spans == pytest.approx((-180.0,), abs=1e-12)
         assert table.phi_left == pytest.approx(90.0)
         assert table.phi_right == pytest.approx(-90.0)
@@ -136,28 +127,16 @@ class TestTableValidation:
 
 class TestAspectAnglesAreHullAngles:
     """The aspect angles equal the hull's interior angles at the two arc
-    endpoints; the interior angles are computed inline here."""
-
-    @staticmethod
-    def _interior_at(hull, i):
-        k = len(hull.points)
-        a = hull.points[(i - 1) % k]
-        v = hull.points[i % k]
-        c = hull.points[(i + 1) % k]
-        d1 = math.atan2(v.y - a.y, v.x - a.x)
-        d2 = math.atan2(c.y - v.y, c.x - v.x)
-        turn = math.degrees(d2 - d1)
-        turn = (turn + 180.0) % 360.0 - 180.0
-        return 180.0 - turn
+    endpoints, computed from the hull's points."""
 
     def test_pentagon(self, pentagon_arc):
         hull = convex_hull(pentagon_arc.nodes)
         guide = build_guide_path(hull)
         table = tilt_table(decompose_locales(guide))
         assert table.phi_left == pytest.approx(
-            self._interior_at(hull, guide.head), abs=1e-9)
+            interior_angle(hull, guide.head), abs=1e-9)
         assert -table.phi_right == pytest.approx(
-            self._interior_at(hull, guide.tail), abs=1e-9)
+            interior_angle(hull, guide.tail), abs=1e-9)
 
     def test_fuzzed(self):
         for i in range(40):
@@ -167,9 +146,9 @@ class TestAspectAnglesAreHullAngles:
             guide = build_guide_path(hull)
             table = tilt_table(decompose_locales(guide))
             assert table.phi_left == pytest.approx(
-                self._interior_at(hull, guide.head), abs=1e-6)
+                interior_angle(hull, guide.head), abs=1e-6)
             assert -table.phi_right == pytest.approx(
-                self._interior_at(hull, guide.tail), abs=1e-6)
+                interior_angle(hull, guide.tail), abs=1e-6)
 
 
 class TestReversal:
@@ -208,7 +187,7 @@ class TestBasesAreTheUnwalkedEdges:
     def _check(decomp):
         guide = decomp.guide
         k = len(guide.hull)
-        rank = guide.rank
+        rank = {h: r for r, h in enumerate(guide.visit)}
         walked = {frozenset((l.start, l.end))
                   for l in guide.links if l.kind == "edge"}
         bases = [tuple(sorted((i, (i + 1) % k), key=lambda h: rank[h]))

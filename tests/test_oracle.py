@@ -11,8 +11,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 from helpers import (BAND_EDGE_ANGLES, BAND_REFUSAL, TINY_ANGLES,
-                     angle_dist_mod180)
-from test_hull import jittered_grid_nodes
+                     angle_dist_mod180, jittered_grid_nodes)
 
 from arcsupport import oracle
 from arcsupport.arcgen import STRATEGIES, generate_arc

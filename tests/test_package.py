@@ -45,6 +45,16 @@ def test_every_public_function_has_a_user_outside_the_tests():
     assert unused == []
 
 
+def test_no_test_module_imports_another():
+    # shared strategies and checks live in tests/helpers.py, so that each
+    # test module can be read, run and changed on its own
+    pattern = re.compile(r"^\s*(?:from|import)\s+(?:tests\.)?test_\w*", re.M)
+    offenders = [f"{path.name}: {found}"
+                 for path in sorted((ROOT / "tests").glob("test_*.py"))
+                 for found in pattern.findall(path.read_text())]
+    assert offenders == []
+
+
 def test_readme_python_blocks_run(capsys):
     # one namespace, in README order: later blocks use earlier names
     blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(),

@@ -1,8 +1,8 @@
 """Tests for analysis and support-line pair solving.
 
-`_check_pair_definition` verifies returned pairs against the defining
+`assert_pair_definition` verifies returned pairs against the defining
 property itself (support offsets, contact nodes, betweenness, meeting
-angle) using inline arithmetic only.
+angle) using plain arithmetic on the arc's nodes.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from itertools import zip_longest
 import pytest
 from hypothesis import given, settings
 from helpers import (BAND_EDGE_ANGLES, BAND_REFUSAL, TINY_ANGLES,
-                     line_offset, random_star_polygon)
-from test_hull import jittered_grid_nodes
+                     assert_pair_definition, jittered_grid_nodes, line_offset,
+                     random_star_polygon)
 
 from arcsupport import arcio, solver
 from arcsupport.arcgen import generate_arc
@@ -46,21 +46,6 @@ DEG_ATAN_1_2 = math.degrees(math.atan2(1, 2))
 PHI_LEFT_PENTAGON = 45.0 + DEG_ATAN_1_2
 
 
-def _check_pair_definition(arc, pair, phi, eps_len):
-    """The defining property, checked from scratch."""
-    gap = abs((pair.m.dir_deg - pair.n.dir_deg + 180.0) % 360.0 - 180.0)
-    assert gap == pytest.approx(phi, abs=1e-6)
-
-    for line, on_line in ((pair.m, (pair.u, pair.w)), (pair.n, (pair.v,))):
-        offsets = [line_offset(line, p) for p in arc.nodes]
-        assert min(offsets) >= -eps_len or max(offsets) <= eps_len
-        for node in on_line:
-            assert abs(offsets[node]) <= eps_len
-
-    if not arc.closed:
-        assert pair.u < pair.v < pair.w
-
-
 class TestPentagonParallel:
     def test_unique_pair(self, pentagon_arc):
         result = solve_parallel(analyze_arc(pentagon_arc))
@@ -73,7 +58,7 @@ class TestPentagonParallel:
         assert pair.locale == 2
         assert pair.apex is None
         assert pair.apex_side == "none"
-        _check_pair_definition(pentagon_arc, pair,
+        assert_pair_definition(pentagon_arc, pair,
                                0.0, analyze_arc(pentagon_arc).tol.eps_len)
 
 
@@ -100,7 +85,7 @@ class TestPentagonAtAngle:
         assert second.apex_side == "right"
 
         for pair, s in ((first, 30.0), (second, 30.0)):
-            _check_pair_definition(pentagon_arc, pair, s, analysis.tol.eps_len)
+            assert_pair_definition(pentagon_arc, pair, s, analysis.tol.eps_len)
 
     def test_apex_on_both_lines(self, pentagon_arc):
         analysis = analyze_arc(pentagon_arc)
@@ -131,7 +116,7 @@ class TestPentagonAtAngle:
         assert result.case == "B"
         assert [p.locale for p in result.pairs] == [2, 3]
         for pair in result.pairs:
-            _check_pair_definition(pentagon_arc, pair, DEG_ATAN_1_2,
+            assert_pair_definition(pentagon_arc, pair, DEG_ATAN_1_2,
                                    analysis.tol.eps_len)
 
     def test_too_wide_angle(self, pentagon_arc):
@@ -165,7 +150,7 @@ class TestSingleLocaleArcs:
         assert second.apex == pytest.approx(Point(1.0, 1.0), abs=1e-12)
         assert second.apex_side == "right"
         for pair in result.pairs:
-            _check_pair_definition(square_arc, pair, 90.0,
+            assert_pair_definition(square_arc, pair, 90.0,
                                    analysis.tol.eps_len)
 
     def test_triangle_parallel(self, triangle_arc):
@@ -179,7 +164,7 @@ class TestSingleLocaleArcs:
         result = solve_at_angle(analysis, 20.0)
         assert result.case == "B"
         for pair in result.pairs:
-            _check_pair_definition(triangle_arc, pair, 20.0,
+            assert_pair_definition(triangle_arc, pair, 20.0,
                                    analysis.tol.eps_len)
 
 
@@ -239,14 +224,14 @@ class TestSolveClosed:
         assert pair.n == (0.0, 1.0, 0.0)
         assert pair.locale is None and pair.apex is None
         assert pair.apex_side == "none"
-        _check_pair_definition(arc, pair, 0.0, arc.tolerance().eps_len)
+        assert_pair_definition(arc, pair, 0.0, arc.tolerance().eps_len)
 
     def test_closed_triangle(self):
         arc = PolygonalArc(((0, 0), (2, 0), (1, 2)), closed=True)
         pair = solve_closed(arc).pairs[0]
         assert (pair.u, pair.v, pair.w) == (0, 2, 1)
         assert pair.n == (1.0, 2.0, 0.0)
-        _check_pair_definition(arc, pair, 0.0, arc.tolerance().eps_len)
+        assert_pair_definition(arc, pair, 0.0, arc.tolerance().eps_len)
 
     def test_open_arc_rejected(self, pentagon_arc):
         with pytest.raises(UnsupportedArcError):
@@ -263,7 +248,7 @@ class TestSolveClosed:
         for i in range(15):
             arc = random_star_polygon(5 + i, seed=600 + i)
             pair = solve_closed(arc).pairs[0]
-            _check_pair_definition(arc, pair, 0.0, arc.tolerance().eps_len)
+            assert_pair_definition(arc, pair, 0.0, arc.tolerance().eps_len)
 
 
 class TestJsonShape:
@@ -339,7 +324,7 @@ class TestFuzzedDefinition:
             analysis = analyze_arc(arc)
             result = solve_parallel(analysis)
             assert len(result.pairs) == 1
-            _check_pair_definition(arc, result.pairs[0], 0.0,
+            assert_pair_definition(arc, result.pairs[0], 0.0,
                                    analysis.tol.eps_len * 10)
 
     def test_angled_pairs_satisfy_definition(self):
@@ -350,7 +335,7 @@ class TestFuzzedDefinition:
             for phi in (10.0, 45.0, 80.0, 120.0):
                 result = solve_at_angle(analysis, phi)
                 for pair in result.pairs:
-                    _check_pair_definition(arc, pair, phi,
+                    assert_pair_definition(arc, pair, phi,
                                            analysis.tol.eps_len * 10)
 
 
@@ -524,4 +509,4 @@ class TestTinyAngles:
         solved = solve_at_angle(analyze_arc(pentagon_arc), phi)
         assert solved.case == "B" and len(solved.pairs) == 2
         for pair in solved.pairs:
-            _check_pair_definition(pentagon_arc, pair, phi, 1e-9)
+            assert_pair_definition(pentagon_arc, pair, phi, 1e-9)
