@@ -1,28 +1,30 @@
 """The README's example commands, pinned byte for byte.
 
-Each case runs ``arcsupport.cli.run`` in an empty directory that holds the
-arcs of ``tests/data/readme/inputs`` and compares the exit code, stdout,
-stderr and every file the command wrote with ``tests/data/readme/<case>/``.
-After an intended output change, regenerate the goldens with
+Each case runs ``python -m arcsupport.cli`` in a child process, in an empty
+directory that holds the arcs of ``tests/data/readme/inputs``, and compares
+its exit code, stdout, stderr and every file it wrote with
+``tests/data/readme/<case>/``.  After an intended output change, regenerate
+the goldens with
 
     PYTHONPATH=src python tests/test_readme_goldens.py
 
 and say in the change which bytes moved and why.
 """
 
-import contextlib
-import io
 import os
+import re
+import shlex
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from arcsupport.cli import run
-
-DATA = Path(__file__).parent / "data" / "readme"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+DATA = ROOT / "tests" / "data" / "readme"
 INPUTS = DATA / "inputs"
 
 CASES = {
@@ -44,27 +46,25 @@ CASES = {
                          "--svg", "pent"],
     "render_scene": ["render", "pent.json", "--what", "scene",
                      "--svg", "pent"],
-    "fuzz": ["fuzz", "--count", "30", "--seed", "1", "--nodes", "5-20",
+    "fuzz": ["fuzz", "--count", "100", "--seed", "1", "--nodes", "5-20",
              "--phi-grid", "15"],
     "analyze_collinear": ["analyze", "collinear.json"],
 }
 
 
 def _outcome(argv: list[str], workdir: Path) -> dict[str, bytes]:
-    """Exit code, stdout, stderr and written files of one CLI run in
-    ``workdir``, keyed by golden file name."""
+    """Exit code, stdout, stderr and written files of one CLI process run
+    in ``workdir``, keyed by golden file name."""
     for src in INPUTS.iterdir():
         shutil.copy(src, workdir / src.name)
-    out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
-    finally:
-        os.chdir(cwd)
-    outcome = {"exit": f"{code}\n".encode(), "stdout": out.getvalue().encode(),
-               "stderr": err.getvalue().encode()}
+    # the child runs in workdir, so a relative PYTHONPATH=src would miss
+    pythonpath = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    done = subprocess.run([sys.executable, "-m", "arcsupport.cli", *argv],
+                          cwd=workdir, env=env, capture_output=True)
+    outcome = {"exit": f"{done.returncode}\n".encode(), "stdout": done.stdout,
+               "stderr": done.stderr}
     for path in sorted(workdir.iterdir()):
         if not (INPUTS / path.name).exists():
             outcome[f"files/{path.name}"] = path.read_bytes()
@@ -80,6 +80,16 @@ def _golden(case: str) -> dict[str, bytes]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_matches_golden(case, tmp_path):
     assert _outcome(CASES[case], tmp_path) == _golden(case)
+
+
+def test_every_readme_command_is_a_case():
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```$", text, flags=re.M | re.S)
+    commands = [shlex.split(line, comments=True)[1:]
+                for block in blocks for line in block.splitlines()
+                if line.startswith("arcsupport ")]
+    assert commands
+    assert [argv for argv in commands if argv not in CASES.values()] == []
 
 
 def _regenerate() -> None:
