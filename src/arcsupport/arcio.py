@@ -219,11 +219,21 @@ def _clear(cross: np.ndarray, arm1: np.ndarray, arm2: np.ndarray,
     return np.abs(cross) > band * np.maximum(arm1, arm2)
 
 
-def _candidate_pairs(a: np.ndarray, b: np.ndarray, eps: float,
+def _by_x_min(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The order of the segments ``a[k]`` to ``b[k]`` by x-min, and their
+    end coordinates ax, ay, bx, by in that order, each a contiguous column."""
+    order = np.argsort(np.minimum(a[:, 0], b[:, 0]))
+    return (order, *a[order].T.copy(), *b[order].T.copy())
+
+
+def _candidate_pairs(ax: np.ndarray, ay: np.ndarray, bx: np.ndarray,
+                     by: np.ndarray, order: np.ndarray, eps: float,
                      closed: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Non-adjacent segment pairs i < j whose bounding boxes, grown by eps,
-    overlap, as blocks of two index arrays; segment k runs from ``a[k]`` to
-    ``b[k]`` and, when ``closed``, the last segment is adjacent to the first.
+    """Pairs of non-adjacent segments whose bounding boxes, grown by eps,
+    overlap, as blocks of two position arrays s < t in x-min order; the
+    segment at position k is segment ``order[k]`` and runs from
+    (ax[k], ay[k]) to (bx[k], by[k]), and, when ``closed``, the last
+    segment is adjacent to the first.
 
     Vectorized prefilter only; every pair is re-examined.  In x-min order a
     box meets in x exactly the later boxes whose x-min is at most its own
@@ -231,11 +241,10 @@ def _candidate_pairs(a: np.ndarray, b: np.ndarray, eps: float,
     expands the ranges of consecutive boxes up to about ``_PAIR_BLOCK``
     pairs (more only when one box alone has more), which bounds memory.
     """
-    m = len(a)
-    lo, hi = np.minimum(a, b) - eps, np.maximum(a, b) + eps
-    order = np.argsort(lo[:, 0])
-    lo, hi = lo[order], hi[order]
-    count = np.searchsorted(lo[:, 0], hi[:, 0], side="right") - np.arange(m) - 1
+    m = len(order)
+    lox, hix = np.minimum(ax, bx) - eps, np.maximum(ax, bx) + eps
+    loy, hiy = np.minimum(ay, by) - eps, np.maximum(ay, by) + eps
+    count = np.searchsorted(lox, hix, side="right") - np.arange(m) - 1
     ends = np.cumsum(count)
     s = 0
     while s < m and ends[-1] > ends[s] - count[s]:
@@ -244,11 +253,11 @@ def _candidate_pairs(a: np.ndarray, b: np.ndarray, eps: float,
         c = count[s:e]
         first = np.repeat(np.arange(s, e), c)
         second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(c) - c, c)
-        keep = (lo[second, 1] <= hi[first, 1]) & (hi[second, 1] >= lo[first, 1])
-        first, second = order[first[keep]], order[second[keep]]
-        i, j = np.minimum(first, second), np.maximum(first, second)
-        keep = (j - i >= 2) & ~(closed & (i == 0) & (j == m - 1))
-        yield i[keep], j[keep]
+        keep = (loy[second] <= hiy[first]) & (hiy[second] >= loy[first])
+        first, second = first[keep], second[keep]
+        gap = np.abs(order[first] - order[second])
+        keep = (gap >= 2) & ~(closed & (gap == m - 1))
+        yield first[keep], second[keep]
         s = e
 
 
@@ -261,26 +270,35 @@ def _suspect_pairs(a: np.ndarray, b: np.ndarray, length: np.ndarray,
 
     A pair is apart when the four turns of ``segments_intersect`` are all
     clear and one segment lies wholly on one side of the other's line;
-    near-ties and crossings alike are left to the scalar test.  Differences
-    are taken as ``orient`` takes them; p1 - q1 is exactly -(q1 - p1), so
-    the turn of p1 about segment j reuses q1 - p1, and its cross product
-    comes out negated.
+    near-ties and crossings alike are left to the scalar test.  The grown
+    boxes of a candidate pair share a point, which lies within li + sqrt(2)
+    eps of either end of segment i and within lj + sqrt(2) eps of either
+    end of segment j, so every arm of the four turns is at most li + lj +
+    2 sqrt(2) eps: one bound, ``band * (li + lj + 3 eps)``, clears all four,
+    and the doubling in ``band`` covers the rounding of boxes and lengths.
+    Differences are taken as ``orient`` takes them; p1 - q1 is exactly
+    -(q1 - p1), so the turn of p1 about segment j reuses q1 - p1, and its
+    cross product comes out negated.  The four turns are the same whichever
+    segment comes first, so positions in x-min order serve as (i, j).
     """
-    ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+    order, ax, ay, bx, by = _by_x_min(a, b)
     dx, dy = bx - ax, by - ay
+    length = length[order]
     suspects = []
-    for i, j in _candidate_pairs(a, b, eps, closed):
-        wx, wy = ax[j] - ax[i], ay[j] - ay[i]       # q1 - p1
-        vx, vy = bx[j] - ax[i], by[j] - ay[i]       # q2 - p1
-        ux, uy = bx[i] - ax[j], by[i] - ay[j]       # p2 - q1
-        dxi, dyi, dxj, dyj = dx[i], dy[i], dx[j], dy[j]
-        li, lj, lw = length[i], length[j], np.hypot(wx, wy)
-        c1, c2 = dxi * wy - dyi * wx, dxi * vy - dyi * vx
-        c3, c4 = dxj * wy - dyj * wx, dxj * uy - dyj * ux
-        apart = (_clear(c1, li, lw, band) & _clear(c2, li, np.hypot(vx, vy), band)
-                 & _clear(c3, lj, lw, band) & _clear(c4, lj, np.hypot(ux, uy), band)
+    for s, t in _candidate_pairs(ax, ay, bx, by, order, eps, closed):
+        wx, wy = ax[t] - ax[s], ay[t] - ay[s]       # q1 - p1
+        vx, vy = bx[t] - ax[s], by[t] - ay[s]       # q2 - p1
+        ux, uy = bx[s] - ax[t], by[s] - ay[t]       # p2 - q1
+        dxs, dys, dxt, dyt = dx[s], dy[s], dx[t], dy[t]
+        c1, c2 = dxs * wy - dys * wx, dxs * vy - dys * vx
+        c3, c4 = dxt * wy - dyt * wx, dxt * uy - dyt * ux
+        turn = np.minimum(np.minimum(np.abs(c1), np.abs(c2)),
+                          np.minimum(np.abs(c3), np.abs(c4)))
+        apart = ((turn > band * (length[s] + length[t] + 3.0 * eps))
                  & (((c1 > 0.0) == (c2 > 0.0)) | ((c3 < 0.0) == (c4 > 0.0))))
-        suspects.extend(zip(i[~apart].tolist(), j[~apart].tolist()))
+        s, t = order[s[~apart]], order[t[~apart]]
+        suspects.extend(zip(np.minimum(s, t).tolist(),
+                            np.maximum(s, t).tolist()))
     return sorted(suspects)
 
 

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: validate, analyze, solve, oracle, render, fuzz.  Exit codes:
-0 success, 2 usage error, 3 invalid or unsupported arc or out of memory,
-4 internal structural violation, 5 solver/brute-force disagreement.
+0 success, 1 stdout closed before the output was written, 2 usage error,
+3 invalid or unsupported arc or out of memory, 4 internal structural
+violation, 5 solver/brute-force disagreement.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Callable
 
@@ -26,6 +28,7 @@ from .solver import (analyze_arc, simple_hull, solve_at_angle,
 from .svg import render_scene, render_scene_for, render_schematic
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_INVALID_ARC = 3
 EXIT_STRUCTURAL = 4
 EXIT_DISAGREEMENT = 5
@@ -286,7 +289,14 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away, as with `| head`: point stdout at devnull,
+        # so that the flush at exit has nowhere to fail, and say nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except StructuralViolationError as exc:
         print(f"structural violation: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL

@@ -115,11 +115,11 @@ def _on_segment(a: Point, b: Point, p: Point, eps: float) -> bool:
 def segments_intersect(s1: Segment, s2: Segment, tol: Tolerance) -> bool:
     """Whether two segments meet: an interior crossing, an endpoint touch
     or a collinear overlap.  ``tol`` sets both the collinearity band of
-    ``orient`` and the slack of an endpoint on the other segment."""
+    ``orient`` and the slack of an endpoint on the other segment.  Both
+    segments must be longer than ``tol.eps_len``, as ``validate_simple``
+    checks before it compares any pair."""
     (p1, p2), (q1, q2) = s1, s2
     eps = tol.eps_len
-    if dist(p1, p2) <= eps or dist(q1, q2) <= eps:
-        raise ValueError("degenerate (zero-length) segment")
     o1 = orient(p1, p2, q1, tol)
     o2 = orient(p1, p2, q2, tol)
     o3 = orient(q1, q2, p1, tol)

@@ -70,10 +70,14 @@ def _header(xmin: float, ymin: float, xmax: float, ymax: float,
                 xmin, -ymax, xmax - xmin, ymax - ymin) + style + "</style>\n"
 
 
+def _points(xy: list[float]) -> str:
+    """The "x,y x,y ..." text of the flat SVG coordinates xy."""
+    return _fmt(" ".join(["%.6f,%.6f"] * (len(xy) // 2)), *xy)
+
+
 def _poly(xy: list[float], cls: str, tag: str = "polyline") -> str:
     """A polyline or polygon through the flat SVG coordinates xy."""
-    pts = " ".join(["%.6f,%.6f"] * (len(xy) // 2))
-    return _fmt(f'<{tag} class="{cls}" points="{pts}"/>\n', *xy)
+    return f'<{tag} class="{cls}" points="{_points(xy)}"/>\n'
 
 
 def _circles(xy: list[float], r: float, cls: str) -> str:
@@ -126,9 +130,14 @@ def render_scene(arc: PolygonalArc, hull: ConvexHull | None = None,
         parts.append(_segment(head, tail, "axis"))
         parts.append(_poly(_flip(hull.points[h] for h in guide.visit),
                            "guide"))
-    xy = _flip(arc.nodes)
-    parts.append(_poly(xy, "arc"))
-    parts.append(_circles(xy, r_node, "node"))
+    # the node dots reuse the polyline's number text: spaces first, as
+    # their replacement holds no comma
+    points = _points(_flip(arc.nodes))
+    dot = '<circle class="node" cx="'
+    end = f'" r="{_fmt("%.6f", r_node)}"/>\n'
+    parts.append(f'<polyline class="arc" points="{points}"/>\n')
+    parts.append(dot + points.replace(" ", end + dot).replace(",", '" cy="')
+                 + end)
     if solution is not None:
         for pair in solution.pairs:
             for line, cls in ((pair.m, "m-line"), (pair.n, "n-line")):

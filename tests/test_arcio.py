@@ -7,6 +7,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from helpers import exact_orient, random_star_polygon, star_fan
@@ -17,9 +18,12 @@ from arcsupport.arcio import (
     PolygonalArc,
     ValidationReport,
     Violation,
+    _by_x_min,
     _candidate_pairs,
+    _filter_band,
     _node_array,
     _segment_ends,
+    _suspect_pairs,
     is_segment_arc,
     load_arc,
     parse_arc,
@@ -27,8 +31,8 @@ from arcsupport.arcio import (
 )
 from arcsupport.errors import InvalidArcError, ParseError
 from arcsupport.geom import (DEFAULT_EPS_ANGLE, DEFAULT_EPS_REL, Line, Point,
-                             Tolerance, dist, lines_intersection, orient,
-                             segments_intersect)
+                             Tolerance, bbox_diagonal, dist,
+                             lines_intersection, orient, segments_intersect)
 from arcsupport.solver import analyze_arc, solve_closed
 
 
@@ -385,20 +389,17 @@ class TestValidateSimple:
             Violation("duplicate_node", (3, 0), "nodes 3 and 0 coincide"),)
 
 
+def _intersecting_pairs(arc, tol):
+    """Non-adjacent segment pairs i < j that ``segments_intersect`` flags,
+    testing every pair."""
+    m = arc.segment_count()
+    return [(i, j) for i in range(m) for j in range(i + 2, m)
+            if not (arc.closed and i == 0 and j == m - 1)
+            and segments_intersect(arc.segment(i), arc.segment(j), tol)]
+
+
 class TestCandidatePrefilter:
     """The bbox prefilter must never drop a truly intersecting pair."""
-
-    def _all_pairs(self, arc, tol):
-        m = arc.segment_count()
-        n = len(arc)
-        found = []
-        for i in range(m):
-            for j in range(i + 2, m):
-                if arc.closed and i == 0 and j == m - 1:
-                    continue
-                if segments_intersect(arc.segment(i), arc.segment(j), tol):
-                    found.append((i, j))
-        return found
 
     def test_matches_quadratic_reference(self):
         rng = random.Random(7)
@@ -413,11 +414,13 @@ class TestCandidatePrefilter:
                     pts.append(p)
             arc = PolygonalArc(tuple(pts), closed=closed)
             tol = arc.tolerance()
-            reference = self._all_pairs(arc, tol)
-            candidates = {pair for i, j in _candidate_pairs(
-                              *_segment_ends(_node_array(arc), arc.segment_count()),
-                              tol.eps_len, arc.closed)
-                          for pair in zip(i.tolist(), j.tolist())}
+            reference = _intersecting_pairs(arc, tol)
+            order, *columns = _by_x_min(
+                *_segment_ends(_node_array(arc), arc.segment_count()))
+            candidates = {tuple(sorted(pair)) for s, t in _candidate_pairs(
+                              *columns, order, tol.eps_len, arc.closed)
+                          for pair in zip(order[s].tolist(),
+                                          order[t].tolist())}
             hits = [p for p in candidates
                     if segments_intersect(arc.segment(p[0]), arc.segment(p[1]),
                                           tol)]
@@ -543,6 +546,100 @@ class TestBatchedValidation:
         assert not report.ok
         assert {v.kind for v in report.violations} == {"segments_cross"}
         assert report == _scalar_report(crossed, crossed.tolerance())
+
+
+def _near(draw, a, b, eps):
+    """A point within 4 eps of the segment from a to b, on either side."""
+    t = draw(st.floats(0, 1))
+    off = draw(st.floats(-4, 4)) * eps / math.hypot(b[0] - a[0], b[1] - a[1])
+    return (a[0] + t * (b[0] - a[0]) - off * (b[1] - a[1]),
+            a[1] + t * (b[1] - a[1]) + off * (b[0] - a[0]))
+
+
+@st.composite
+def pushed_fans(draw):
+    """Star fans of 6-120 nodes with node k moved to within 4 eps_len of
+    the spoke from node k + 1 to node k + 2: dense box overlaps, a near
+    touch of segments k - 1 and k + 1, and a near fold at node k + 1."""
+    n = draw(st.integers(6, 120))
+    nodes = star_fan(n, draw(st.integers(0, 2**16)))
+    k = draw(st.integers(0, n - 3))
+    eps = DEFAULT_EPS_REL * bbox_diagonal(nodes)
+    nodes[k] = _near(draw, nodes[k + 1], nodes[k + 2], eps)
+    return PolygonalArc(tuple(nodes))
+
+
+@st.composite
+def long_short_walks(draw):
+    """Open or closed walks of 3-30 steps along multiples of 45 degrees,
+    each 10**U(-7, 0) long, then a step of 10**U(-7, -1) times the walk's
+    size whose end is within 4 eps_len of an earlier segment: very long
+    and very short segments lie end to end, side by side, across each
+    other and tip to side, where the filter's one bound li + lj + 3 eps
+    is loosest."""
+    x = y = 0.0
+    nodes = [(x, y)]
+    for _ in range(draw(st.integers(3, 30))):
+        length = 10.0 ** draw(st.floats(-7, 0))
+        angle = math.radians(45 * draw(st.integers(0, 7)))
+        x, y = x + length * math.cos(angle), y + length * math.sin(angle)
+        nodes.append((x, y))
+    size = bbox_diagonal(nodes)
+    s = draw(st.integers(0, len(nodes) - 2))
+    tip = _near(draw, nodes[s], nodes[s + 1], DEFAULT_EPS_REL * size)
+    step = size * 10.0 ** draw(st.floats(-7, -1))
+    angle = draw(st.floats(0, 2 * math.pi))
+    nodes += [(tip[0] + step * math.cos(angle),
+               tip[1] + step * math.sin(angle)), tip]
+    return PolygonalArc(tuple(nodes), closed=draw(st.booleans()))
+
+
+# segments 0 and 2 lie end to end on one diagonal, 0.9 eps_len apart in x
+# and y, so that their grown boxes barely overlap and the arm from node 0
+# to node 3 is li + lj + 1.27 eps_len long
+_GAP = 0.9 * DEFAULT_EPS_REL * math.hypot(2, 2)
+END_TO_END = PolygonalArc(((0, 0), (1, 1), (1 + _GAP, 1 + _GAP), (2, 2)))
+
+
+# the short segment 3 ends 5e-9 (about eps_len / 2) left of the long
+# segment 0, which is about 100 times longer: a touch whose turn about
+# segment 0 clears any bound that leaves out segment 0's length, with
+# segment 3 first in x-min order, and in the mirror image second
+TIP_TO_SIDE = PolygonalArc(((0.5, -0.5), (0.5, 10), (0, 10), (0.4, 0),
+                            (0.5 - 5e-9, 0)))
+TIP_TO_SIDE_MIRRORED = PolygonalArc(
+    tuple((-x, y) for x, y in TIP_TO_SIDE.nodes))
+
+
+class TestPairFilterSoundness:
+    """The float filter's one bound per pair never clears a pair that the
+    scalar test flags."""
+
+    @settings(max_examples=150, deadline=None)
+    @example(arc=END_TO_END)
+    @example(arc=TIP_TO_SIDE)
+    @example(arc=TIP_TO_SIDE_MIRRORED)
+    @example(arc=NEAR_TIE)
+    @given(arc=st.one_of(pushed_fans(), long_short_walks(),
+                         jittered_grid_arcs()))
+    def test_flagged_pairs_are_suspects(self, arc):
+        tol = arc.tolerance()
+        start, end = _segment_ends(_node_array(arc), arc.segment_count())
+        length = np.hypot(end[:, 0] - start[:, 0], end[:, 1] - start[:, 1])
+        suspects = _suspect_pairs(start, end, length,
+                                  _filter_band(tol.eps_len, length),
+                                  tol.eps_len, arc.closed)
+        assert suspects == sorted(set(suspects))
+        assert set(_intersecting_pairs(arc, tol)) <= set(suspects)
+        assert validate_simple(arc) == _scalar_report(arc, tol)
+
+    @pytest.mark.parametrize("arc, pair", [
+        (END_TO_END, (0, 2)), (TIP_TO_SIDE, (0, 3)),
+        (TIP_TO_SIDE_MIRRORED, (0, 3))])
+    def test_near_touches_are_found(self, arc, pair):
+        report = validate_simple(arc)
+        assert [(v.kind, v.indices) for v in report.violations] == [
+            ("segments_cross", pair)]
 
 
 class TestValidationCache:

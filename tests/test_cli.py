@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line interface.
 
 Each test drives ``arcsupport.cli.run`` with an argv list and inspects the
-exit code, captured stdout/stderr, and any files written.  Expected numbers
-are recomputed inline rather than taken from library helpers.
+exit code, captured stdout/stderr, and any files written; the closed-stdout
+test runs ``python -m arcsupport.cli`` in a child process instead, as only a
+real pipe can close.  Expected numbers are recomputed inline rather than
+taken from library helpers.
 """
 
 import argparse
@@ -10,13 +12,15 @@ import contextlib
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from helpers import BAND_EDGE_ANGLES, BAND_REFUSAL, TINY_ANGLES
+from helpers import BAND_EDGE_ANGLES, BAND_REFUSAL, TINY_ANGLES, star_fan
 
 from arcsupport import cli
 from arcsupport import hull as hull_module
@@ -669,6 +673,23 @@ class TestOptionSets:
 # ----------------------------------------------------------- error handling
 
 class TestErrorHandling:
+    def test_closed_stdout_exits_1_quietly(self, tmp_path):
+        # a child process whose reader takes 10 bytes and goes away, as
+        # `| head -c 10` does; the report (about 365 kB) overfills the pipe
+        path = _write_arc(tmp_path, star_fan(3000, 1))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "arcsupport.cli", "analyze", path],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = child.stdout.read(10)
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert (head, child.wait(), err) == (b'{\n  "schem', 1, b"")
+
     def test_missing_file_exits_3(self, capsys, tmp_path):
         assert run(["analyze", str(tmp_path / "nope.json")]) == 3
         assert "error:" in capsys.readouterr().err

@@ -14,7 +14,7 @@ from helpers import delta_profile_points
 from arcsupport import svg
 from arcsupport.arcgen import generate_arc
 from arcsupport.arcio import PolygonalArc
-from arcsupport.geom import Line, Point
+from arcsupport.geom import Line, Point, bbox
 from arcsupport.locales import TiltTable
 from arcsupport.schematic import build_schematic, query_angle
 from arcsupport.solver import (analyze_arc, simple_hull, solve_at_angle,
@@ -202,6 +202,17 @@ class TestSceneWriter:
         assert "-0.000000" not in fast
         return fast, slow
 
+    @staticmethod
+    def _assert_node_dots(text, arc):
+        """The node dots, which the writer builds from the polyline's text,
+        match the reference that prints each number on its own."""
+        xmin, ymin, xmax, ymax = bbox(arc.nodes)
+        diag = max(((xmax - xmin) ** 2 + (ymax - ymin) ** 2) ** 0.5, 1e-12)
+        xy = [v for x, y in arc.nodes for v in (x, -y)]
+        dots = "".join(line + "\n" for line in text.splitlines()
+                       if line.startswith('<circle class="node"'))
+        assert dots == _per_number_circles(xy, 0.008 * diag, "node")
+
     @pytest.mark.parametrize("nodes", [
         [(0.0, 0.0), (1.0, 4e-7), (2.0, -4e-7), (-4e-7, 1.0), (4e-7, -0.0),
          (-0.0, 2.0)],
@@ -214,6 +225,7 @@ class TestSceneWriter:
         arc = PolygonalArc(nodes)
         fast, slow = self._both(monkeypatch, lambda: render_scene(arc))
         assert fast == slow
+        self._assert_node_dots(fast, arc)
 
     @pytest.mark.parametrize("phi", [None, 0.0, 30.0, "left"])
     def test_pentagon_scene(self, monkeypatch, pentagon_arc, phi):
@@ -246,6 +258,7 @@ class TestSceneWriter:
             monkeypatch, lambda: render_scene_for(analysis, solution))
         assert fast == slow
         assert fast.count('class="node"') == len(arc)
+        self._assert_node_dots(fast, arc)
 
     @pytest.mark.parametrize("phi", [None, 0.0, 40.0, 150.0])
     def test_schematic(self, monkeypatch, reference_tilts, phi):
@@ -349,6 +362,13 @@ class TestClipLineToBox:
     def test_miss(self):
         assert clip_line_to_box(Line(0.0, 5.0, 0.0), 0, 0, 1, 1) is None
         assert clip_line_to_box(Line(-2.0, 0.0, 90.0), 0, 0, 1, 1) is None
+
+    def test_oblique_miss(self):
+        # y = x + 5 passes above the box: the x slab gives t in [0, 1]
+        # times sqrt(2) and the y slab [-5, -4] times sqrt(2), which are
+        # disjoint, so the second slab returns None
+        assert clip_line_to_box(Line(0.0, 5.0, 45.0), 0, 0, 1, 1) is None
+        assert clip_line_to_box(Line(5.0, 0.0, 135.0), 0, 0, 1, 1) is None
 
     def test_corner_crossing(self):
         seg = clip_line_to_box(Line(0.0, 1.5, -45.0), 0, 0, 1, 1)
