@@ -14,7 +14,7 @@ from .arcio import (PolygonalArc, ValidationReport, Violation, is_segment_arc,
 from .arcgen import RNG_ALGORITHM, generate_arc
 from .errors import (ArcSupportError, DegenerateHullError, GenerationError,
                      InvalidArcError, ParseError, StructuralViolationError,
-                     TooLargeError, UnsupportedArcError)
+                     UnsupportedArcError)
 from .geom import Line, Point, Tolerance
 from .guidepath import (GuidePath, Link, build_guide_path,
                         enumerate_admissible_paths)
@@ -27,8 +27,7 @@ from .report import AnalysisReport
 from .schematic import (AbstractSolution, AngleQuery, SchematicDiagram, Strip,
                         build_schematic, query_angle)
 from .solver import (Analysis, SolutionSet, SupportPairSolution, analyze_arc,
-                     realize_solution, solve_at_angle, solve_closed,
-                     solve_parallel)
+                     realize_solution, solve_at_angle, solve_closed)
 from .svg import render_scene, render_scene_for, render_schematic
 
 __version__ = "0.1.0"
@@ -40,13 +39,12 @@ __all__ = [
     "Locale", "LocaleDecomposition", "OraclePair", "ParseError", "Point",
     "PolygonalArc", "RNG_ALGORITHM", "SchematicDiagram", "SolutionSet",
     "StructuralViolationError", "Strip", "SupportContact",
-    "SupportPairSolution", "TiltTable", "Tolerance", "TooLargeError",
-    "UnsupportedArcError", "ValidationReport", "Violation", "analyze_arc",
-    "brute_force_configs", "brute_force_pairs", "build_guide_path",
-    "build_schematic", "compare_with_solver", "convex_hull",
-    "decompose_locales", "enumerate_admissible_paths", "generate_arc",
-    "is_segment_arc", "load_arc", "parse_arc", "query_angle",
-    "realize_solution", "render_scene", "render_scene_for", "render_schematic",
-    "solve_at_angle", "solve_closed", "solve_parallel", "support_contact",
-    "tilt_table", "validate_simple", "__version__",
+    "SupportPairSolution", "TiltTable", "Tolerance", "UnsupportedArcError",
+    "ValidationReport", "Violation", "analyze_arc", "brute_force_configs",
+    "brute_force_pairs", "build_guide_path", "build_schematic",
+    "compare_with_solver", "convex_hull", "decompose_locales",
+    "enumerate_admissible_paths", "generate_arc", "is_segment_arc", "load_arc",
+    "parse_arc", "query_angle", "realize_solution", "render_scene",
+    "render_scene_for", "render_schematic", "solve_at_angle", "solve_closed",
+    "support_contact", "tilt_table", "validate_simple", "__version__",
 ]

@@ -3,7 +3,7 @@
 Subcommands: validate, analyze, solve, oracle, render, fuzz.  Exit codes:
 0 success, 1 stdout closed before the output was written, 2 usage error,
 3 invalid or unsupported arc or out of memory, 4 internal structural
-violation, 5 solver/brute-force disagreement.
+violation, 5 solver/brute-force disagreement, 130 interrupted (SIGINT).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ EXIT_CLOSED_STDOUT = 1
 EXIT_INVALID_ARC = 3
 EXIT_STRUCTURAL = 4
 EXIT_DISAGREEMENT = 5
+EXIT_INTERRUPTED = 130      # 128 + SIGINT, as a shell reports it
 MIN_PHI_STEP = 0.01         # --phi-grid makes at most 180 / 0.01 angles
 
 
@@ -306,6 +307,9 @@ def run(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_INVALID_ARC
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def main() -> None:

@@ -35,10 +35,6 @@ class UnsupportedArcError(ArcSupportError, ValueError):
     arc solved at φ ≠ 0."""
 
 
-class TooLargeError(ArcSupportError, ValueError):
-    """An enumeration was requested above ``guidepath.ENUMERATION_CAP``."""
-
-
 class GenerationError(ArcSupportError, RuntimeError):
     """Random arc generation failed to produce a valid arc."""
 

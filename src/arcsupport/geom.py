@@ -48,7 +48,9 @@ def angle_problem(phi_deg: float) -> str | None:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """eps_len in plane units, finite and > 0; eps_angle in degrees, fixed."""
+    """eps_len in plane units, finite and > 0; eps_angle in degrees, fixed.
+    Take an arc's tolerance from ``PolygonalArc.tolerance``: one built by
+    hand skips its float-range checks."""
 
     eps_len: float
     eps_angle: ClassVar[float] = DEFAULT_EPS_ANGLE

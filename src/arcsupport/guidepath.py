@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import TooLargeError, ensure
+from .errors import ensure
 from .geom import direction_deg, orient
 from .hull import ConvexHull
 
@@ -97,7 +97,7 @@ def enumerate_admissible_paths(n: int) -> list[tuple[int, ...]]:
     if n < 2:
         raise ValueError("need at least 2 vertices")
     if n > ENUMERATION_CAP:
-        raise TooLargeError(
+        raise ValueError(
             f"enumeration of {n * 2 ** (n - 2)} paths exceeds cap")
     paths: list[tuple[int, ...]] = []
     for start in range(n):

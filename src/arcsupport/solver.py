@@ -4,9 +4,9 @@
 table, strip diagram) on an open arc.  ``solve_at_angle`` finds every
 unordered pair of support lines meeting at a prescribed angle such that
 one line touches the arc somewhere strictly between the other line's two
-contact nodes; ``solve_parallel`` is the zero-angle case and always yields
-exactly one pair.  ``solve_closed`` handles closed arcs, where only the
-parallel pair is defined.
+contact nodes; at angle 0 it always yields exactly one pair.
+``solve_closed`` handles closed arcs, where only the parallel pair is
+defined.
 """
 
 from __future__ import annotations
@@ -187,12 +187,6 @@ def solve_at_angle(analysis: Analysis, phi_deg: float) -> SolutionSet:
                                   analysis.tol.eps_angle),
                "the two solutions collapse to one line pair")
     return SolutionSet(phi_deg, case, pairs, analysis.table)
-
-
-def solve_parallel(analysis: Analysis) -> SolutionSet:
-    """The unique pair of parallel support lines with a contact strictly
-    between two contacts of the other line."""
-    return solve_at_angle(analysis, 0.0)
 
 
 def solve_closed(arc: PolygonalArc,

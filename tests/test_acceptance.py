@@ -25,8 +25,7 @@ from arcsupport.guidepath import enumerate_admissible_paths
 from arcsupport.locales import TiltTable
 from arcsupport.oracle import brute_force_pairs
 from arcsupport.schematic import build_schematic, query_angle
-from arcsupport.solver import (analyze_arc, solve_at_angle, solve_closed,
-                               solve_parallel)
+from arcsupport.solver import analyze_arc, solve_at_angle, solve_closed
 from arcsupport.svg import render_scene_for, render_schematic
 
 # Published six-locale reference data (tilts exact; spans as printed to
@@ -161,7 +160,7 @@ def test_criterion_3_parallel_uniqueness(capfd):
             arc = generate_arc(_cycle_nodes(i), 100_000 + i,
                                _cycle_strategy(i))
             analysis = analyze_arc(arc)
-            solution = solve_parallel(analysis)
+            solution = solve_at_angle(analysis, 0.0)
             assert solution.case == "A"
             assert len(solution.pairs) == 1
             pair = solution.pairs[0]

@@ -92,16 +92,18 @@ class TestGenerateArc:
         assert arc == PolygonalArc(uncross(_rng(4, 1), 12).tolist())
 
     def test_uncross_giving_up_every_attempt_fails(self, monkeypatch):
+        # a crossing that never goes away: the real _uncross spends its
+        # 10 n^2 steps on every attempt and gives up
         calls = []
 
-        def gives_up(rng, nodes):
-            calls.append(nodes)
-            return None
+        def always_crossing(side):
+            calls.append(len(side))
+            return (0, 2)
 
-        monkeypatch.setattr(arcgen, "_uncross", gives_up)
+        monkeypatch.setattr(arcgen, "_first_crossing", always_crossing)
         with pytest.raises(GenerationError, match=f"after {ATTEMPTS} attempts"):
-            generate_arc(12, seed=4, strategy="uncross")
-        assert len(calls) == ATTEMPTS
+            generate_arc(4, seed=4, strategy="uncross")
+        assert calls == [3] * (ATTEMPTS * 10 * 4 * 4)
 
     def test_uncross_node_cap(self, monkeypatch):
         # a generation that starts fails at once instead of allocating

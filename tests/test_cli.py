@@ -9,13 +9,16 @@ taken from library helpers.
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -672,23 +675,57 @@ class TestOptionSets:
 
 # ----------------------------------------------------------- error handling
 
+def _cli_child(*argv: str) -> subprocess.Popen:
+    """``python -m arcsupport.cli`` in a child process, with stdout and
+    stderr piped and this checkout's src ahead of the PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    return subprocess.Popen([sys.executable, "-m", "arcsupport.cli", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+
+
 class TestErrorHandling:
     def test_closed_stdout_exits_1_quietly(self, tmp_path):
         # a child process whose reader takes 10 bytes and goes away, as
         # `| head -c 10` does; the report (about 365 kB) overfills the pipe
-        path = _write_arc(tmp_path, star_fan(3000, 1))
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        pythonpath = [src, os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
-        child = subprocess.Popen(
-            [sys.executable, "-m", "arcsupport.cli", "analyze", path],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        child = _cli_child("analyze", _write_arc(tmp_path, star_fan(3000, 1)))
         head = child.stdout.read(10)
         child.stdout.close()
         err = child.stderr.read()
         child.stderr.close()
         assert (head, child.wait(), err) == (b'{\n  "schem', 1, b"")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+    def test_interrupt_exits_130_quietly(self, tmp_path):
+        # the child reads its arc from a named pipe: once the pipe has a
+        # reader, the child is inside run(), past start-up and its imports,
+        # and it waits there for data that never comes until SIGINT
+        fifo = tmp_path / "arc.json"
+        os.mkfifo(fifo)
+        child = _cli_child("validate", str(fifo))
+        writer = None
+        try:
+            deadline = time.monotonic() + 60.0
+            while writer is None:
+                try:
+                    writer = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                except OSError as exc:      # ENXIO: no reader yet
+                    if (exc.errno != errno.ENXIO or child.poll() is not None
+                            or time.monotonic() > deadline):
+                        raise
+                    time.sleep(0.01)
+            child.send_signal(signal.SIGINT)
+            out, err = child.communicate(timeout=60.0)
+            assert (child.returncode, out, err) == (
+                130, b"", b"error: interrupted\n")
+        finally:
+            if writer is not None:
+                os.close(writer)
+            child.kill()
+            child.wait(timeout=60.0)
 
     def test_missing_file_exits_3(self, capsys, tmp_path):
         assert run(["analyze", str(tmp_path / "nope.json")]) == 3

@@ -191,6 +191,15 @@ class TestOrient:
         assert (orient(a, b, c, tol) == orient(b, c, a, tol)
                 == orient(c, a, b, tol))
 
+    def test_nan_cross_product_is_collinear(self):
+        # a hand-built Tolerance skips PolygonalArc.tolerance's float-range
+        # checks: the cross product overflows to inf - inf = nan, and every
+        # comparison with nan is false, so the last return answers
+        tol = Tolerance(1.0)
+        a, b, c = Point(0, 0), Point(1e200, 1e200), Point(2e200, 1e200)
+        assert math.isnan((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x))
+        assert orient(a, b, c, tol) == 0
+
     @pytest.mark.parametrize("bad, error", [
         (math.nan, ValueError), (math.inf, OverflowError),
         (-math.inf, OverflowError)])

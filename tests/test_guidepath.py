@@ -16,7 +16,6 @@ import pytest
 from arcsupport import guidepath
 from arcsupport.arcgen import generate_arc
 from arcsupport.arcio import PolygonalArc
-from arcsupport.errors import TooLargeError
 from arcsupport.guidepath import build_guide_path, enumerate_admissible_paths
 from arcsupport.geom import orient
 from arcsupport.hull import convex_hull
@@ -144,7 +143,8 @@ class TestEnumeration:
     def test_cap(self, monkeypatch):
         assert guidepath.ENUMERATION_CAP == 12
         assert len(enumerate_admissible_paths(12)) == 12 * 2 ** 10
-        with pytest.raises(TooLargeError):
+        with pytest.raises(ValueError,
+                           match=r"^enumeration of 26624 paths exceeds cap$"):
             enumerate_admissible_paths(13)
         monkeypatch.setattr(guidepath, "ENUMERATION_CAP", 13)
         assert len(enumerate_admissible_paths(13)) == 13 * 2 ** 11

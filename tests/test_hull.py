@@ -13,8 +13,8 @@ from helpers import (angle_dist_mod180, interior_angle, jittered_grid_nodes,
 
 from arcsupport.arcio import PolygonalArc, validate_simple
 from arcsupport.errors import DegenerateHullError, InvalidArcError
-from arcsupport.geom import (Line, Point, bbox_diagonal, direction_deg,
-                             orient, unit_vector)
+from arcsupport.geom import (DEFAULT_EPS_ANGLE, Line, Point, bbox_diagonal,
+                             direction_deg, orient, unit_vector)
 from arcsupport.hull import (SupportContact, convex_hull, support_contact,
                              support_vertices)
 from arcsupport.oracle import compare_with_solver
@@ -130,10 +130,11 @@ def _exact_extremes(hull, dir_deg, side):
 
 
 def _edge_queries(hull):
-    """Every edge direction, nudged across the eps_angle band, and its
-    reverse."""
+    """Every edge direction, nudged to inside and beyond the eps_angle
+    band, and its reverse."""
+    inside, beyond = DEFAULT_EPS_ANGLE / 2, 2 * DEFAULT_EPS_ANGLE
     for e in hull.edge_dirs:
-        for delta in (0.0, -0.0, 5e-8, -5e-8, 2e-7, -2e-7, 180.0):
+        for delta in (0.0, -0.0, inside, -inside, beyond, -beyond, 180.0):
             yield e + delta
 
 

@@ -27,6 +27,7 @@ from arcsupport.geom import (DIRECTION_AGREE_DEG, Line, Point, Tolerance,
                              angle_problem, lines_intersection,
                              normalize_angle, unit_vector)
 from arcsupport.hull import support_contact
+from arcsupport.oracle import compare_with_solver
 from arcsupport.schematic import AngleQuery, query_angle
 from arcsupport.solver import (
     SolutionSet,
@@ -35,7 +36,6 @@ from arcsupport.solver import (
     realize_solution,
     solve_at_angle,
     solve_closed,
-    solve_parallel,
 )
 
 # five-pointed star: 3 crossings as an open arc, 5 when closed
@@ -48,7 +48,7 @@ PHI_LEFT_PENTAGON = 45.0 + DEG_ATAN_1_2
 
 class TestPentagonParallel:
     def test_unique_pair(self, pentagon_arc):
-        result = solve_parallel(analyze_arc(pentagon_arc))
+        result = solve_at_angle(analyze_arc(pentagon_arc), 0.0)
         assert result.case == "A"
         assert len(result.pairs) == 1
         pair = result.pairs[0]
@@ -134,7 +134,7 @@ class TestPentagonAtAngle:
 
 class TestSingleLocaleArcs:
     def test_square_parallel(self, square_arc):
-        pair = solve_parallel(analyze_arc(square_arc)).pairs[0]
+        pair = solve_at_angle(analyze_arc(square_arc), 0.0).pairs[0]
         assert (pair.u, pair.v, pair.w) == (0, 1, 3)
         assert pair.m == (0.0, 1.0, 0.0)
         assert pair.n == (0.0, 0.0, 0.0)
@@ -154,7 +154,7 @@ class TestSingleLocaleArcs:
                                    analysis.tol.eps_len)
 
     def test_triangle_parallel(self, triangle_arc):
-        pair = solve_parallel(analyze_arc(triangle_arc)).pairs[0]
+        pair = solve_at_angle(analyze_arc(triangle_arc), 0.0).pairs[0]
         assert (pair.u, pair.v, pair.w) == (0, 1, 2)
         assert pair.m == (0.0, 0.0, 0.0)
         assert pair.n == (1.0, 1.0, 0.0)
@@ -170,7 +170,8 @@ class TestSingleLocaleArcs:
 
 class TestInteriorStart:
     def test_parallel_shifted_nodes(self, pentagon_interior_start):
-        pair = solve_parallel(analyze_arc(pentagon_interior_start)).pairs[0]
+        analysis = analyze_arc(pentagon_interior_start)
+        pair = solve_at_angle(analysis, 0.0).pairs[0]
         assert (pair.u, pair.v, pair.w) == (2, 3, 4)
         assert pair.m == (1.0, 1.0, 0.0)
 
@@ -322,7 +323,7 @@ class TestFuzzedDefinition:
             arc = generate_arc(5 + (i * 3) % 30, seed=8200 + i,
                                strategy="uncross" if i % 2 else "zigzag")
             analysis = analyze_arc(arc)
-            result = solve_parallel(analysis)
+            result = solve_at_angle(analysis, 0.0)
             assert len(result.pairs) == 1
             assert_pair_definition(arc, result.pairs[0], 0.0,
                                    analysis.tol.eps_len * 10)
@@ -337,6 +338,37 @@ class TestFuzzedDefinition:
                 for pair in result.pairs:
                     assert_pair_definition(arc, pair, phi,
                                            analysis.tol.eps_len * 10)
+
+
+class TestRazorBase:
+    # trial 670 of the jitter fuzz at J = 1e-8: three nodes within 1e-8 of
+    # the origin make a base about 5.6e-9 long, and at the left aspect
+    # angle the apex lands on its first end, within eps_len of its middle
+    NODES = ((4.953061444845327e-09, -5.909327594453477e-09),
+             (5.946068634339253e-09, 7.956651965421099e-09),
+             (9.857855514554018e-09, -8.601814494480462e-09),
+             (2.000000002128153, 0.9999999925832231),
+             (0.9999999928926863, 0.9999999954570389),
+             (0.9999999969905106, 2.0000000089195145),
+             (2.0000000021950872, 1.999999993116758))
+
+    def test_apex_side_of_a_razor_short_base(self):
+        arc = PolygonalArc(self.NODES)
+        analysis = analyze_arc(arc)
+        phi = analysis.table.phi_left
+        assert phi == pytest.approx(114.66836278985701, abs=1e-9)
+        result = solve_at_angle(analysis, phi)
+        assert result.case == "C"
+        (pair,) = result.pairs
+        assert (pair.u, pair.v, pair.w, pair.apex_side) == (0, 1, 2, "left")
+        # the midpoint test decides the side, not which end is nearer
+        m, _, _, mu, length, _ = analysis.bases[pair.locale - 1]
+        along = (pair.apex.x - m.px) * mu.x + (pair.apex.y - m.py) * mu.y
+        assert length == pytest.approx(5.6e-9, abs=1e-10)
+        assert along == 0.0
+        assert abs(along - 0.5 * length) <= analysis.tol.eps_len
+        assert compare_with_solver(arc, phi, analysis=analysis).ok
+        assert_pair_definition(arc, pair, phi, analysis.tol.eps_len)
 
 
 def _reference_realize(analysis, abstract):
