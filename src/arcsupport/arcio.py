@@ -11,14 +11,15 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidArcError, ParseError
-from .geom import (DEFAULT_EPS_REL, Point, Segment, Tolerance, bbox_diagonal,
-                   dist, orient, segments_intersect)
+from .geom import (DEFAULT_EPS_REL, Point, Segment, Tolerance, bbox, dist,
+                   orient, segments_intersect)
 
 _PAIR_BLOCK = 8192              # x-overlapping box pairs expanded at once
 _TINY = sys.float_info.min      # smallest normal float
@@ -48,6 +49,11 @@ class PolygonalArc:
     def __len__(self) -> int:
         return len(self.nodes)
 
+    @cached_property
+    def bbox(self) -> tuple[float, float, float, float]:
+        """(xmin, ymin, xmax, ymax) of the nodes, computed once."""
+        return bbox(self.nodes)
+
     def segment_count(self) -> int:
         return len(self.nodes) if self.closed else len(self.nodes) - 1
 
@@ -64,7 +70,8 @@ class PolygonalArc:
         must be finite, and the widest collinearity band, eps_len *
         diagonal, must not underflow to 0 (else InvalidArcError)."""
         given = None if eps_len is None else Tolerance(eps_len)
-        diagonal = bbox_diagonal(self.nodes)
+        x0, y0, x1, y1 = self.bbox
+        diagonal = math.hypot(x1 - x0, y1 - y0)
         if given is None:
             eps_len = DEFAULT_EPS_REL * diagonal if diagonal > 0 else DEFAULT_EPS_REL
         if not math.isfinite(2 * diagonal * diagonal):

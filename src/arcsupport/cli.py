@@ -153,48 +153,64 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     failures: list[dict] = []
     checks = 0
     violated = False
-    for i in range(args.count):
-        nodes = lo + i % (hi - lo + 1)
-        if args.strategy == "mixed":
-            strategy = STRATEGIES[i % len(STRATEGIES)]
-        else:
-            strategy = args.strategy
-        seed = args.seed + i
-        reproduce = (f"arcsupport fuzz --count 1 --seed {seed} --nodes {nodes}"
-                     f" --strategy {strategy}")
-        if step is not None:
-            reproduce += f" --phi-grid {step!r}"
-        arc = generate_arc(nodes, seed, strategy)
-        found: list[tuple[float | None, str]] = []
-        phi = None
-        try:
-            analysis = analyze_arc(arc)
-            # an aspect angle inside the angle band of 0 is no angle to ask
-            thresholds = [t for t in (analysis.table.phi_left,
-                                      -analysis.table.phi_right)
-                          if angle_problem(t) is None]
-            for phi in [0.0] + grid + thresholds:
-                result = compare_with_solver(arc, phi, analysis=analysis)
-                checks += 1
-                if not result.ok:
-                    found.append((phi, result.message))
-        except StructuralViolationError as exc:
-            violated = True
-            found.append((phi, f"structural violation: {exc}"))
-        failures.extend({"seed": seed, "nodes": nodes, "strategy": strategy,
-                         "phi": angle, "message": message,
-                         "reproduce": reproduce} for angle, message in found)
 
-    print(json.dumps({
-        "rng": RNG_ALGORITHM,
-        "seed": args.seed,
-        "count": args.count,
-        "nodes": f"{lo}-{hi}",
-        "strategy": args.strategy,
-        "checks": checks,
-        "failures": failures,
-        "ok": not failures,
-    }, indent=2))
+    def summarize(**extra) -> None:
+        print(json.dumps({
+            "rng": RNG_ALGORITHM,
+            "seed": args.seed,
+            "count": args.count,
+            "nodes": f"{lo}-{hi}",
+            "strategy": args.strategy,
+            "checks": checks,
+            "failures": failures,
+            "ok": not failures,
+            **extra,
+        }, indent=2))
+
+    done = 0
+    try:
+        for i in range(args.count):
+            nodes = lo + i % (hi - lo + 1)
+            if args.strategy == "mixed":
+                strategy = STRATEGIES[i % len(STRATEGIES)]
+            else:
+                strategy = args.strategy
+            seed = args.seed + i
+            reproduce = (f"arcsupport fuzz --count 1 --seed {seed} "
+                         f"--nodes {nodes} --strategy {strategy}")
+            if step is not None:
+                reproduce += f" --phi-grid {step!r}"
+            arc = generate_arc(nodes, seed, strategy)
+            found: list[tuple[float | None, str]] = []
+            phi = None
+            asked = 0
+            try:
+                analysis = analyze_arc(arc)
+                # an aspect angle inside the angle band of 0 is no angle
+                # to ask
+                thresholds = [t for t in (analysis.table.phi_left,
+                                          -analysis.table.phi_right)
+                              if angle_problem(t) is None]
+                for phi in [0.0] + grid + thresholds:
+                    result = compare_with_solver(arc, phi, analysis=analysis)
+                    asked += 1
+                    if not result.ok:
+                        found.append((phi, result.message))
+            except StructuralViolationError as exc:
+                violated = True
+                found.append((phi, f"structural violation: {exc}"))
+            checks += asked
+            failures.extend({"seed": seed, "nodes": nodes,
+                             "strategy": strategy, "phi": angle,
+                             "message": message, "reproduce": reproduce}
+                            for angle, message in found)
+            done += 1
+    except KeyboardInterrupt:
+        # the summary of the arcs already checked; run() then exits 130
+        summarize(interrupted=True, arcs_done=done)
+        raise
+
+    summarize()
     if violated:
         return EXIT_STRUCTURAL
     return EXIT_OK if not failures else EXIT_DISAGREEMENT

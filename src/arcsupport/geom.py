@@ -49,8 +49,10 @@ def angle_problem(phi_deg: float) -> str | None:
 @dataclass(frozen=True)
 class Tolerance:
     """eps_len in plane units, finite and > 0; eps_angle in degrees, fixed.
-    Take an arc's tolerance from ``PolygonalArc.tolerance``: one built by
-    hand skips its float-range checks."""
+    Take an arc's tolerance from ``PolygonalArc.tolerance``, which checks
+    it against the arc's float range.  ``analyze_arc`` and ``solve_closed``
+    run the same checks on one built by hand; the lower-level functions
+    that take a ``tol`` do not."""
 
     eps_len: float
     eps_angle: ClassVar[float] = DEFAULT_EPS_ANGLE
@@ -184,8 +186,3 @@ def bbox(points: Iterable[Point]) -> tuple[float, float, float, float]:
     if not xs:
         raise ValueError("bbox of an empty point set")
     return min(xs), min(ys), max(xs), max(ys)
-
-
-def bbox_diagonal(points: Iterable[Point]) -> float:
-    x0, y0, x1, y1 = bbox(points)
-    return math.hypot(x1 - x0, y1 - y0)

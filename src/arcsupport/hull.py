@@ -146,10 +146,18 @@ def support_contact(hull: ConvexHull, dir_deg: float,
     offset, 'right' the opposite.  When an incident hull edge runs parallel
     to the line within the angle tolerance the contact is that whole edge
     (two vertices); otherwise it is the single extreme vertex.  The test is
-    staged: ``support_vertices`` finds the vertices, and this orders them
-    along the line and anchors the line at the first.
+    staged: ``support_vertices`` finds the vertices, and ``anchor_contact``
+    orders them along the line and anchors the line.
     """
-    ids = support_vertices(hull, dir_deg, side)
+    return anchor_contact(hull, support_vertices(hull, dir_deg, side), dir_deg)
+
+
+def anchor_contact(hull: ConvexHull, ids: list[int],
+                   dir_deg: float) -> SupportContact:
+    """The support line with direction ``dir_deg`` through the hull
+    vertices ``ids``, as ``support_vertices`` returns them: the vertices
+    ordered along the line, which is anchored at the first.  Sorts ``ids``
+    in place."""
     if len(ids) == 1:
         x, y = hull.points[ids[0]]
         return SupportContact(Line(x, y, dir_deg), (hull.node_ids[ids[0]],))

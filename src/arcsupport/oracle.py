@@ -2,9 +2,10 @@
 
 Instead of the guide-path machinery, this module tries the hull edges as
 the two-contact line m.  For a prescribed angle it takes both rotated
-candidate directions and, in two stages, the far-side support line n of
-each: first the hull vertices n touches, then, only when one of them is a
-node strictly between m's contact nodes, n itself and the configuration.
+candidate directions and finds the hull vertices that the far-side support
+line n of each touches, with one bisection per direction.  Only when one of
+those vertices is a node strictly between m's contact nodes is n built, from
+the same vertices and by the anchor rule that ``support_contact`` applies.
 Contacts are hull vertices, so the search skips the edges whose two nodes
 bracket no other hull vertex in arc order: they yield no configuration at
 any angle; the bracketing edges are worked out once per hull.  Distinct
@@ -24,7 +25,7 @@ from .arcio import PolygonalArc
 from .geom import (DIRECTION_AGREE_DEG, Line, Tolerance, angle_problem,
                    lines_equal, same_line_pair)
 # unused here, but bench/test_bench.py checks the tracer wraps it here too
-from .hull import (ConvexHull, convex_hull, support_contact,  # noqa: F401
+from .hull import (ConvexHull, anchor_contact, convex_hull,  # noqa: F401
                    support_vertices)
 from .solver import Analysis, analyze_arc, solve_at_angle
 
@@ -57,12 +58,14 @@ def brute_force_configs(hull: ConvexHull, phi_deg: float) -> list[OraclePair]:
     for m, node_a, node_b, lo, hi in _bracketing_edges(hull):
         for d in ((m.dir_deg,) if phi_deg == 0.0
                   else (m.dir_deg + phi_deg, m.dir_deg - phi_deg)):
-            between = [c for i in support_vertices(hull, d, "right")
-                       if lo < (c := node_ids[i]) < hi]
-            if not between:
-                continue
-            n = support_contact(hull, d, "right").line
-            found.append(OraclePair(m, n, node_a, min(between), node_b))
+            ids = support_vertices(hull, d, "right")
+            v = hi      # the smallest contact node strictly between lo and hi
+            for i in ids:
+                if lo < (c := node_ids[i]) < v:
+                    v = c
+            if v != hi:
+                n = anchor_contact(hull, ids, d).line
+                found.append(OraclePair(m, n, node_a, v, node_b))
     return found
 
 
@@ -116,7 +119,8 @@ def compare_with_solver(arc: PolygonalArc, phi_deg: float,
     """
     if analysis is None:
         analysis = analyze_arc(arc, tol)
-    elif analysis.arc != arc or tol not in (None, analysis.tol):
+    elif ((analysis.arc is not arc and analysis.arc != arc)
+          or tol not in (None, analysis.tol)):
         raise ValueError("analysis was made for a different arc or tolerance")
     solved = solve_at_angle(analysis, phi_deg)
     configs = brute_force_configs(analysis.hull, phi_deg)
@@ -132,8 +136,7 @@ def compare_with_solver(arc: PolygonalArc, phi_deg: float,
 
     unmatched = list(deduped)
     for pair in solved.pairs:
-        # same_line_pair written out; a same-role hit on configs[0] is
-        # also the first role-preserving find
+        # same_line_pair written out, keeping whether the roles matched
         for hit in unmatched:
             same_roles = (lines_equal(pair.m, hit.m, eps, agree)
                           and lines_equal(pair.n, hit.n, eps, agree))
@@ -144,11 +147,15 @@ def compare_with_solver(arc: PolygonalArc, phi_deg: float,
             return fail(f"solver pair has no brute-force match at {phi_deg}")
         unmatched.remove(hit)
 
-        role_hit = hit if same_roles and hit is configs[0] else next(
-            (c for c in configs
-             if lines_equal(pair.m, c.m, eps, agree)
-             and lines_equal(pair.n, c.n, eps, agree)), None)
-        if role_hit is None:
+        # the first config with the pair's roles; the hit's were tested above
+        for role_hit in configs:
+            if role_hit is hit:
+                if same_roles:
+                    break
+            elif (lines_equal(pair.m, role_hit.m, eps, agree)
+                  and lines_equal(pair.n, role_hit.n, eps, agree)):
+                break
+        else:
             return fail(f"no role-preserving brute-force find at {phi_deg}")
         if {pair.u, pair.w} != {role_hit.u, role_hit.w}:
             return fail(f"contact nodes of m differ at angle {phi_deg}")

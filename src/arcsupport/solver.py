@@ -118,12 +118,21 @@ def simple_hull(arc: PolygonalArc, tol: Tolerance) -> ConvexHull:
     return convex_hull(arc.nodes, tol)
 
 
+def _checked_tolerance(arc: PolygonalArc, tol: Tolerance | None) -> Tolerance:
+    """``arc.tolerance()``, or ``tol`` as given once it passes the
+    float-range checks of ``arc.tolerance(tol.eps_len)``."""
+    if tol is None:
+        return arc.tolerance()
+    arc.tolerance(tol.eps_len)
+    return tol
+
+
 def analyze_arc(arc: PolygonalArc, tol: Tolerance | None = None) -> Analysis:
     if arc.closed:
         raise UnsupportedArcError(
             "full analysis requires an open arc; for a closed arc's parallel "
             "pair, run 'arcsupport solve --phi 0' or call solve_closed()")
-    tol = tol or arc.tolerance()
+    tol = _checked_tolerance(arc, tol)
     hull = simple_hull(arc, tol)
     guide = build_guide_path(hull)
     decomp = decompose_locales(guide)
@@ -194,7 +203,7 @@ def solve_closed(arc: PolygonalArc,
     """Parallel support pair of a closed arc; see ``solve_closed_hull``."""
     if not arc.closed:
         raise UnsupportedArcError("solve_closed requires a closed arc")
-    return solve_closed_hull(simple_hull(arc, tol or arc.tolerance()))
+    return solve_closed_hull(simple_hull(arc, _checked_tolerance(arc, tol)))
 
 
 def solve_closed_hull(hull: ConvexHull) -> SolutionSet:

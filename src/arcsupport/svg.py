@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .arcio import PolygonalArc
-from .geom import Line, Point, bbox, unit_vector
+from .geom import Line, Point, unit_vector
 from .guidepath import GuidePath
 from .hull import ConvexHull
 from .schematic import AngleQuery, SchematicDiagram
@@ -97,7 +97,7 @@ def render_scene(arc: PolygonalArc, hull: ConvexHull | None = None,
                  solution: SolutionSet | None = None) -> str:
     """Scene drawing: the arc, optionally its hull, guide path, and the
     solved support-line pairs clipped to the padded view."""
-    xmin, ymin, xmax, ymax = bbox(arc.nodes)
+    xmin, ymin, xmax, ymax = arc.bbox
     diag = max(((xmax - xmin) ** 2 + (ymax - ymin) ** 2) ** 0.5, 1e-12)
     pad = PAD_FRACTION * diag
     xmin, ymin, xmax, ymax = xmin - pad, ymin - pad, xmax + pad, ymax + pad

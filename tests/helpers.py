@@ -1,10 +1,10 @@
 """Functions and values that only the tests use: seeded polygon and
 star-fan generators, a jittered-grid hypothesis strategy, an exact
-orientation sign, angle and offset measures, the check of a support-line
-pair against its definition, a reader of the schematic's delta profile,
-and the angles around the angle band of 0.  The polygon generators draw
-from ``arcgen``'s own seeded stream, so a polygon depends on its two
-integers alone."""
+orientation sign, angle, offset and bounding-box measures, the check of a
+support-line pair against its definition, a reader of the schematic's
+delta profile, and the angles around the angle band of 0.  The polygon
+generators draw from ``arcgen``'s own seeded stream, so a polygon depends
+on its two integers alone."""
 
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from arcsupport.arcgen import ATTEMPTS, _rng
 from arcsupport.arcio import PolygonalArc, validate_simple
 from arcsupport.errors import DegenerateHullError, GenerationError
-from arcsupport.geom import (DEFAULT_EPS_ANGLE, Line, Point, normalize_angle,
-                             unit_vector)
+from arcsupport.geom import (DEFAULT_EPS_ANGLE, Line, Point, bbox,
+                             normalize_angle, unit_vector)
 from arcsupport.hull import convex_hull
 
 CONVEX_ATTEMPTS = 50        # seeds tried per convex polygon
@@ -37,6 +37,12 @@ def angle_dist_mod180(a: float, b: float) -> float:
     """Distance between two line directions, orientation ignored; in [0, 90]."""
     d = abs(normalize_angle(a - b))
     return min(d, 180.0 - d)
+
+
+def bbox_diagonal(points) -> float:
+    """Length of the diagonal of the bounding box of ``points``."""
+    x0, y0, x1, y1 = bbox(points)
+    return math.hypot(x1 - x0, y1 - y0)
 
 
 def exact_orient(a: Point, b: Point, c: Point) -> int:

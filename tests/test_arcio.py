@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from helpers import exact_orient, random_star_polygon, star_fan
+from helpers import bbox_diagonal, exact_orient, random_star_polygon, star_fan
 
 from arcsupport import arcio
 from arcsupport.arcgen import generate_arc
@@ -31,7 +31,7 @@ from arcsupport.arcio import (
 )
 from arcsupport.errors import InvalidArcError, ParseError
 from arcsupport.geom import (DEFAULT_EPS_ANGLE, DEFAULT_EPS_REL, Line, Point,
-                             Tolerance, bbox_diagonal, dist,
+                             Tolerance, dist,
                              lines_intersection, orient, segments_intersect)
 from arcsupport.solver import analyze_arc, solve_closed
 
@@ -74,6 +74,15 @@ class TestPolygonalArc:
         arc = PolygonalArc(((0, 0), (1, 0), (0, 1)), closed=True)
         assert arc.segment_count() == 3
         assert arc.segment(2) == (Point(0, 1), Point(0, 0))
+
+    def test_bbox_computed_once(self, monkeypatch):
+        arc = PolygonalArc(((1, 5), (-2, 3), (4, -1)))
+        assert arc.bbox == (-2, -1, 4, 5)
+        monkeypatch.setattr(arcio, "bbox", None)    # a second pass fails
+        assert arc.tolerance().eps_len == pytest.approx(
+            math.hypot(6, 6) * DEFAULT_EPS_REL)
+        assert arc.bbox == (-2, -1, 4, 5)
+        assert arc == PolygonalArc(arc.nodes)       # equality reads the fields
 
     def test_tolerance_for_diagonal(self):
         tol = PolygonalArc(((0, 0), (60, 80))).tolerance()    # diagonal 100

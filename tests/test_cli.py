@@ -542,6 +542,29 @@ class TestFuzzFailures:
         assert failure["phi"] == 60.0
         assert failure["reproduce"].endswith(" --phi-grid 60.0")
 
+    def test_interrupt_prints_the_finished_arcs(self, capsys, monkeypatch):
+        argv = ["--count", "4", "--seed", "7", "--nodes", "5-8"]
+        self._break_analysis(monkeypatch)
+        _, whole = self._fuzz(capsys, argv)
+        compare = cli.compare_with_solver
+        calls = []
+
+        def interrupting(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3 * 2 + 2:
+                raise KeyboardInterrupt
+            return compare(*args, **kwargs)
+        monkeypatch.setattr(cli, "compare_with_solver", interrupting)
+        code = run(["fuzz", *argv])
+        out, err = capsys.readouterr()
+        assert (code, err) == (130, "error: interrupted\n")
+        # arcs 0 and 1 were checked 3 times each and arc 2 failed in its
+        # analysis; the second check of arc 3 was interrupted
+        assert json.loads(out) == {**whole, "checks": 3 * 2,
+                                   "interrupted": True, "arcs_done": 3}
+        assert list(json.loads(out)) == list(whole) + ["interrupted",
+                                                      "arcs_done"]
+
     def test_disagreements_alone_exit_5(self, capsys, monkeypatch):
         compare = cli.compare_with_solver
 

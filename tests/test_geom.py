@@ -22,7 +22,6 @@ from arcsupport.geom import (
     Tolerance,
     angle_problem,
     bbox,
-    bbox_diagonal,
     direction_deg,
     dist,
     lines_equal,
@@ -347,7 +346,6 @@ class TestBoxesAndTolerance:
     def test_bbox(self):
         pts = (Point(1, 5), Point(-2, 3), Point(4, -1))
         assert bbox(pts) == (-2, -1, 4, 5)
-        assert bbox_diagonal(pts) == pytest.approx(math.hypot(6, 6))
 
     def test_bbox_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -8,13 +8,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
-from helpers import (angle_dist_mod180, interior_angle, jittered_grid_nodes,
-                     line_offset, random_convex_polygon)
+from helpers import (angle_dist_mod180, bbox_diagonal, interior_angle,
+                     jittered_grid_nodes, line_offset, random_convex_polygon)
 
 from arcsupport.arcio import PolygonalArc, validate_simple
 from arcsupport.errors import DegenerateHullError, InvalidArcError
-from arcsupport.geom import (DEFAULT_EPS_ANGLE, Line, Point, bbox_diagonal,
-                             direction_deg, orient, unit_vector)
+from arcsupport.geom import (DEFAULT_EPS_ANGLE, Line, Point, direction_deg,
+                             orient, unit_vector)
 from arcsupport.hull import (SupportContact, convex_hull, support_contact,
                              support_vertices)
 from arcsupport.oracle import compare_with_solver

@@ -223,6 +223,13 @@ class TestAgreement:
             compare_with_solver(square_arc, 30.0,
                                 analysis=analyze_arc(pentagon_arc))
 
+    def test_analysis_of_an_equal_arc_accepted(self, pentagon_arc):
+        # the arc is compared by value: an equal copy is the same arc
+        analysis = analyze_arc(pentagon_arc)
+        report = compare_with_solver(PolygonalArc(pentagon_arc.nodes), 30.0,
+                                     analysis=analysis)
+        assert report.ok, report.message
+
     def test_tolerance_other_than_the_analysis_rejected(self, pentagon_arc):
         analysis = analyze_arc(pentagon_arc)
         other = Tolerance(2 * analysis.tol.eps_len)
@@ -294,6 +301,9 @@ class TestFailureMessages:
         # only the first role-preserving config is read
         lambda a, b: [a, a._replace(v=99), b],
         lambda a, b: [a, b, b._replace(v=99)],
+        # the first pair's hit is not configs[0]: the role scan passes
+        # over another pair's config to reach it
+        lambda a, b: [b, a],
     ])
     def test_agreement(self, judge, make):
         report = judge(make)

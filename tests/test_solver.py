@@ -212,6 +212,26 @@ class TestAnalyzeErrors:
         with pytest.raises(DegenerateHullError):
             analyze_arc(PolygonalArc(((0, 0), (1, 1))))
 
+    def test_given_tolerance_is_range_checked(self, pentagon_arc):
+        # without the checks of arc.tolerance(), orient reads the
+        # overflowing cross products as collinear
+        huge = PolygonalArc([(1e200 * x, 1e200 * y)
+                             for x, y in pentagon_arc.nodes])
+        with pytest.raises(InvalidArcError, match="^the arc's bounding box "
+                           "exceeds the float range$"):
+            analyze_arc(huge, Tolerance(1e191))
+        square = PolygonalArc(((0, 0), (1e200, 0), (1e200, 1e200),
+                               (0, 1e200)), closed=True)
+        with pytest.raises(InvalidArcError, match="^the arc's bounding box "
+                           "exceeds the float range$"):
+            solve_closed(square, Tolerance(1e191))
+        with pytest.raises(InvalidArcError, match="^eps_len"):
+            analyze_arc(pentagon_arc, Tolerance(1e308))
+
+    def test_given_tolerance_is_kept(self, pentagon_arc):
+        tol = Tolerance(0.01)
+        assert analyze_arc(pentagon_arc, tol).tol is tol
+
 
 class TestSolveClosed:
     def test_closed_square(self):
