@@ -23,7 +23,7 @@ from .geom import (DEFAULT_EPS_REL, Point, Segment, Tolerance, bbox, dist,
 
 _PAIR_BLOCK = 8192              # x-overlapping box pairs expanded at once
 _TINY = sys.float_info.min      # smallest normal float
-_last_report: tuple = (None, None, None)    # (arc, tol, its report)
+_last_report: tuple = (None, None)     # (arc, its report)
 
 
 @dataclass(frozen=True)
@@ -62,30 +62,23 @@ class PolygonalArc:
         b = self.nodes[(i + 1) % len(self.nodes)]
         return (a, b)
 
-    def tolerance(self, eps_len: float | None = None) -> Tolerance:
-        """The one tolerance policy.  ``eps_len`` defaults to DEFAULT_EPS_REL
-        times the bounding-box diagonal, or to DEFAULT_EPS_REL for a point;
-        a given one is checked by ``Tolerance``, like ``--eps``.  The
-        predicates' products (up to 2 * diagonal**2 and eps_len * diagonal)
-        must be finite, and the widest collinearity band, eps_len *
-        diagonal, must not underflow to 0 (else InvalidArcError)."""
-        given = None if eps_len is None else Tolerance(eps_len)
+    def tolerance(self) -> Tolerance:
+        """The arc's one tolerance: eps_len is DEFAULT_EPS_REL times the
+        bounding-box diagonal, or DEFAULT_EPS_REL for a point.  The
+        predicates' products (up to 2 * diagonal**2) must be finite, and
+        the widest collinearity band, eps_len * diagonal, must not
+        underflow to 0 (else InvalidArcError)."""
         x0, y0, x1, y1 = self.bbox
         diagonal = math.hypot(x1 - x0, y1 - y0)
-        if given is None:
-            eps_len = DEFAULT_EPS_REL * diagonal if diagonal > 0 else DEFAULT_EPS_REL
+        eps_len = DEFAULT_EPS_REL * diagonal if diagonal > 0 else DEFAULT_EPS_REL
         if not math.isfinite(2 * diagonal * diagonal):
             raise InvalidArcError(
                 "the arc's bounding box exceeds the float range")
-        if not math.isfinite(2 * eps_len * diagonal):
-            raise InvalidArcError(
-                f"eps_len (--eps) {eps_len:g} times the arc's "
-                f"bounding-box diagonal {diagonal:g} exceeds the float range")
         if diagonal > 0 and eps_len * diagonal == 0:
             raise InvalidArcError(
-                f"eps_len (--eps) {eps_len:g} times the arc's "
-                f"bounding-box diagonal {diagonal:g} underflows the float range")
-        return given or Tolerance(eps_len)
+                f"eps_len {eps_len:g} times the arc's bounding-box "
+                f"diagonal {diagonal:g} underflows the float range")
+        return Tolerance(eps_len)
 
 
 class Violation(NamedTuple):
@@ -185,9 +178,9 @@ def load_arc(path: str) -> PolygonalArc:
         return parse_arc(fh.read(), fmt)
 
 
-def is_segment_arc(arc: PolygonalArc, tol: Tolerance | None = None) -> bool:
-    """True when every node is collinear within tolerance."""
-    tol = tol or arc.tolerance()
+def is_segment_arc(arc: PolygonalArc) -> bool:
+    """True when every node is collinear within the arc's tolerance."""
+    tol = arc.tolerance()
     anchor = min(arc.nodes)
     far = max(arc.nodes, key=lambda p: dist(anchor, p))
     if dist(anchor, far) <= tol.eps_len:
@@ -309,20 +302,20 @@ def _suspect_pairs(a: np.ndarray, b: np.ndarray, length: np.ndarray,
     return sorted(suspects)
 
 
-def validate_simple(arc: PolygonalArc, tol: Tolerance | None = None) -> ValidationReport:
+def validate_simple(arc: PolygonalArc) -> ValidationReport:
     """Check simplicity: distinct consecutive nodes, no collinear backtracking,
     and no contact between non-adjacent segments.
 
     NumPy flags the segments, junctions and segment pairs that may violate;
-    the scalar predicates decide each flagged one, in index order.  A repeat
-    call on the same arc object, with an equal tolerance, is not rescanned.
+    the scalar predicates decide each flagged one, in index order, under
+    ``arc.tolerance()``.  A repeat call on the same arc object is not
+    rescanned.
     """
     global _last_report
-    tol = tol or arc.tolerance()
-    last, last_tol, report = _last_report
-    if last is not arc or last_tol != tol:
-        report = _scan_simple(arc, tol)
-        _last_report = (arc, tol, report)
+    last, report = _last_report
+    if last is not arc:
+        report = _scan_simple(arc, arc.tolerance())
+        _last_report = (arc, report)
     return report
 
 

@@ -43,7 +43,7 @@ def _write(path: str, text: str) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     arc = load_arc(args.input)
-    report = validate_simple(arc, arc.tolerance(args.eps))
+    report = validate_simple(arc)
     if args.format == "csv":
         lines = ["kind,indices,detail"]
         for v in report.violations:
@@ -61,7 +61,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     arc = load_arc(args.input)
-    analysis = analyze_arc(arc, arc.tolerance(args.eps))
+    analysis = analyze_arc(arc)
     text = AnalysisReport.from_analysis(analysis).to_json()
     if args.json:
         _write(args.json, text + "\n")
@@ -74,15 +74,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     arc = load_arc(args.input)
-    tol = arc.tolerance(args.eps)
     if arc.closed:
         if args.phi != 0.0:
             raise UnsupportedArcError("closed arcs support only --phi 0")
-        hull = simple_hull(arc, tol)
+        hull = simple_hull(arc)
         solution = solve_closed_hull(hull)
         analysis = None
     else:
-        analysis = analyze_arc(arc, tol)
+        analysis = analyze_arc(arc)
         solution = solve_at_angle(analysis, args.phi)
 
     # files first: a failed write leaves stdout empty
@@ -108,7 +107,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     arc = load_arc(args.input)
-    analysis = analyze_arc(arc, arc.tolerance(args.eps))
+    analysis = analyze_arc(arc)
     report = compare_with_solver(arc, args.phi, analysis=analysis)
     print(json.dumps(report._asdict(), indent=2))
     return EXIT_OK if report.ok else EXIT_DISAGREEMENT
@@ -116,12 +115,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     arc = load_arc(args.input)
-    tol = arc.tolerance(args.eps)
     if args.what == "scene" and arc.closed:
-        hull = simple_hull(arc, tol)
-        _write(f"{args.svg}.scene.svg", render_scene(arc, hull))
+        _write(f"{args.svg}.scene.svg", render_scene(arc, simple_hull(arc)))
         return EXIT_OK
-    analysis = analyze_arc(arc, tol)
+    analysis = analyze_arc(arc)
     if args.what == "scene":
         _write(f"{args.svg}.scene.svg", render_scene_for(analysis))
     else:
@@ -231,8 +228,6 @@ def _number(convert: Callable[[str], float],
 
 
 # a text that does not convert is nan, which fails every comparison
-_positive = _number(float, lambda v: None if 0 < v < math.inf else
-                    "must be a finite number > 0")
 _phi_step = _number(float, lambda v: None if MIN_PHI_STEP <= v < math.inf else
                     f"must be positive, finite and at least {MIN_PHI_STEP}")
 _natural = _number(int, lambda v: None if v >= 0 else
@@ -246,9 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Support-line pair analysis for simple polygonal arcs.")
     arc_input = argparse.ArgumentParser(add_help=False)
     arc_input.add_argument("input", help="arc file (.json or .csv)")
-    arc_input.add_argument("--eps", type=_positive, default=None,
-                           help="absolute length tolerance (default: "
-                                "relative to the arc's bounding box)")
     stdout_format = argparse.ArgumentParser(add_help=False)
     stdout_format.add_argument("--format", choices=("json", "csv"),
                                default="json",

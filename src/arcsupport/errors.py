@@ -1,8 +1,5 @@
-"""Exception taxonomy shared across the package.
-
-The CLI maps these onto exit codes: bad input data exits 3, a violated
-structural invariant exits 4, solver/oracle disagreement exits 5.
-"""
+"""Exception taxonomy shared across the package; the exit code each maps
+to is in the one table of ``cli``'s docstring."""
 
 from __future__ import annotations
 

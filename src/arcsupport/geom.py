@@ -3,7 +3,7 @@
 Points are float pairs, directions are degrees counterclockwise from +x and
 every angle-valued function returns a value normalized into (-180, 180].
 Length comparisons and turn signs go through a Tolerance, one eps_len checked
-when built, and ``arcio.PolygonalArc.tolerance`` alone derives its default; the
+when built, and ``arcio.PolygonalArc.tolerance`` alone derives an arc's; the
 angle bands only absorb float noise, so they are constants.  One policy governs
 all stages, and no predicate here has an exact mode.
 """
@@ -49,10 +49,9 @@ def angle_problem(phi_deg: float) -> str | None:
 @dataclass(frozen=True)
 class Tolerance:
     """eps_len in plane units, finite and > 0; eps_angle in degrees, fixed.
-    Take an arc's tolerance from ``PolygonalArc.tolerance``, which checks
-    it against the arc's float range.  ``analyze_arc`` and ``solve_closed``
-    run the same checks on one built by hand; the lower-level functions
-    that take a ``tol`` do not."""
+    An arc's one tolerance comes from ``PolygonalArc.tolerance``, which
+    checks the arc's float range; only ``orient``, ``segments_intersect``
+    and ``convex_hull`` take one, and they check nothing more."""
 
     eps_len: float
     eps_angle: ClassVar[float] = DEFAULT_EPS_ANGLE

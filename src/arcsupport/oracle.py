@@ -115,13 +115,13 @@ def compare_with_solver(arc: PolygonalArc, phi_deg: float,
     and the same contact nodes.  Line agreement means directions within
     ``DIRECTION_AGREE_DEG`` degrees (mod 180) and anchor offset within the
     length tolerance.  A given ``analysis`` must be that of ``arc``, and a
-    ``tol`` given with it must equal ``analysis.tol`` (else ValueError).
+    given ``tol`` must equal ``arc.tolerance()`` (else ValueError).
     """
     if analysis is None:
-        analysis = analyze_arc(arc, tol)
-    elif ((analysis.arc is not arc and analysis.arc != arc)
-          or tol not in (None, analysis.tol)):
-        raise ValueError("analysis was made for a different arc or tolerance")
+        analysis = analyze_arc(arc)
+    if ((analysis.arc is not arc and analysis.arc != arc)
+            or tol not in (None, analysis.tol)):
+        raise ValueError("analysis or tol is for a different arc or tolerance")
     solved = solve_at_angle(analysis, phi_deg)
     configs = brute_force_configs(analysis.hull, phi_deg)
     eps, agree = analysis.tol.eps_len, DIRECTION_AGREE_DEG

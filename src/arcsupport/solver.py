@@ -31,15 +31,18 @@ SCHEMA_VERSION = 1          # the "schema" field of the solve and analyze JSON
 
 @dataclass(frozen=True)
 class Analysis:
-    """Everything derived from one open arc."""
+    """Everything derived from one open arc; ``tol`` is the hull's."""
 
     arc: PolygonalArc
-    tol: Tolerance
     hull: ConvexHull
     guide: GuidePath
     decomposition: LocaleDecomposition
     table: TiltTable
     diagram: SchematicDiagram
+
+    @property
+    def tol(self) -> Tolerance:
+        return self.hull.tol
 
     @cached_property
     def bases(self) -> tuple[tuple, ...]:
@@ -106,39 +109,29 @@ class SolutionSet:
         return out
 
 
-def simple_hull(arc: PolygonalArc, tol: Tolerance) -> ConvexHull:
-    """The strict hull of a simple arc; InvalidArcError names the first
-    simplicity violation otherwise."""
-    report = validate_simple(arc, tol)
+def simple_hull(arc: PolygonalArc) -> ConvexHull:
+    """The strict hull of a simple arc under ``arc.tolerance()``;
+    InvalidArcError names the first simplicity violation otherwise."""
+    report = validate_simple(arc)
     if not report.ok:
         more = len(report.violations) - 1
         raise InvalidArcError(
             f"arc is not simple: {report.violations[0].detail}"
             + (f" (+{more} more)" if more else ""))
-    return convex_hull(arc.nodes, tol)
+    return convex_hull(arc.nodes, arc.tolerance())
 
 
-def _checked_tolerance(arc: PolygonalArc, tol: Tolerance | None) -> Tolerance:
-    """``arc.tolerance()``, or ``tol`` as given once it passes the
-    float-range checks of ``arc.tolerance(tol.eps_len)``."""
-    if tol is None:
-        return arc.tolerance()
-    arc.tolerance(tol.eps_len)
-    return tol
-
-
-def analyze_arc(arc: PolygonalArc, tol: Tolerance | None = None) -> Analysis:
+def analyze_arc(arc: PolygonalArc) -> Analysis:
     if arc.closed:
         raise UnsupportedArcError(
             "full analysis requires an open arc; for a closed arc's parallel "
             "pair, run 'arcsupport solve --phi 0' or call solve_closed()")
-    tol = _checked_tolerance(arc, tol)
-    hull = simple_hull(arc, tol)
+    hull = simple_hull(arc)
     guide = build_guide_path(hull)
     decomp = decompose_locales(guide)
     table = tilt_table(decomp)
     diagram = build_schematic(table)
-    return Analysis(arc=arc, tol=tol, hull=hull, guide=guide,
+    return Analysis(arc=arc, hull=hull, guide=guide,
                     decomposition=decomp, table=table, diagram=diagram)
 
 
@@ -198,12 +191,11 @@ def solve_at_angle(analysis: Analysis, phi_deg: float) -> SolutionSet:
     return SolutionSet(phi_deg, case, pairs, analysis.table)
 
 
-def solve_closed(arc: PolygonalArc,
-                 tol: Tolerance | None = None) -> SolutionSet:
+def solve_closed(arc: PolygonalArc) -> SolutionSet:
     """Parallel support pair of a closed arc; see ``solve_closed_hull``."""
     if not arc.closed:
         raise UnsupportedArcError("solve_closed requires a closed arc")
-    return solve_closed_hull(simple_hull(arc, _checked_tolerance(arc, tol)))
+    return solve_closed_hull(simple_hull(arc))
 
 
 def solve_closed_hull(hull: ConvexHull) -> SolutionSet:

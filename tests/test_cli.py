@@ -28,10 +28,11 @@ from helpers import BAND_EDGE_ANGLES, BAND_REFUSAL, TINY_ANGLES, star_fan
 from arcsupport import cli
 from arcsupport import hull as hull_module
 from arcsupport.arcgen import STRATEGIES, generate_arc
-from arcsupport.arcio import PolygonalArc
+from arcsupport.arcio import PolygonalArc, validate_simple
 from arcsupport.cli import _build_parser, run
 from arcsupport.errors import StructuralViolationError
 from arcsupport.oracle import AgreementReport
+from arcsupport.solver import analyze_arc
 
 PENTAGON = [[0, 0], [1, 1], [2, -1], [3, 1], [4, 0]]
 SQUARE_CLOSED = [[0, 1], [0, 0], [1, 0], [1, 1]]
@@ -685,15 +686,15 @@ class TestOptionSets:
                                 if o not in ("-h", "--help"))
                    for name, p in sub.choices.items()}
         assert options == {
-            "validate": ["--eps", "--format"],
-            "analyze": ["--eps", "--format", "--json"],
-            "solve": ["--eps", "--format", "--json", "--phi", "--svg"],
-            "oracle": ["--eps", "--phi"],
-            "render": ["--eps", "--svg", "--what"],
+            "validate": ["--format"],
+            "analyze": ["--format", "--json"],
+            "solve": ["--format", "--json", "--phi", "--svg"],
+            "oracle": ["--phi"],
+            "render": ["--svg", "--what"],
             "fuzz": ["--count", "--nodes", "--phi-grid", "--seed",
                      "--strategy"],
         }
-        assert sum(map(len, options.values())) == 20
+        assert sum(map(len, options.values())) == 15
 
 
 # ----------------------------------------------------------- error handling
@@ -797,13 +798,6 @@ class TestErrorHandling:
                 assert err.count("\n") == 1 and err.startswith("error: ")
                 assert "underflows the float range" in err
 
-    def test_overflowing_eps_names_the_flag(self, pentagon_file, capsys):
-        # the pentagon's diagonal is fine; only eps_len times it overflows
-        assert run(["validate", pentagon_file, "--eps", "1e308"]) == 3
-        err = capsys.readouterr().err
-        assert "--eps" in err and "float range" in err
-        assert "bounding box exceeds" not in err
-
     @pytest.mark.parametrize("content", [HUGE_INT_ARC, HUGE_DIGITS_ARC,
                                          b"[" * 100000 + b"]" * 100000,
                                          b'\xff{"nodes": []}'],
@@ -868,12 +862,25 @@ class TestErrorHandling:
         assert exc.value.code == 2
 
 
-# ------------------------------------------------------ tolerance overrides
+# -------------------------------------------------------- tolerance flags
 
 class TestToleranceFlags:
-    def test_absolute_eps(self, pentagon_file, capsys):
-        assert run(["analyze", "--eps", "1e-9", pentagon_file]) == 0
-        assert json.loads(capsys.readouterr().out)["schema"] == 1
+    """Both tolerance bands are derived from the arc; no subcommand takes
+    a flag for either."""
+
+    def test_absolute_eps(self, pentagon_file, tmp_path, capsys):
+        stem = str(tmp_path / "unused")
+        for argv in (["validate"], ["analyze"], ["solve", "--phi", "30"],
+                     ["oracle", "--phi", "30"],
+                     ["render", "--what", "scene", "--svg", stem]):
+            with pytest.raises(SystemExit) as exc:
+                run([*argv, pentagon_file, "--eps", "1e-9"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert err.splitlines()[-1] == (
+                "arcsupport: error: unrecognized arguments: --eps 1e-9")
+        assert not (tmp_path / "unused.scene.svg").exists()
 
     def test_eps_angle(self, pentagon_file, tmp_path, capsys):
         # the angle band is fixed at DEFAULT_EPS_ANGLE; no subcommand
@@ -894,14 +901,17 @@ class TestToleranceFlags:
         assert not (tmp_path / "unused.scene.svg").exists()
 
     def test_both_overrides(self, pentagon_file, capsys):
-        # --eps is the one tolerance override; a wide angle band made
-        # solver and oracle disagree on this pentagon at phi 30
-        assert run(["oracle", "--phi", "0", "--eps", "1e-9",
-                    pentagon_file]) == 0
+        # under the derived bands solver and oracle agree, and neither
+        # band can be overridden
+        assert run(["oracle", "--phi", "30", pentagon_file]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
         with pytest.raises(SystemExit) as exc:
-            run(["oracle", "--phi", "30", "--eps-angle", "5", pentagon_file])
+            run(["oracle", pentagon_file, "--phi", "30", "--eps", "1e-9",
+                 "--eps-angle", "5"])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "arcsupport: error: unrecognized arguments: "
+            "--eps 1e-9 --eps-angle 5")
 
     @pytest.mark.parametrize("flag, value", [
         ("--eps", "-1"), ("--eps", "nan"), ("--eps", "0"), ("--eps", "x"),
@@ -910,19 +920,37 @@ class TestToleranceFlags:
                                       value):
         with pytest.raises(SystemExit) as exc:
             run(["analyze", f"{flag}={value}", pentagon_file])
+        # neither band has a flag, so any value of either is rejected
+        # by the parser as an unknown argument
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        if flag == "--eps-angle":
-            # the angle band has no flag any more, so any value of it
-            # is rejected by the parser as an unknown argument
-            assert err.splitlines()[-1] == (
-                "arcsupport: error: unrecognized arguments: "
-                f"{flag}={value}")
-        else:
-            assert err.splitlines()[-1] == (
-                f"arcsupport analyze: error: argument {flag}: "
-                f"must be a finite number > 0, got {value!r}")
+        assert err.splitlines()[-1] == (
+            f"arcsupport: error: unrecognized arguments: {flag}={value}")
+
+    # jitter trial 1097 at J = 1e-9: solver and oracle agree at phi 0 under
+    # the derived eps_len, 3.6e-9, and disagreed at half of it
+    T1097 = [[2.999999999304414, -9.754705070547946e-10],
+             [2.99999999978306, 2.0000000004555405],
+             [1.9999999992117192, 2.999999999113867],
+             [0.9999999992837023, 2.000000000971705]]
+
+    def test_t1097_agrees_under_the_one_tolerance(self, tmp_path, capsys):
+        path = _write_arc(tmp_path, self.T1097)
+        assert run(["oracle", path, "--phi", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        with pytest.raises(SystemExit) as exc:
+            run(["oracle", path, "--phi", "0", "--eps", "1.8e-9"])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        arc = PolygonalArc(self.T1097)
+        tol = arc.tolerance()
+        with pytest.raises(TypeError):
+            validate_simple(arc, tol)
+        with pytest.raises(TypeError):
+            analyze_arc(arc, tol)
+        with pytest.raises(TypeError):
+            arc.tolerance(1e-6)
 
 
 # ------------------------------------------------------- arbitrary flags
@@ -932,8 +960,6 @@ def pentagon_path(tmp_path_factory):
     return _write_arc(tmp_path_factory.mktemp("arc"), PENTAGON)
 
 
-TOLERANCES = st.sampled_from(
-    ["1e-9", "1e-3", "0.5", "0", "-1", "nan", "inf", "-inf", "1e308"])
 ANGLES = st.sampled_from(
     ["0", "30", "90", "179.9", "180", "-1", "nan", "inf", "1e308"])
 # steps at or above 10 keep a run short; steps below 0.01 are rejected
@@ -945,9 +971,9 @@ class TestArbitraryFlags:
     @settings(max_examples=50, deadline=None)
     @given(command=st.sampled_from(
                ["validate", "analyze", "solve", "oracle", "render", "fuzz"]),
-           eps=st.none() | TOLERANCES, phi=ANGLES, step=GRID_STEPS)
+           phi=ANGLES, step=GRID_STEPS)
     def test_no_traceback(self, pentagon_path, tmp_path_factory, command,
-                          eps, phi, step):
+                          phi, step):
         argv = [command]
         if command == "fuzz":
             argv += ["--count", "1", "--nodes", "5", f"--phi-grid={step}"]
@@ -958,8 +984,6 @@ class TestArbitraryFlags:
         if command == "render":
             stem = tmp_path_factory.mktemp("svg") / "out"
             argv += ["--what", "schematic", "--svg", str(stem)]
-        if eps is not None and command != "fuzz":
-            argv.append(f"--eps={eps}")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):

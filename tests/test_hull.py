@@ -450,7 +450,7 @@ class TestEdgeDirectionTable:
         # coordinates, more than eps_len when all nodes share a grid cell.
         try:
             arc = PolygonalArc(nodes)
-            if not validate_simple(arc, arc.tolerance()).ok:
+            if not validate_simple(arc).ok:
                 return
             hull = convex_hull(arc.nodes)
         except (InvalidArcError, DegenerateHullError):

@@ -122,7 +122,7 @@ class TestEdgeSkip:
     def test_jittered_grid_arcs(self, nodes):
         try:
             arc = PolygonalArc(nodes)
-            if not validate_simple(arc, arc.tolerance()).ok:
+            if not validate_simple(arc).ok:
                 return
             hull = convex_hull(arc.nodes)
         except (InvalidArcError, DegenerateHullError):

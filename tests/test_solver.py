@@ -23,7 +23,7 @@ from arcsupport.arcio import PolygonalArc
 from arcsupport.errors import (DegenerateHullError, InvalidArcError,
                                StructuralViolationError, UnsupportedArcError,
                                ensure)
-from arcsupport.geom import (DIRECTION_AGREE_DEG, Line, Point, Tolerance,
+from arcsupport.geom import (DIRECTION_AGREE_DEG, Line, Point,
                              angle_problem, lines_intersection,
                              normalize_angle, unit_vector)
 from arcsupport.hull import support_contact
@@ -211,26 +211,6 @@ class TestAnalyzeErrors:
     def test_two_node_arc_rejected(self):
         with pytest.raises(DegenerateHullError):
             analyze_arc(PolygonalArc(((0, 0), (1, 1))))
-
-    def test_given_tolerance_is_range_checked(self, pentagon_arc):
-        # without the checks of arc.tolerance(), orient reads the
-        # overflowing cross products as collinear
-        huge = PolygonalArc([(1e200 * x, 1e200 * y)
-                             for x, y in pentagon_arc.nodes])
-        with pytest.raises(InvalidArcError, match="^the arc's bounding box "
-                           "exceeds the float range$"):
-            analyze_arc(huge, Tolerance(1e191))
-        square = PolygonalArc(((0, 0), (1e200, 0), (1e200, 1e200),
-                               (0, 1e200)), closed=True)
-        with pytest.raises(InvalidArcError, match="^the arc's bounding box "
-                           "exceeds the float range$"):
-            solve_closed(square, Tolerance(1e191))
-        with pytest.raises(InvalidArcError, match="^eps_len"):
-            analyze_arc(pentagon_arc, Tolerance(1e308))
-
-    def test_given_tolerance_is_kept(self, pentagon_arc):
-        tol = Tolerance(0.01)
-        assert analyze_arc(pentagon_arc, tol).tol is tol
 
 
 class TestSolveClosed:
@@ -493,24 +473,29 @@ class TestLocaleBases:
                     assert got == ref
 
     def test_each_analysis_has_its_own(self):
-        # the larger tolerance drops node 2 from the hull, so one hull
+        # the second arc lacks the first one's hull vertex 2, so one hull
         # index names another node in each analysis
-        arc = PolygonalArc([(0, 0), (1, 1), (2, 1.001), (2, -1), (3, 1),
-                            (4, 0)])
-        fine = analyze_arc(arc)
-        coarse = analyze_arc(arc, Tolerance(0.01))
-        assert fine.hull.node_ids != coarse.hull.node_ids
-        gots = {id(fine): [], id(coarse): []}
-        # the two analyses take turns, angle by angle
-        for outcomes in zip_longest(_sweep_outcomes(fine),
-                                    _sweep_outcomes(coarse)):
-            for analysis, outcome in zip((fine, coarse), outcomes):
+        nodes = [(0, 0), (1, 1), (2, 1.001), (2, -1), (3, 1), (4, 0)]
+        first = analyze_arc(PolygonalArc(nodes))
+        second = analyze_arc(PolygonalArc(nodes[:2] + nodes[3:]))
+        assert first.hull.node_ids != second.hull.node_ids
+        gots = {id(first): [], id(second): []}
+        # the two analyses take turns, angle by angle, in the solver and
+        # in the oracle, whose edge memo is kept for the last hull
+        for outcomes in zip_longest(_sweep_outcomes(first),
+                                    _sweep_outcomes(second)):
+            for analysis, outcome in zip((first, second), outcomes):
                 if outcome is not None:
                     got, ref = outcome
                     assert got == ref
                     gots[id(analysis)].append(got)
-        assert gots[id(fine)] != gots[id(coarse)]
-        assert fine.bases != coarse.bases
+        assert gots[id(first)] != gots[id(second)]
+        assert first.bases != second.bases
+        for phi in range(0, 180, 5):
+            for analysis in (first, second):
+                report = compare_with_solver(analysis.arc, float(phi),
+                                             analysis=analysis)
+                assert report.ok, (phi, report.message)
 
 
 class TestRecords:

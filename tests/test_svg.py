@@ -240,7 +240,7 @@ class TestSceneWriter:
     def test_closed_scene(self, monkeypatch):
         arc = PolygonalArc([(0, 0), (3, 0), (3, 2), (1.5, 3), (0, 2)],
                            closed=True)
-        hull = simple_hull(arc, arc.tolerance())
+        hull = simple_hull(arc)
         solution = solve_closed_hull(hull)
         for sol in (None, solution):
             fast, slow = self._both(
