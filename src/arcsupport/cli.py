@@ -17,8 +17,8 @@ from typing import Callable
 
 from .arcgen import RNG_ALGORITHM, STRATEGIES, generate_arc
 from .arcio import load_arc, validate_simple
-from .errors import (ArcSupportError, StructuralViolationError,
-                     UnsupportedArcError)
+from .errors import (ArcSupportError, GenerationError,
+                     StructuralViolationError, UnsupportedArcError)
 from .geom import DEFAULT_EPS_ANGLE, angle_problem
 from .oracle import compare_with_solver
 from .report import AnalysisReport, solution_csv, tilt_table_csv
@@ -205,6 +205,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         # the summary of the arcs already checked; run() then exits 130
         summarize(interrupted=True, arcs_done=done)
+        raise
+    except GenerationError as exc:
+        if done:    # as above, if any; run() then prints exc and exits 3
+            summarize(arcs_done=done, error=str(exc))
         raise
 
     summarize()

@@ -145,7 +145,7 @@ def lines_equal(l1: Line, l2: Line, eps_len: float, eps_angle: float) -> bool:
     eps_len.  The angle gap and the offset are written out inline (fmod
     is exact), as the oracle calls this per candidate and angle."""
     d = abs(math.fmod(l1.dir_deg - l2.dir_deg, 180.0))
-    if min(d, 180.0 - d) > eps_angle:
+    if d > eps_angle and 180.0 - d > eps_angle:
         return False
     r = math.radians(l1.dir_deg)
     return abs(math.cos(r) * (l2.py - l1.py)
@@ -165,7 +165,7 @@ def lines_intersection(l1: Line, l2: Line) -> Point | None:
     """Intersection point, or None for lines within ``DEFAULT_EPS_ANGLE``
     of (anti)parallel; written out as ``lines_equal`` is."""
     d = abs(math.fmod(l1.dir_deg - l2.dir_deg, 180.0))
-    if min(d, 180.0 - d) <= DEFAULT_EPS_ANGLE:
+    if d <= DEFAULT_EPS_ANGLE or 180.0 - d <= DEFAULT_EPS_ANGLE:
         return None
     r1, r2 = math.radians(l1.dir_deg), math.radians(l2.dir_deg)
     u1x, u1y = math.cos(r1), math.sin(r1)

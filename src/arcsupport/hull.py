@@ -110,15 +110,18 @@ def support_vertices(hull: ConvexHull, dir_deg: float,
     it transitions at exactly the same prescribed angles as the
     strip-diagram queries, regardless of how short the grazed edge is.
     A non-finite direction raises ValueError."""
-    if side not in ("left", "right"):
+    # Vertex i is extreme for the directions from edge i-1's to edge i's
+    # (hull on the left); the right side is the left side of the reverse.
+    if side == "right":
+        back = 180.0
+    elif side == "left":
+        back = 0.0
+    else:
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
     if not math.isfinite(dir_deg):
         raise ValueError(f"direction must be finite, got {dir_deg!r}")
-    # Vertex i is extreme for the directions from edge i-1's to edge i's
-    # (hull on the left); the right side is the left side of the reverse.
     table = hull.unwrapped
     first = table[0]
-    back = 0.0 if side == "left" else 180.0
     k = len(table)
     target = first + (dir_deg + back - first) % 360.0
     pos = bisect_left(table, target)

@@ -96,6 +96,8 @@ def brute_force_pairs(analysis: Analysis, phi_deg: float) -> list[OraclePair]:
 
 def _dedupe(configs: list[OraclePair], tol: Tolerance) -> list[OraclePair]:
     """The first configuration of each unordered pair of lines."""
+    if len(configs) < 2:
+        return configs
     kept: list[OraclePair] = []
     for c in configs:
         if not any(same_line_pair(c.m, c.n, k.m, k.n, tol.eps_len,
@@ -119,21 +121,19 @@ def compare_with_solver(arc: PolygonalArc, phi_deg: float,
     """
     if analysis is None:
         analysis = analyze_arc(arc)
+    own_tol = analysis.hull.tol
     if ((analysis.arc is not arc and analysis.arc != arc)
-            or tol not in (None, analysis.tol)):
+            or tol not in (None, own_tol)):
         raise ValueError("analysis or tol is for a different arc or tolerance")
     solved = solve_at_angle(analysis, phi_deg)
     configs = brute_force_configs(analysis.hull, phi_deg)
-    eps, agree = analysis.tol.eps_len, DIRECTION_AGREE_DEG
-    deduped = _dedupe(configs, analysis.tol)
-
-    def fail(message: str) -> AgreementReport:
-        return AgreementReport(phi_deg, solved.case, len(solved.pairs),
-                               len(deduped), False, message)
-
+    eps, agree = own_tol.eps_len, DIRECTION_AGREE_DEG
+    deduped = _dedupe(configs, own_tol)
     if len(solved.pairs) != len(deduped):
-        return fail("pair counts differ")
+        return AgreementReport(phi_deg, solved.case, len(solved.pairs),
+                               len(deduped), False, "pair counts differ")
 
+    message = ""
     unmatched = list(deduped)
     for pair in solved.pairs:
         # same_line_pair written out, keeping whether the roles matched
@@ -144,7 +144,8 @@ def compare_with_solver(arc: PolygonalArc, phi_deg: float,
                               and lines_equal(pair.n, hit.m, eps, agree)):
                 break
         else:
-            return fail(f"solver pair has no brute-force match at {phi_deg}")
+            message = f"solver pair has no brute-force match at {phi_deg}"
+            break
         unmatched.remove(hit)
 
         # the first config with the pair's roles; the hit's were tested above
@@ -156,11 +157,14 @@ def compare_with_solver(arc: PolygonalArc, phi_deg: float,
                   and lines_equal(pair.n, role_hit.n, eps, agree)):
                 break
         else:
-            return fail(f"no role-preserving brute-force find at {phi_deg}")
+            message = f"no role-preserving brute-force find at {phi_deg}"
+            break
         if {pair.u, pair.w} != {role_hit.u, role_hit.w}:
-            return fail(f"contact nodes of m differ at angle {phi_deg}")
+            message = f"contact nodes of m differ at angle {phi_deg}"
+            break
         if pair.v != role_hit.v:
-            return fail(f"contact node of n differs at angle {phi_deg}")
+            message = f"contact node of n differs at angle {phi_deg}"
+            break
 
     return AgreementReport(phi_deg, solved.case, len(solved.pairs),
-                           len(deduped), True, "")
+                           len(deduped), not message, message)

@@ -56,10 +56,10 @@ class SchematicDiagram:
     def strip_at(self, x: float) -> Strip:
         """Strip containing ``x``; strips are half-open on the right, the
         last one closed.  Positions outside the diagram are clamped."""
-        for strip in self.strips[:-1]:
+        for strip in self.strips:
             if x < strip.x_right:
                 return strip
-        return self.strips[-1]
+        return strip        # the last one
 
     def upper_value(self, x: float) -> float:
         """The upper profile at x, which lies in [0, width]."""
@@ -104,17 +104,16 @@ def query_angle(diagram: SchematicDiagram, phi_deg: float,
     if (problem := angle_problem(phi_deg)) is not None:
         raise ValueError(f"angle {problem}, got {phi_deg}")
     table = diagram.table
-
-    ordinates = [0.0] if phi_deg == 0.0 else [phi_deg, -phi_deg]
+    phi_left, tilts = table.phi_left, table.tilts
+    low, high = table.phi_right - eps_angle, phi_left + eps_angle
     solutions = []
-    for s in ordinates:
-        if not (table.phi_right - eps_angle <= s <= table.phi_left + eps_angle):
+    for s in (0.0,) if phi_deg == 0.0 else (phi_deg, -phi_deg):
+        if not low <= s <= high:
             continue
-        x = min(max(table.phi_left - s, 0.0), diagram.width)
+        x = min(max(phi_left - s, 0.0), diagram.width)
         strip = diagram.strip_at(x)
         j = strip.index
-        tilt_j = table.tilts[j]
-        theta = tilt_j + s if j % 2 == 1 else tilt_j - s
+        theta = tilts[j] + s if j % 2 == 1 else tilts[j] - s
         solutions.append(AbstractSolution(s, x, j, theta))
-    case = "A" if phi_deg == 0.0 else {2: "B", 1: "C", 0: "D"}[len(solutions)]
+    case = "A" if phi_deg == 0.0 else ("D", "C", "B")[len(solutions)]
     return AngleQuery(case, tuple(solutions))

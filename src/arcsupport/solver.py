@@ -146,11 +146,13 @@ def realize_solution(analysis: Analysis,
                             * abstract.contact_angle)
     contact = support_contact(analysis.hull, n_dir, side)
 
-    candidates = [c for c in contact.node_ids if node_u < c < node_w]
-    ensure(len(candidates) > 0,
+    node_v = node_w     # the smallest contact strictly between u and w
+    for c in contact.node_ids:
+        if node_u < c < node_v:
+            node_v = c
+    ensure(node_v != node_w,
            "no contact of the rotating line lies strictly between the "
            "base contacts")
-    node_v = min(candidates)
 
     gap = abs(normalize_angle(contact.line.dir_deg - m.dir_deg))
     ensure(abs(gap - abs(abstract.ordinate)) <= DIRECTION_AGREE_DEG,
@@ -161,7 +163,7 @@ def realize_solution(analysis: Analysis,
         apex_side = "none"
     else:
         along = (apex.x - m.px) * mu.x + (apex.y - m.py) * mu.y
-        eps = analysis.tol.eps_len
+        eps = analysis.hull.tol.eps_len
         # The rotating line keeps both base contacts on one side, so it
         # can only cross the base line beyond one end of the contact
         # segment: before u ('left') or past w ('right').

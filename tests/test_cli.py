@@ -30,7 +30,7 @@ from arcsupport import hull as hull_module
 from arcsupport.arcgen import STRATEGIES, generate_arc
 from arcsupport.arcio import PolygonalArc, validate_simple
 from arcsupport.cli import _build_parser, run
-from arcsupport.errors import StructuralViolationError
+from arcsupport.errors import GenerationError, StructuralViolationError
 from arcsupport.oracle import AgreementReport
 from arcsupport.solver import analyze_arc
 
@@ -565,6 +565,40 @@ class TestFuzzFailures:
                                    "interrupted": True, "arcs_done": 3}
         assert list(json.loads(out)) == list(whole) + ["interrupted",
                                                       "arcs_done"]
+
+    def test_generator_giving_up_prints_the_finished_arcs(self, capsys,
+                                                          monkeypatch):
+        argv = ["--count", "4", "--seed", "7", "--nodes", "5-8"]
+        _, whole = self._fuzz(capsys, argv)
+        generate = cli.generate_arc
+        calls = []
+
+        def giving_up(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise GenerationError("planted")
+            return generate(*args)
+        monkeypatch.setattr(cli, "generate_arc", giving_up)
+        code = run(["fuzz", *argv])
+        out, err = capsys.readouterr()
+        assert (code, err) == (3, "error: planted\n")
+        # arc 0 was checked 3 times, and arc 1 was never made
+        assert json.loads(out) == {**whole, "checks": 3, "arcs_done": 1,
+                                   "error": "planted"}
+        assert list(json.loads(out)) == list(whole) + ["arcs_done", "error"]
+
+    def test_arc_over_the_uncross_cap_prints_the_finished_arcs(
+            self, capsys, monkeypatch):
+        # as `--nodes 999-1001` at the real cap, without two 15 s arcs
+        monkeypatch.setattr("arcsupport.arcgen.UNCROSS_MAX_NODES", 5)
+        code = run(["fuzz", "--count", "3", "--nodes", "4-6",
+                    "--strategy", "uncross"])
+        out, err = capsys.readouterr()
+        message = "uncross arcs have at most 5 nodes, got 6; zigzag has no limit"
+        assert (code, err) == (3, f"error: {message}\n")
+        payload = json.loads(out)
+        assert (payload["arcs_done"], payload["error"]) == (2, message)
+        assert payload["checks"] >= 2 and payload["ok"] is True
 
     def test_disagreements_alone_exit_5(self, capsys, monkeypatch):
         compare = cli.compare_with_solver

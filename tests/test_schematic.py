@@ -48,6 +48,13 @@ class TestStripLayout:
         assert d.strip_at(d.width).index == 3       # last strip closed
         assert d.strip_at(-5.0).index == 1          # clamped
         assert d.strip_at(d.width + 5.0).index == 3
+        assert d.strip_at(-0.0).index == 1
+        assert d.strip_at(-math.inf).index == 1
+        assert d.strip_at(math.inf).index == 3
+        assert d.strip_at(math.nan).index == 3      # no comparison holds
+        for strip in d.strips:
+            assert d.strip_at(strip.x_left) == strip
+            assert d.strip_at(strip.x_right).index == min(strip.index + 1, 3)
 
     def test_crossing(self, pentagon_arc):
         d = _pentagon_diagram(pentagon_arc)

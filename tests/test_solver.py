@@ -371,6 +371,28 @@ class TestRazorBase:
         assert_pair_definition(arc, pair, phi, analysis.tol.eps_len)
 
 
+class TestCapEdgeContact:
+    def test_v_is_the_smaller_node_of_the_edge(self):
+        # line n lies along the cap edge 3 -> 2 of this hull, so both ends
+        # touch it, and both lie strictly between the base contacts 0 and 4
+        arc = generate_arc(5, 5, "uncross")
+        analysis = analyze_arc(arc)
+        hull = analysis.hull
+        assert hull.node_ids == (4, 3, 2, 0)
+        (m, node_u, node_w, _, _, side), = analysis.bases
+        assert (node_u, node_w) == (0, 4)
+        phi = (m.dir_deg - hull.edge_dirs[1]) % 180.0
+        assert phi == pytest.approx(29.448427034170237, abs=1e-9)
+        result = solve_at_angle(analysis, phi)
+        contacts = [support_contact(hull, pair.n.dir_deg, side).node_ids
+                    for pair in result.pairs]
+        assert contacts == [(2,), (2, 3)]
+        pair = result.pairs[1]
+        assert (pair.u, pair.v, pair.w) == (0, 2, 4)
+        assert_pair_definition(arc, pair, phi, analysis.tol.eps_len)
+        assert compare_with_solver(arc, phi, analysis=analysis).ok
+
+
 def _reference_realize(analysis, abstract):
     """realize_solution as it read before the per-locale constants moved
     into Analysis.bases: every constant worked out on every call."""
