@@ -18,8 +18,6 @@ integers alone.  Strategies:
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .arcio import PolygonalArc, validate_simple
@@ -34,16 +32,6 @@ UNCROSS_MAX_NODES = 1000    # nodes of the largest uncross arc
 def _rng(seed: int, attempt: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([seed, attempt])))
-
-
-@lru_cache(maxsize=1)
-def _upper(m: int) -> np.ndarray:
-    """Where segment j comes at least two after segment i, as an (m, m)
-    mask: the pairs that are neither the same nor adjacent.  Every step of
-    one uncross run has the same m, so the run builds it once."""
-    upper = np.triu(np.ones((m, m), dtype=bool), k=2)
-    upper.flags.writeable = False       # shared by every caller
-    return upper
 
 
 def _sides(pts: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
@@ -62,13 +50,15 @@ def _sides(pts: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
     return ry
 
 
-def _first_crossing(side: np.ndarray) -> tuple[int, int] | None:
+def _first_crossing(side: np.ndarray,
+                    apart: np.ndarray) -> tuple[int, int] | None:
     """Lexicographically first pair of non-adjacent properly crossing
     segments, from the (m, m + 1) matrix of ``_sides``: segment j straddles
-    the line of segment i when nodes j and j + 1 turn opposite ways."""
+    the line of segment i when nodes j and j + 1 turn opposite ways.
+    ``apart`` is the (m, m) mask of the pairs (i, j) with j >= i + 2."""
     m = len(side)
     straddle = (side[:, :-1] * side[:, 1:]) < 0
-    proper = straddle & straddle.T & _upper(m)
+    proper = straddle & straddle.T & apart
     h = int(proper.argmax())        # row-major: the first (i, j)
     return divmod(h, m) if proper.flat[h] else None
 
@@ -85,8 +75,10 @@ def _reverse(pts: np.ndarray, side: np.ndarray, i: int, j: int) -> None:
 def _uncross(rng: np.random.Generator, nodes: int) -> np.ndarray | None:
     pts = rng.random((nodes, 2))
     side = _sides(pts)
+    # every step has the same segment count, so the run builds this once
+    apart = np.triu(np.ones((nodes - 1, nodes - 1), dtype=bool), k=2)
     for _ in range(10 * nodes * nodes):
-        hit = _first_crossing(side)
+        hit = _first_crossing(side, apart)
         if hit is None:
             return pts
         _reverse(pts, side, *hit)
@@ -102,8 +94,10 @@ def _zigzag(rng: np.random.Generator, nodes: int) -> np.ndarray:
     return np.column_stack((xs, ys))
 
 
-def generate_arc(nodes: int, seed: int, strategy: str) -> PolygonalArc:
-    """A validated simple open arc with ``nodes`` nodes."""
+def check_request(nodes: int, strategy: str) -> None:
+    """Refuse, before anything is generated, what ``generate_arc`` cannot
+    make: an unknown strategy or under 3 nodes (ValueError), or an uncross
+    arc over ``UNCROSS_MAX_NODES`` nodes (GenerationError)."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; use one of "
                          f"{', '.join(STRATEGIES)}")
@@ -113,6 +107,11 @@ def generate_arc(nodes: int, seed: int, strategy: str) -> PolygonalArc:
         raise GenerationError(
             f"uncross arcs have at most {UNCROSS_MAX_NODES} nodes, got {nodes}"
             f"; zigzag has no limit")
+
+
+def generate_arc(nodes: int, seed: int, strategy: str) -> PolygonalArc:
+    """A validated simple open arc with ``nodes`` nodes."""
+    check_request(nodes, strategy)
     for attempt in range(ATTEMPTS):
         rng = _rng(seed, attempt)
         raw = _uncross(rng, nodes) if strategy == "uncross" else _zigzag(rng, nodes)

@@ -23,7 +23,6 @@ from .geom import (DEFAULT_EPS_REL, Point, Segment, Tolerance, bbox, dist,
 
 _PAIR_BLOCK = 8192              # x-overlapping box pairs expanded at once
 _TINY = sys.float_info.min      # smallest normal float
-_last_report: tuple = (None, None)     # (arc, its report)
 
 
 @dataclass(frozen=True)
@@ -53,6 +52,11 @@ class PolygonalArc:
     def bbox(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) of the nodes, computed once."""
         return bbox(self.nodes)
+
+    @cached_property
+    def _simple_report(self) -> ValidationReport:
+        """``validate_simple``'s report, scanned once per arc object."""
+        return _scan_simple(self, self.tolerance())
 
     def segment_count(self) -> int:
         return len(self.nodes) if self.closed else len(self.nodes) - 1
@@ -308,19 +312,15 @@ def validate_simple(arc: PolygonalArc) -> ValidationReport:
 
     NumPy flags the segments, junctions and segment pairs that may violate;
     the scalar predicates decide each flagged one, in index order, under
-    ``arc.tolerance()``.  A repeat call on the same arc object is not
-    rescanned.
+    ``arc.tolerance()``.  The report is kept on the arc object, so a
+    repeat call with it is not rescanned.
     """
-    global _last_report
-    last, report = _last_report
-    if last is not arc:
-        report = _scan_simple(arc, arc.tolerance())
-        _last_report = (arc, report)
-    return report
+    return arc._simple_report
 
 
 def _scan_simple(arc: PolygonalArc, tol: Tolerance) -> ValidationReport:
-    """``validate_simple`` without its one-entry cache."""
+    """``validate_simple``'s scan, which ``PolygonalArc._simple_report``
+    runs once per arc object."""
     violations: list[Violation] = []
     nodes = arc.nodes
     n = len(nodes)

@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Callable
 
-from .arcgen import RNG_ALGORITHM, STRATEGIES, generate_arc
+from .arcgen import RNG_ALGORITHM, STRATEGIES, check_request, generate_arc
 from .arcio import load_arc, validate_simple
 from .errors import (ArcSupportError, GenerationError,
                      StructuralViolationError, UnsupportedArcError)
@@ -142,6 +142,8 @@ def _parse_nodes(spec: str) -> tuple[int, int]:
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     lo, hi = args.nodes
+    if args.strategy in ("uncross", "mixed"):
+        check_request(hi, "uncross")    # exit 3 before any arc is made
     grid: list[float] = []
     step = args.phi_grid
     while step is not None and len(grid) * step < 180.0:

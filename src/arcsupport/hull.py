@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -19,7 +20,9 @@ class ConvexHull:
     """Strictly convex hull, counterclockwise from the lexicographically
     smallest vertex.  ``node_ids[i]`` is the arc node index of ``points[i]``,
     ``edge_dirs[i]`` the ``direction_deg`` of edge i -> i+1, and
-    ``unwrapped`` those directions made increasing from ``edge_dirs[0]``."""
+    ``unwrapped`` those directions made increasing from ``edge_dirs[0]``.
+    ``bracketing_edges``, the oracle's edge table, is derived from these
+    fields and kept on the hull object."""
 
     points: tuple[Point, ...]
     node_ids: tuple[int, ...]
@@ -35,6 +38,18 @@ class ConvexHull:
         if j == (i + 1) % len(self.points):
             return self.edge_dirs[i]
         return direction_deg(self.points[i], self.points[j])
+
+    @cached_property
+    def bracketing_edges(self) -> tuple:
+        """(m, node_a, node_b, lo, hi) per hull edge whose nodes bracket
+        another hull vertex in arc order, computed once: a sweep asks one
+        hull at every angle."""
+        ids = self.node_ids
+        rank = {node: r for r, node in enumerate(sorted(ids))}
+        return tuple((Line(a.x, a.y, d), u, w, min(u, w), max(u, w))
+                     for a, d, u, w in zip(self.points, self.edge_dirs,
+                                           ids, ids[1:] + ids[:1])
+                     if abs(rank[u] - rank[w]) != 1)
 
 
 def convex_hull(points: tuple[Point, ...] | list[Point],

@@ -8,10 +8,10 @@ those vertices is a node strictly between m's contact nodes is n built, from
 the same vertices and by the anchor rule that ``support_contact`` applies.
 Contacts are hull vertices, so the search skips the edges whose two nodes
 bracket no other hull vertex in arc order: they yield no configuration at
-any angle; the bracketing edges are worked out once per hull.  Distinct
-configurations can describe one unordered pair of lines (exactly at
-strip-boundary angles), so the deduplicated pair list is reported
-alongside the raw finds.
+any angle, and the hull keeps the others as ``bracketing_edges``.
+Distinct configurations can describe one unordered pair of lines
+(exactly at strip-boundary angles), so the deduplicated pair list is
+reported alongside the raw finds.
 The search shares only the geometry and hull modules, and the hull itself,
 with the solver: of an ``Analysis`` it reads ``hull`` and ``tol`` and never
 the guide path, locales or strip diagram.
@@ -55,7 +55,7 @@ def brute_force_configs(hull: ConvexHull, phi_deg: float) -> list[OraclePair]:
         raise ValueError(f"angle {problem}, got {phi_deg}")
     found: list[OraclePair] = []
     node_ids = hull.node_ids
-    for m, node_a, node_b, lo, hi in _bracketing_edges(hull):
+    for m, node_a, node_b, lo, hi in hull.bracketing_edges:
         for d in ((m.dir_deg,) if phi_deg == 0.0
                   else (m.dir_deg + phi_deg, m.dir_deg - phi_deg)):
             ids = support_vertices(hull, d, "right")
@@ -67,26 +67,6 @@ def brute_force_configs(hull: ConvexHull, phi_deg: float) -> list[OraclePair]:
                 n = anchor_contact(hull, ids, d).line
                 found.append(OraclePair(m, n, node_a, v, node_b))
     return found
-
-
-_last_brackets: tuple = (None, ())
-
-
-def _bracketing_edges(hull: ConvexHull) -> tuple:
-    """(m, node_a, node_b, lo, hi) per hull edge whose nodes bracket
-    another hull vertex in arc order, kept for the last hull by identity:
-    a sweep asks one hull at every angle, and hashing it is not cheap."""
-    global _last_brackets
-    last, edges = _last_brackets
-    if last is not hull:
-        ids = hull.node_ids
-        rank = {node: r for r, node in enumerate(sorted(ids))}
-        edges = tuple((Line(a.x, a.y, d), u, w, min(u, w), max(u, w))
-                      for a, d, u, w in zip(hull.points, hull.edge_dirs,
-                                            ids, ids[1:] + ids[:1])
-                      if abs(rank[u] - rank[w]) != 1)
-        _last_brackets = (hull, edges)
-    return edges
 
 
 def brute_force_pairs(analysis: Analysis, phi_deg: float) -> list[OraclePair]:

@@ -96,7 +96,7 @@ class TestGenerateArc:
         # 10 n^2 steps on every attempt and gives up
         calls = []
 
-        def always_crossing(side):
+        def always_crossing(side, apart):
             calls.append(len(side))
             return (0, 2)
 
@@ -128,11 +128,11 @@ class TestGenerateArc:
 class TestFirstProperCrossing:
     def test_finds_crossing(self):
         pts = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0]])
-        assert _first_crossing(_sides(pts)) == (0, 2)
+        assert _first_crossing(*_matrices(pts)) == (0, 2)
 
     def test_straight_path_clean(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
-        assert _first_crossing(_sides(pts)) is None
+        assert _first_crossing(*_matrices(pts)) is None
 
     def test_lexicographically_first(self):
         # crossings (0, 4), (1, 3) and (1, 4): the first row wins even
@@ -140,7 +140,7 @@ class TestFirstProperCrossing:
         pts = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 4.0],
                         [8.0, 3.0], [12.0, 1.0], [5.0, -2.0]])
         assert _all_proper_crossings(pts) == [(0, 4), (1, 3), (1, 4)]
-        assert _first_crossing(_sides(pts)) == (0, 4)
+        assert _first_crossing(*_matrices(pts)) == (0, 4)
 
     @pytest.mark.parametrize("nodes, zero", [
         # segment 4 overlaps segment 0 on [1, 2] and touches segment 1's
@@ -154,13 +154,13 @@ class TestFirstProperCrossing:
         for i, j in zero:
             assert _straddle_product(pts.tolist(), i, j) == 0.0
         assert _all_proper_crossings(pts) == []
-        assert _first_crossing(_sides(pts)) is None
+        assert _first_crossing(*_matrices(pts)) is None
 
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_double_loop_on_random_paths(self, seed):
         rng = np.random.default_rng(seed)
         pts = rng.random((int(rng.integers(4, 31)), 2))
-        assert _first_crossing(_sides(pts)) == _reference_crossing(pts)
+        assert _first_crossing(*_matrices(pts)) == _reference_crossing(pts)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_double_loop_on_grid_paths(self, seed):
@@ -168,7 +168,7 @@ class TestFirstProperCrossing:
         # shared vertices common
         rng = np.random.default_rng(seed)
         pts = rng.integers(0, 4, (int(rng.integers(4, 31)), 2)).astype(float)
-        assert _first_crossing(_sides(pts)) == _reference_crossing(pts)
+        assert _first_crossing(*_matrices(pts)) == _reference_crossing(pts)
 
     @pytest.mark.parametrize("n, seed", [(n, s) for n in (60, 200)
                                          for s in range(3)])
@@ -188,7 +188,7 @@ class TestFirstProperCrossing:
         for n in (4, 9, 30):
             pts = np.array(generate_arc(n, seed=n, strategy="uncross").nodes)
             assert _reference_crossing(pts) is None
-            assert _first_crossing(_sides(pts)) is None
+            assert _first_crossing(*_matrices(pts)) is None
 
 
 def _straddle_product(p: list, i: int, j: int) -> float:
@@ -202,13 +202,18 @@ def _straddle_product(p: list, i: int, j: int) -> float:
     return (dx * sy - dy * sx) * (dx * ey - dy * ex)
 
 
+def _matrices(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_first_crossing``'s two arguments for the path ``pts``, fresh."""
+    return _sides(pts), np.triu(np.ones((len(pts) - 1,) * 2, dtype=bool), k=2)
+
+
 def _uncross_checking_every_step(pts: np.ndarray) -> int:
     """Run the generator's 2-opt loop on ``pts`` and check the kept side
     matrix against a fresh pass after every reversal; the step count."""
-    side = _sides(pts)
+    side, apart = _matrices(pts)
     for step in range(10 * len(pts) ** 2):
-        hit = _first_crossing(side)
-        assert hit == _first_crossing(_sides(pts))
+        hit = _first_crossing(side, apart)
+        assert hit == _first_crossing(*_matrices(pts))
         if hit is None:
             return step
         _reverse(pts, side, *hit)

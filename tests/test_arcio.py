@@ -643,8 +643,8 @@ class TestPairFilterSoundness:
 
 
 class TestValidationCache:
-    """validate_simple keeps the report of the last arc object it scanned,
-    with the tolerance it scanned at."""
+    """validate_simple keeps each arc object's report on that object, with
+    the tolerance it scanned at."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
@@ -662,6 +662,16 @@ class TestValidationCache:
         arc = generate_arc(20, 5, "uncross")
         analyze_arc(arc)
         assert [a for a in scans if a is arc] == [arc]
+
+    def test_arcs_generated_first_are_not_scanned_again(self, scans):
+        # as in a sweep, whose set-up generates every arc before the
+        # first analysis: a later arc's scan keeps no earlier one's out
+        arcs = [generate_arc(12, seed, "zigzag") for seed in range(3)]
+        assert scans == arcs
+        scans.clear()
+        for arc in arcs:
+            analyze_arc(arc)
+        assert not any(a is arc for a in scans for arc in arcs)
 
     def test_equal_arc_object_scans_again(self, scans):
         arc = PolygonalArc(((0, 0), (1, 0), (1, 1)))

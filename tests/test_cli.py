@@ -587,18 +587,31 @@ class TestFuzzFailures:
                                    "error": "planted"}
         assert list(json.loads(out)) == list(whole) + ["arcs_done", "error"]
 
-    def test_arc_over_the_uncross_cap_prints_the_finished_arcs(
-            self, capsys, monkeypatch):
-        # as `--nodes 999-1001` at the real cap, without two 15 s arcs
+    @pytest.mark.parametrize("strategy", ["uncross", "mixed"])
+    def test_range_over_the_uncross_cap_is_refused_up_front(
+            self, capsys, monkeypatch, strategy):
+        # as `--nodes 999-1001` at the real cap, which would otherwise
+        # make two 15 s arcs before the third is refused
         monkeypatch.setattr("arcsupport.arcgen.UNCROSS_MAX_NODES", 5)
+        generate = cli.generate_arc
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return generate(*args)
+        monkeypatch.setattr(cli, "generate_arc", counted)
         code = run(["fuzz", "--count", "3", "--nodes", "4-6",
-                    "--strategy", "uncross"])
-        out, err = capsys.readouterr()
+                    "--strategy", strategy])
         message = "uncross arcs have at most 5 nodes, got 6; zigzag has no limit"
-        assert (code, err) == (3, f"error: {message}\n")
-        payload = json.loads(out)
-        assert (payload["arcs_done"], payload["error"]) == (2, message)
-        assert payload["checks"] >= 2 and payload["ok"] is True
+        assert (code, capsys.readouterr(), calls) == (
+            3, ("", f"error: {message}\n"), [])
+
+    def test_zigzag_range_over_the_uncross_cap_runs(self, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr("arcsupport.arcgen.UNCROSS_MAX_NODES", 5)
+        code, payload = self._fuzz(capsys, ["--count", "3", "--nodes", "4-6",
+                                            "--strategy", "zigzag"])
+        assert (code, payload["ok"], payload["checks"] >= 3) == (0, True, True)
 
     def test_disagreements_alone_exit_5(self, capsys, monkeypatch):
         compare = cli.compare_with_solver
@@ -740,9 +753,13 @@ def _cli_child(*argv: str) -> subprocess.Popen:
     pythonpath = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    # a background job of a non-interactive shell starts with SIGINT
+    # ignored, and a child would inherit that: reset it to the default
     return subprocess.Popen([sys.executable, "-m", "arcsupport.cli", *argv],
                             env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE)
+                            stderr=subprocess.PIPE,
+                            preexec_fn=lambda: signal.signal(
+                                signal.SIGINT, signal.SIG_DFL))
 
 
 class TestErrorHandling:

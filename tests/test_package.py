@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -43,6 +44,24 @@ def test_every_public_function_has_a_user_outside_the_tests():
                    if path != home):
             unused.append(name)
     assert unused == []
+
+
+def test_library_keeps_no_module_level_state():
+    # a derived value lives on the frozen object it derives from, as a
+    # cached_property, or in the one call that uses it: a module-level
+    # slot or cache would share it between unrelated objects and runs
+    offenders = []
+    for path in sorted((ROOT / "src" / "arcsupport").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Global):
+                offenders.append(f"{path.name}:{node.lineno} global")
+            for deco in getattr(node, "decorator_list", ()):
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                name = (target.attr if isinstance(target, ast.Attribute)
+                        else getattr(target, "id", ""))
+                if name in ("lru_cache", "cache"):
+                    offenders.append(f"{path.name}:{deco.lineno} {name}")
+    assert offenders == []
 
 
 def test_no_test_module_imports_another():
