@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArcError, ParseError
+from .errors import DegenerateHullError, InvalidArcError, ParseError
 from .geom import (DEFAULT_EPS_REL, Point, Segment, Tolerance, bbox, dist,
                    orient, segments_intersect)
 
@@ -101,17 +101,23 @@ class ValidationReport:
 
 def parse_arc(text: str, fmt: str = "json") -> PolygonalArc:
     if fmt == "json":
-        return _parse_json(text)
-    if fmt == "csv":
-        return _parse_csv(text)
-    raise ValueError(f"unknown arc format {fmt!r}")
+        parse = _parse_json
+    elif fmt == "csv":
+        parse = _parse_csv
+    else:
+        raise ValueError(f"unknown arc format {fmt!r}")
+    try:    # the arc's own checks fail as input errors
+        return parse(text)
+    except InvalidArcError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _parse_json(text: str) -> PolygonalArc:
     try:    # integers go straight to float: no digit limit, no overflow
         data = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+        raise ParseError(
+            f"line {exc.lineno}: invalid JSON: {exc.msg}") from exc
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
@@ -130,10 +136,7 @@ def _parse_json(text: str) -> PolygonalArc:
         if (type(entry) is not list or len(entry) != 2
                 or type(entry[0]) is not float or type(entry[1]) is not float):
             raise ParseError(f"node {i} is not a numeric [x, y] pair")
-    try:    # PolygonalArc makes the Points
-        return PolygonalArc(nodes, closed=closed)
-    except InvalidArcError as exc:
-        raise ParseError(str(exc)) from exc
+    return PolygonalArc(nodes, closed=closed)   # which makes the Points
 
 
 def _parse_csv(text: str) -> PolygonalArc:
@@ -155,16 +158,13 @@ def _parse_csv(text: str) -> PolygonalArc:
                     and not any(map(_is_number, parts))):
                 header_allowed = False
                 continue
-            raise ParseError(f"expected two numeric fields, got {line!r}",
-                             line=lineno) from None
+            raise ParseError(f"line {lineno}: expected two numeric fields, "
+                             f"got {line!r}") from None
         header_allowed = False
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise ParseError("non-finite coordinate", line=lineno)
+            raise ParseError(f"line {lineno}: non-finite coordinate")
         points.append((x, y))
-    try:
-        return PolygonalArc(points, closed=False)
-    except InvalidArcError as exc:
-        raise ParseError(str(exc)) from exc
+    return PolygonalArc(points, closed=False)
 
 
 def _is_number(field: str) -> bool:
@@ -183,13 +183,14 @@ def load_arc(path: str) -> PolygonalArc:
 
 
 def is_segment_arc(arc: PolygonalArc) -> bool:
-    """True when every node is collinear within the arc's tolerance."""
-    tol = arc.tolerance()
-    anchor = min(arc.nodes)
-    far = max(arc.nodes, key=lambda p: dist(anchor, p))
-    if dist(anchor, far) <= tol.eps_len:
+    """True when the arc's strict hull is degenerate: ``convex_hull``,
+    under the arc's tolerance, finds every node collinear."""
+    from .hull import convex_hull      # hull imports this module
+    try:
+        convex_hull(arc.nodes, arc.tolerance())
+    except DegenerateHullError:
         return True
-    return all(orient(anchor, far, p, tol) == 0 for p in arc.nodes)
+    return False
 
 
 def _node_array(arc: PolygonalArc) -> np.ndarray:

@@ -53,8 +53,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     else:
         print(json.dumps({
             "ok": report.ok,
-            "violations": [{"kind": v.kind, "indices": list(v.indices),
-                            "detail": v.detail} for v in report.violations],
+            "violations": [v._asdict() for v in report.violations],
         }, indent=2))
     return EXIT_OK if report.ok else EXIT_INVALID_ARC
 
@@ -144,10 +143,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     lo, hi = args.nodes
     if args.strategy in ("uncross", "mixed"):
         check_request(hi, "uncross")    # exit 3 before any arc is made
-    grid: list[float] = []
+    grid: list[float] = []      # from one step up: 0 is always asked
     step = args.phi_grid
-    while step is not None and len(grid) * step < 180.0:
-        grid.append(len(grid) * step)
+    while step is not None and (len(grid) + 1) * step < 180.0:
+        grid.append((len(grid) + 1) * step)
 
     failures: list[dict] = []
     checks = 0

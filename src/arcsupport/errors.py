@@ -9,13 +9,8 @@ class ArcSupportError(Exception):
 
 
 class ParseError(ArcSupportError, ValueError):
-    """Malformed input text; carries an optional line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    """Malformed input text; a message about one line starts
+    ``line N: ``."""
 
 
 class InvalidArcError(ArcSupportError, ValueError):

@@ -48,10 +48,12 @@ def angle_problem(phi_deg: float) -> str | None:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """eps_len in plane units, finite and > 0; eps_angle in degrees, fixed.
-    An arc's one tolerance comes from ``PolygonalArc.tolerance``, which
-    checks the arc's float range; only ``orient``, ``segments_intersect``
-    and ``convex_hull`` take one, and they check nothing more."""
+    """eps_len in plane units, finite and > 0.  eps_angle is a read-only
+    alias of DEFAULT_EPS_ANGLE, kept for the benchmark under bench/; the
+    library reads the constant.  An arc's one tolerance comes from
+    ``PolygonalArc.tolerance``, which checks the arc's float range; only
+    ``orient``, ``segments_intersect`` and ``convex_hull`` take one, and
+    they check nothing more."""
 
     eps_len: float
     eps_angle: ClassVar[float] = DEFAULT_EPS_ANGLE

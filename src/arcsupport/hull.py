@@ -11,8 +11,8 @@ from typing import NamedTuple
 
 from .arcio import PolygonalArc
 from .errors import DegenerateHullError
-from .geom import (Line, Point, Tolerance, direction_deg, normalize_angle,
-                   orient, unit_vector)
+from .geom import (DEFAULT_EPS_ANGLE, Line, Point, Tolerance, direction_deg,
+                   normalize_angle, orient, unit_vector)
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def support_vertices(hull: ConvexHull, dir_deg: float,
     touches, the extreme vertex first.  A bisection of ``unwrapped`` finds
     the extreme vertex, and the parallel test reads the turns to its two
     neighbouring entries of that table: an edge joins when its turn mod
-    180 is within ``eps_angle`` of 0.  The test is purely angular so that
+    180 is within ``DEFAULT_EPS_ANGLE`` of 0.  The test is purely angular so that
     it transitions at exactly the same prescribed angles as the
     strip-diagram queries, regardless of how short the grazed edge is.
     A non-finite direction raises ValueError."""
@@ -146,7 +146,7 @@ def support_vertices(hull: ConvexHull, dir_deg: float,
     # ends.  An edge is parallel to the line when its turn is 0 or 180.
     before = target - (table[pos - 1] if pos else table[-1] - 360.0)
     after = (table[pos] if pos < k else first + 360.0) - target
-    eps = hull.tol.eps_angle
+    eps = DEFAULT_EPS_ANGLE
     ids = [extreme]
     if before <= eps or before >= 180.0 - eps:
         ids.append((extreme - 1) % k)

@@ -22,8 +22,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .arcio import PolygonalArc
-from .geom import (DIRECTION_AGREE_DEG, Line, Tolerance, angle_problem,
-                   lines_equal, same_line_pair)
+from .geom import (DEFAULT_EPS_ANGLE, DIRECTION_AGREE_DEG, Line, Tolerance,
+                   angle_problem, lines_equal, same_line_pair)
 # unused here, but bench/test_bench.py checks the tracer wraps it here too
 from .hull import (ConvexHull, anchor_contact, convex_hull,  # noqa: F401
                    support_vertices)
@@ -71,17 +71,18 @@ def brute_force_configs(hull: ConvexHull, phi_deg: float) -> list[OraclePair]:
 
 def brute_force_pairs(analysis: Analysis, phi_deg: float) -> list[OraclePair]:
     """Deduplicated unordered support-line pairs realizing ``phi_deg``."""
-    return _dedupe(brute_force_configs(analysis.hull, phi_deg), analysis.tol)
+    return _dedupe(brute_force_configs(analysis.hull, phi_deg),
+                   analysis.tol.eps_len)
 
 
-def _dedupe(configs: list[OraclePair], tol: Tolerance) -> list[OraclePair]:
+def _dedupe(configs: list[OraclePair], eps_len: float) -> list[OraclePair]:
     """The first configuration of each unordered pair of lines."""
     if len(configs) < 2:
         return configs
     kept: list[OraclePair] = []
     for c in configs:
-        if not any(same_line_pair(c.m, c.n, k.m, k.n, tol.eps_len,
-                                  tol.eps_angle) for k in kept):
+        if not any(same_line_pair(c.m, c.n, k.m, k.n, eps_len,
+                                  DEFAULT_EPS_ANGLE) for k in kept):
             kept.append(c)
     return kept
 
@@ -108,7 +109,7 @@ def compare_with_solver(arc: PolygonalArc, phi_deg: float,
     solved = solve_at_angle(analysis, phi_deg)
     configs = brute_force_configs(analysis.hull, phi_deg)
     eps, agree = own_tol.eps_len, DIRECTION_AGREE_DEG
-    deduped = _dedupe(configs, own_tol)
+    deduped = _dedupe(configs, eps)
     if len(solved.pairs) != len(deduped):
         return AgreementReport(phi_deg, solved.case, len(solved.pairs),
                                len(deduped), False, "pair counts differ")

@@ -16,9 +16,9 @@ from functools import cached_property
 
 from .arcio import PolygonalArc, validate_simple
 from .errors import InvalidArcError, UnsupportedArcError, ensure
-from .geom import (DIRECTION_AGREE_DEG, Line, Point, Tolerance,
-                   lines_intersection, normalize_angle, same_line_pair,
-                   unit_vector)
+from .geom import (DEFAULT_EPS_ANGLE, DIRECTION_AGREE_DEG, Line, Point,
+                   Tolerance, lines_intersection, normalize_angle,
+                   same_line_pair, unit_vector)
 from .guidepath import GuidePath, build_guide_path
 from .hull import ConvexHull, convex_hull, support_contact
 from .locales import (LocaleDecomposition, TiltTable, decompose_locales,
@@ -188,7 +188,7 @@ def solve_at_angle(analysis: Analysis, phi_deg: float) -> SolutionSet:
     if len(pairs) == 2:
         a, b = pairs
         ensure(not same_line_pair(a.m, a.n, b.m, b.n, analysis.tol.eps_len,
-                                  analysis.tol.eps_angle),
+                                  DEFAULT_EPS_ANGLE),
                "the two solutions collapse to one line pair")
     return SolutionSet(phi_deg, case, pairs, analysis.table)
 

@@ -80,11 +80,10 @@ def _poly(xy: list[float], cls: str, tag: str = "polyline") -> str:
     return f'<{tag} class="{cls}" points="{_points(xy)}"/>\n'
 
 
-def _circles(xy: list[float], r: float, cls: str) -> str:
-    """A dot of radius r at each point of the flat SVG coordinates xy."""
-    r_text = _fmt("%.6f", r)
-    dot = f'<circle class="{cls}" cx="%.6f" cy="%.6f" r="{r_text}"/>\n'
-    return _fmt(dot * (len(xy) // 2), *xy)
+def _dot(p: tuple[float, float], r: float, cls: str) -> str:
+    """A dot of radius r at the point p."""
+    return _fmt(f'<circle class="{cls}" cx="%.6f" cy="%.6f" r="%.6f"/>\n',
+                p[0], -p[1], r)
 
 
 def _segment(a: Point, b: Point, cls: str) -> str:
@@ -130,12 +129,13 @@ def render_scene(arc: PolygonalArc, hull: ConvexHull | None = None,
         parts.append(_segment(head, tail, "axis"))
         parts.append(_poly(_flip(hull.points[h] for h in guide.visit),
                            "guide"))
-    # the node dots reuse the polyline's number text: spaces first, as
-    # their replacement holds no comma
+    # the node dots reuse the arc's number text: spaces first, as their
+    # replacement holds no comma
     points = _points(_flip(arc.nodes))
     dot = '<circle class="node" cx="'
     end = f'" r="{_fmt("%.6f", r_node)}"/>\n'
-    parts.append(f'<polyline class="arc" points="{points}"/>\n')
+    tag = "polygon" if arc.closed else "polyline"
+    parts.append(f'<{tag} class="arc" points="{points}"/>\n')
     parts.append(dot + points.replace(" ", end + dot).replace(",", '" cy="')
                  + end)
     if solution is not None:
@@ -146,10 +146,10 @@ def render_scene(arc: PolygonalArc, hull: ConvexHull | None = None,
                     parts.append(_segment(seg[0], seg[1], cls))
             for node, cls in ((pair.u, "contact-m"), (pair.w, "contact-m"),
                               (pair.v, "contact-n")):
-                parts.append(_circles(_flip([arc.nodes[node]]), r_mark, cls))
+                parts.append(_dot(arc.nodes[node], r_mark, cls))
             if pair.apex is not None and (xmin <= pair.apex.x <= xmax
                                           and ymin <= pair.apex.y <= ymax):
-                parts.append(_circles(_flip([pair.apex]), r_mark, "apex"))
+                parts.append(_dot(pair.apex, r_mark, "apex"))
     parts.append("</svg>\n")
     return "".join(parts)
 
@@ -208,13 +208,13 @@ def render_schematic(diagram: SchematicDiagram,
     parts.append(_poly(_flip(lower), "lower-profile"))
     parts.append(_poly(_flip([(0.0, table.phi_left),
                               (width, table.phi_right)]), "delta-profile"))
-    parts.append(_circles(_flip([(table.phi_left, 0.0)]), r_mark, "crossing"))
+    parts.append(_dot((table.phi_left, 0.0), r_mark, "crossing"))
 
     if query is not None:
         for sol in query.solutions:
             parts.append(_segment(Point(sol.abscissa, ymin_d),
                                   Point(sol.abscissa, ymax_d), "query-rule"))
-            parts.append(_circles(_flip([(sol.abscissa, sol.ordinate)]),
-                                  r_mark, "query-point"))
+            parts.append(_dot((sol.abscissa, sol.ordinate), r_mark,
+                              "query-point"))
     parts.append("</svg>\n")
     return "".join(parts)

@@ -2,16 +2,20 @@
 star-fan generators, a jittered-grid hypothesis strategy, an exact
 orientation sign, angle, offset and bounding-box measures, the check of a
 support-line pair against its definition, a reader of the schematic's
-delta profile, and the angles around the angle band of 0.  The polygon
-generators draw from ``arcgen``'s own seeded stream, so a polygon depends
-on its two integers alone."""
+delta profile, the angles around the angle band of 0, and a CLI child
+process.  The polygon generators draw from ``arcgen``'s own seeded
+stream, so a polygon depends on its two integers alone."""
 
 from __future__ import annotations
 
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,3 +186,17 @@ def random_star_polygon(nodes: int, seed: int) -> PolygonalArc:
     raise GenerationError(
         f"no simple closed arc with {nodes} nodes after {ATTEMPTS} attempts "
         f"(seed {seed})")
+
+
+def cli_child(*argv: str, **popen_args) -> subprocess.Popen:
+    """``python -m arcsupport.cli`` in a child process, with stdout and
+    stderr piped and this checkout's src ahead of the PYTHONPATH, so that a
+    child run in another directory still finds it; ``popen_args`` go to
+    ``subprocess.Popen``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    return subprocess.Popen([sys.executable, "-m", "arcsupport.cli", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, **popen_args)

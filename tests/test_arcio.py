@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from helpers import bbox_diagonal, exact_orient, random_star_polygon, star_fan
+from helpers import (bbox_diagonal, exact_orient, jittered_grid_nodes,
+                     random_star_polygon, star_fan)
 
 from arcsupport import arcio
 from arcsupport.arcgen import generate_arc
@@ -29,10 +30,11 @@ from arcsupport.arcio import (
     parse_arc,
     validate_simple,
 )
-from arcsupport.errors import InvalidArcError, ParseError
+from arcsupport.errors import DegenerateHullError, InvalidArcError, ParseError
 from arcsupport.geom import (DEFAULT_EPS_ANGLE, DEFAULT_EPS_REL, Line, Point,
                              Tolerance, dist,
                              lines_intersection, orient, segments_intersect)
+from arcsupport.hull import convex_hull
 from arcsupport.solver import analyze_arc, solve_closed
 
 
@@ -303,6 +305,35 @@ class TestSegmentArcDetection:
     def test_bump_below_eps_counts_as_segment(self):
         arc = PolygonalArc(((0, 0), (1, 1e-12), (2, 0)))
         assert is_segment_arc(arc)
+
+    # jitter-recipe arcs on which a scan from the smallest node to the
+    # node farthest from it and the hull once disagreed: the hull found
+    # the first and third collinear, the scan the second
+    @settings(max_examples=300, deadline=None)
+    @given(jittered_grid_nodes())
+    @example([[2.0000000006926055, 0.9999999994891375],
+              [0.999999999001888, 1.9999999993111333],
+              [0.9999999992082168, 1.999999999813343],
+              [0.9999999996591616, 1.9999999999864257],
+              [1.0000000001145988, 2.0000000008951537]])
+    @example([[0.9999999997845028, 0.9999999998063731],
+              [0.9999999998420004, 0.9999999993262987],
+              [0.9999999990147664, 0.9999999999950183],
+              [0.9999999993981723, 1.000000000734347],
+              [1.9999999999485063, 1.0000000008342895]])
+    @example([[4.000000002757416, 3.999999990462191],
+              [4.000000006523444, 6.1515715149198684e-09],
+              [4.0000000071703, 2.999999992124137],
+              [4.000000001390014, 2.999999991787584]])
+    def test_agrees_with_the_hull(self, nodes):
+        arc = PolygonalArc(nodes)
+        try:
+            convex_hull(arc.nodes, arc.tolerance())
+        except DegenerateHullError:
+            degenerate = True
+        else:
+            degenerate = False
+        assert is_segment_arc(arc) == degenerate
 
 
 # closed arcs whose violation, or its absence, sits where the last node

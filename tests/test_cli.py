@@ -16,14 +16,14 @@ import math
 import os
 import shlex
 import signal
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from helpers import BAND_EDGE_ANGLES, BAND_REFUSAL, TINY_ANGLES, star_fan
+from helpers import (BAND_EDGE_ANGLES, BAND_REFUSAL, TINY_ANGLES, cli_child,
+                     star_fan)
 
 from arcsupport import cli
 from arcsupport import hull as hull_module
@@ -419,8 +419,8 @@ class TestFuzz:
         assert run(["fuzz", "--count", "2", "--seed", "1", "--nodes", "6",
                     "--phi-grid", "60"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        # Grid 0, 60, 120 plus the implicit 0 and the two thresholds.
-        assert payload["checks"] == 2 * 6
+        # 0, the grid's 60 and 120, and the two thresholds: 0 once.
+        assert payload["checks"] == 2 * 5
 
     def test_fixed_strategy(self, capsys):
         assert run(["fuzz", "--count", "3", "--seed", "2", "--nodes", "5",
@@ -537,8 +537,8 @@ class TestFuzzFailures:
             "--count", "4", "--seed", "7", "--nodes", "5-8",
             "--phi-grid", "60"])
         assert code == 4
-        # arc 2 got through 0 and grid angle 0 before the violation
-        assert payload["checks"] == 3 * 6 + 2
+        # arc 2 got through 0 before the violation
+        assert payload["checks"] == 3 * 5 + 1
         [failure] = payload["failures"]
         assert failure["phi"] == 60.0
         assert failure["reproduce"].endswith(" --phi-grid 60.0")
@@ -746,27 +746,11 @@ class TestOptionSets:
 
 # ----------------------------------------------------------- error handling
 
-def _cli_child(*argv: str) -> subprocess.Popen:
-    """``python -m arcsupport.cli`` in a child process, with stdout and
-    stderr piped and this checkout's src ahead of the PYTHONPATH."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    pythonpath = [src, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
-    # a background job of a non-interactive shell starts with SIGINT
-    # ignored, and a child would inherit that: reset it to the default
-    return subprocess.Popen([sys.executable, "-m", "arcsupport.cli", *argv],
-                            env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE,
-                            preexec_fn=lambda: signal.signal(
-                                signal.SIGINT, signal.SIG_DFL))
-
-
 class TestErrorHandling:
     def test_closed_stdout_exits_1_quietly(self, tmp_path):
         # a child process whose reader takes 10 bytes and goes away, as
         # `| head -c 10` does; the report (about 365 kB) overfills the pipe
-        child = _cli_child("analyze", _write_arc(tmp_path, star_fan(3000, 1)))
+        child = cli_child("analyze", _write_arc(tmp_path, star_fan(3000, 1)))
         head = child.stdout.read(10)
         child.stdout.close()
         err = child.stderr.read()
@@ -780,7 +764,10 @@ class TestErrorHandling:
         # and it waits there for data that never comes until SIGINT
         fifo = tmp_path / "arc.json"
         os.mkfifo(fifo)
-        child = _cli_child("validate", str(fifo))
+        # a background job of a non-interactive shell starts with SIGINT
+        # ignored, and the child would inherit that: reset it to the default
+        child = cli_child("validate", str(fifo), preexec_fn=lambda:
+                          signal.signal(signal.SIGINT, signal.SIG_DFL))
         writer = None
         try:
             deadline = time.monotonic() + 60.0

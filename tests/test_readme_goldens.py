@@ -11,16 +11,15 @@ the goldens with
 and say in the change which bytes moved and why.
 """
 
-import os
 import re
 import shlex
 import shutil
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
+from helpers import cli_child
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -57,14 +56,10 @@ def _outcome(argv: list[str], workdir: Path) -> dict[str, bytes]:
     in ``workdir``, keyed by golden file name."""
     for src in INPUTS.iterdir():
         shutil.copy(src, workdir / src.name)
-    # the child runs in workdir, so a relative PYTHONPATH=src would miss
-    pythonpath = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
-    done = subprocess.run([sys.executable, "-m", "arcsupport.cli", *argv],
-                          cwd=workdir, env=env, capture_output=True)
-    outcome = {"exit": f"{done.returncode}\n".encode(), "stdout": done.stdout,
-               "stderr": done.stderr}
+    child = cli_child(*argv, cwd=workdir)
+    stdout, stderr = child.communicate()
+    outcome = {"exit": f"{child.returncode}\n".encode(), "stdout": stdout,
+               "stderr": stderr}
     for path in sorted(workdir.iterdir()):
         if not (INPUTS / path.name).exists():
             outcome[f"files/{path.name}"] = path.read_bytes()

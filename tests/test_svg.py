@@ -141,6 +141,17 @@ class TestSceneContent:
         svg = render_scene(pentagon_arc)
         assert svg.count('class="node"') == len(pentagon_arc)
 
+    def test_closed_arc_is_drawn_closed(self):
+        # the edge from (0, 4) back to (1, 1) is no hull edge, so only
+        # the arc's own outline can draw it
+        arc = PolygonalArc([(1, 1), (0, 0), (4, 0), (4, 4), (0, 4)],
+                           closed=True)
+        drawn = render_scene(arc, simple_hull(arc))
+        assert ('<polygon class="arc" points="1.000000,-1.000000 '
+                '0.000000,0.000000 4.000000,0.000000 4.000000,-4.000000 '
+                '0.000000,-4.000000"/>\n') in drawn
+        assert '<polyline class="arc"' not in drawn
+
 
 def _num(v):
     """One number as the writer must print it: six decimals, no sign on
@@ -166,9 +177,9 @@ def _per_number_poly(xy, cls, tag="polyline"):
     return f'<{tag} class="{cls}" points="{pts}"/>\n'
 
 
-def _per_number_circles(xy, r, cls):
-    return "".join(f'<circle class="{cls}" cx="{_num(x)}" cy="{_num(y)}" '
-                   f'r="{_num(r)}"/>\n' for x, y in zip(xy[::2], xy[1::2]))
+def _per_number_dot(p, r, cls):
+    return (f'<circle class="{cls}" cx="{_num(p[0])}" cy="{_num(-p[1])}" '
+            f'r="{_num(r)}"/>\n')
 
 
 def _per_number_segment(a, b, cls):
@@ -177,7 +188,7 @@ def _per_number_segment(a, b, cls):
 
 
 PER_NUMBER = {"_fmt": _per_number_fmt, "_header": _per_number_header,
-              "_poly": _per_number_poly, "_circles": _per_number_circles,
+              "_poly": _per_number_poly, "_dot": _per_number_dot,
               "_segment": _per_number_segment}
 
 # +-0, +-4e-7 (which prints as -0.000000 before the sign is dropped),
@@ -208,10 +219,10 @@ class TestSceneWriter:
         match the reference that prints each number on its own."""
         xmin, ymin, xmax, ymax = bbox(arc.nodes)
         diag = max(((xmax - xmin) ** 2 + (ymax - ymin) ** 2) ** 0.5, 1e-12)
-        xy = [v for x, y in arc.nodes for v in (x, -y)]
         dots = "".join(line + "\n" for line in text.splitlines()
                        if line.startswith('<circle class="node"'))
-        assert dots == _per_number_circles(xy, 0.008 * diag, "node")
+        assert dots == "".join(_per_number_dot(p, 0.008 * diag, "node")
+                               for p in arc.nodes)
 
     @pytest.mark.parametrize("nodes", [
         [(0.0, 0.0), (1.0, 4e-7), (2.0, -4e-7), (-4e-7, 1.0), (4e-7, -0.0),
@@ -287,8 +298,8 @@ class TestSceneWriter:
             "polyline": (svg._poly(xy, "arc"), _per_number_poly(xy, "arc")),
             "polygon": (svg._poly(xy, "hull", "polygon"),
                         _per_number_poly(xy, "hull", "polygon")),
-            "circles": (svg._circles(xy, r, "node"),
-                        _per_number_circles(xy, r, "node")),
+            "dots": ("".join(svg._dot(p, r, "node") for p in nodes),
+                     "".join(_per_number_dot(p, r, "node") for p in nodes)),
             "line": (svg._segment(a, b, "axis"),
                      _per_number_segment(a, b, "axis")),
             "header": (svg._header(x0, y0, x1, y1, ".arc{}\n"),

@@ -13,9 +13,8 @@ closed-stdout and interrupt tests); each traced process writes the
 
 A statement is a line that some code object of a module lists in
 ``co_lines()``, less the lines of docstrings.  The script prints
-``path:line: source`` for each statement that no process ran, outside the
-functions named in ALLOWED, and one line for each ALLOWED name that no
-longer has an unrun statement; it exits 1 if it printed anything.  If the
+``path:line: source`` for each statement that no process ran, and exits 1
+if it printed anything.  If the
 suite fails, it prints the suite's output instead and exits with its code.
 It uses the standard library only, and pytest does not collect it (its
 name does not start with ``test_``).  The traced suite takes two to four
@@ -38,13 +37,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "arcsupport"
-
-# "module.function" -> why its unrun statements are kept; every statement
-# of the function and of the code nested in it is exempt
-ALLOWED = {
-    "arcio.is_segment_arc": "no library code calls it, but bench/spans.py "
-                            "wraps it by name; it goes with that span",
-}
 
 SITECUSTOMIZE = """\
 import sys
@@ -101,28 +93,26 @@ def trace_this_process(out: str) -> None:
     sys.settrace(scope)
 
 
-def statements(path: Path) -> dict[int, str]:
-    """Line -> qualified name of the innermost code object that lists the
-    line in ``co_lines()``, for one module, less its docstring lines."""
+def statements(path: Path) -> set[int]:
+    """The lines that some code object of one module lists in
+    ``co_lines()``, less its docstring lines."""
     source = path.read_text()
-    found: dict[int, str] = {}
+    found: set[int] = set()
 
-    def walk(code, name: str) -> None:
-        for _, _, line in code.co_lines():
-            if line:
-                found[line] = name
+    def walk(code) -> None:
+        found.update(line for _, _, line in code.co_lines() if line)
         for const in code.co_consts:
             if hasattr(const, "co_lines"):
-                walk(const, f"{name}.{const.co_name}")
+                walk(const)
 
-    walk(compile(source, str(path), "exec"), path.stem)
+    walk(compile(source, str(path), "exec"))
     for node in ast.walk(ast.parse(source)):
         body = getattr(node, "body", None)
         if (isinstance(body, list) and body and isinstance(body[0], ast.Expr)
                 and isinstance(body[0].value, ast.Constant)
                 and isinstance(body[0].value.value, str)):
             for line in range(body[0].lineno, body[0].end_lineno + 1):
-                found.pop(line, None)
+                found.discard(line)
     return found
 
 
@@ -151,24 +141,13 @@ def main() -> int:
                     ran.setdefault(path, set()).update(lines)
 
     printed = False
-    unrun_allowed: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text().splitlines()
         seen = ran.get(os.path.realpath(path), set())
-        for line, name in sorted(statements(path).items()):
-            if line in seen:
-                continue
-            allowed = [a for a in ALLOWED
-                       if name == a or name.startswith(a + ".")]
-            if allowed:
-                unrun_allowed.update(allowed)
-                continue
+        for line in sorted(statements(path) - seen):
             print(f"{path.relative_to(ROOT)}:{line}: "
                   f"{source[line - 1].strip()}")
             printed = True
-    for name in sorted(set(ALLOWED) - unrun_allowed):
-        print(f"ALLOWED names {name}, which has no unrun statement")
-        printed = True
     return 1 if printed else 0
 
 
